@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InfeasibleNoise
+from .errors import BrokenInvariant, DecodingFailure, InfeasibleNoise
 from .orbit_codes import UnionCode
 from .subspace_linalg import (
     Subspace,
@@ -77,8 +77,8 @@ def transmit(codeword: Subspace, cfg: ChannelConfig, rng: random.Random) -> Subs
             raise InfeasibleNoise("could not sample an error dimension")
 
     received = span(tower, list(kept) + inserted)
-    assert received.dim == target + t
-    assert subspace_distance(codeword, received) == rho + t
+    if received.dim != target + t or subspace_distance(codeword, received) != rho + t:
+        raise BrokenInvariant("received space is not at distance erasures + insertions")
     return received
 
 
@@ -114,8 +114,8 @@ def run_trials(
     """Seeded decoding trials; returns a JSON-ready report.
 
     When the guarantee 2*(erasures+insertions) < min_distance is active,
-    every trial must decode correctly (hard assertion); otherwise the
-    failure rate is only reported."""
+    every trial must decode correctly, and a wrong decode raises
+    DecodingFailure; otherwise the failure rate is only reported."""
     rng = random.Random(cfg.seed)
     guarantee = 2 * (cfg.erasures + cfg.insertions) < min_distance
     successes = 0
@@ -126,8 +126,8 @@ def run_trials(
         if decoded == sent:
             successes += 1
         elif guarantee:
-            raise AssertionError(
-                f"guaranteed decode failed: sent {sent}, decoded {decoded}"
+            raise DecodingFailure(
+                f"sent {sent}, decoded {decoded}, claimed distance {min_distance}"
             )
     return {
         "trials": cfg.trials,

@@ -3,10 +3,11 @@
 Subcommands: construct, verify, sidon-check, bounds, table, poly, simulate.
 
 Every run emits a manifest (command, parameters, tower, tool version, wall
-time, sha256 digest of the result JSON); identical inputs give identical
-result digests.  Big integers are serialized as decimal strings.  Exit codes:
-0 verified/ok, 2 claim mismatch or failed check, 3 infeasible under the scan
-budget, 4 input error.
+time, phase timings, work counters, sha256 digest of the result JSON); the
+timings and counters stay outside the hashed result, so identical inputs give
+identical result digests.  Big integers are serialized as decimal strings.
+Exit codes: 0 verified/ok, 2 claim mismatch or failed check, 3 infeasible
+under the scan budget, 4 input error.
 """
 
 from __future__ import annotations
@@ -14,17 +15,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from . import channel_sim as ch
 from . import linearized_poly as lp
 from . import orbit_codes as oc
 from . import sidon_constructions as sc
-from .errors import CdcError, Infeasible
+from .errors import CdcError, DecodingFailure, Infeasible
 from .field_tower import build_tower
 
 EXIT_OK = 0
@@ -42,6 +41,10 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 def _emit(command: str, params: dict, tower_spec, result: dict, out: str | None, t0: float) -> None:
+    """Write the result and its manifest; ``time_*`` keys and ``counters`` go to the manifest."""
+    result = dict(result)
+    timings = {key: result.pop(key) for key in sorted(result) if key.startswith("time_")}
+    counters = result.pop("counters", {})
     payload = _dumps(result)
     manifest = {
         "command": command,
@@ -49,6 +52,8 @@ def _emit(command: str, params: dict, tower_spec, result: dict, out: str | None,
         "tower": tower_spec,
         "tool_version": __version__,
         "wall_time_s": round(time.perf_counter() - t0, 3),
+        "timings": timings,
+        "counters": counters,
         "result_digest": hashlib.sha256(payload.encode()).hexdigest(),
     }
     if out:
@@ -60,13 +65,6 @@ def _emit(command: str, params: dict, tower_spec, result: dict, out: str | None,
     else:
         print(payload)
         print(_dumps(manifest), file=sys.stderr)
-
-
-def _map_capability(threads: int):
-    if threads <= 1:
-        return map
-    pool = ThreadPoolExecutor(max_workers=threads)
-    return pool.map
 
 
 def _tower_for(q: int, k: int, r: int, parity: str):
@@ -94,14 +92,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     with open(args.code) as fh:
         code = oc.code_from_json(json.load(fh))
-    report = oc.verify_code(
-        code,
-        mode=args.mode,
-        budget=args.budget,
-        sample_pairs=args.sample_pairs,
-        seed=args.seed,
-        map_fn=_map_capability(args.threads),
-    )
+    report = oc.verify_code(code, mode=args.mode, budget=args.budget)
     report["claimed_size"] = str(code.claimed_size)
     report["claimed_min_distance"] = code.claimed_min_distance
     params = {"code": args.code, "mode": args.mode, "budget": args.budget}
@@ -201,6 +192,11 @@ def cmd_poly(args) -> int:
     if not args.skip_distance:
         rep = lp.poly_code_distance(polys, budget=args.budget)
         result["exact"] = rep.to_json()
+        result["counters"] = {
+            "pairs": len(polys) * (len(polys) + 1) // 2,
+            "differences": rep.differences,
+            "budget": args.budget,
+        }
     params = {"file": args.file, "N": args.N, "s": s}
     _emit("poly", params, tower.spec_dict(), result, args.out, t0)
     return EXIT_OK if verdict.passed else EXIT_MISMATCH
@@ -235,9 +231,6 @@ def _int_list(text: str) -> list[int]:
 
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cyclic-cdc", description=__doc__)
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("CYCLIC_CDC_THREADS", "1")),
-                    help="worker pool size for exhaustive scans")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a union code and write it as JSON")
@@ -251,10 +244,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a code file's size and distance claims")
     p.add_argument("--code", required=True)
     p.add_argument("--mode", choices=("exact", "criterion"), default="exact")
-    p.add_argument("--budget", type=int, default=oc.DEFAULT_SCAN_BUDGET)
-    p.add_argument("--sample-pairs", type=int, default=None,
-                   help="criterion mode: check only this many sampled pairs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=oc.DEFAULT_SCAN_BUDGET,
+                   help="most log differences the exact distance may examine")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 
@@ -308,6 +299,9 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except DecodingFailure as exc:
+        print(f"decoding guarantee broken: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (OSError, json.JSONDecodeError, KeyError, ValueError, CdcError) as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -74,6 +74,11 @@ class Infeasible(CdcError):
     """An exhaustive scan exceeds the configured budget."""
 
 
+class BrokenInvariant(CdcError):
+    """A computed quantity contradicts the theory it rests on; indicates an
+    implementation bug, not bad input."""
+
+
 # -- linearized polynomials -------------------------------------------------
 
 class NotFoundWithinBound(CdcError):
@@ -96,3 +101,8 @@ class WrongCharacteristic(CdcError):
 
 class InfeasibleNoise(CdcError):
     """Requested error dimensions cannot fit in the ambient space."""
+
+
+class DecodingFailure(CdcError):
+    """A trial decoded wrongly although 2(erasures + insertions) is below
+    the claimed minimum distance: the distance claim is false."""

@@ -20,12 +20,13 @@ Arithmetic strategy: levels of order <= 2^16 carry discrete log/exp tables
 order <= 2^8 additionally carry dense addition/multiplication tables so that
 schoolbook multiplication in the levels above them runs on plain list
 indexing.  Larger levels multiply by schoolbook polynomial products over the
-level below.
+level below, and take discrete logs by baby-step giant-step.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -233,6 +234,34 @@ class ExtensionField:
             o1 = self.order - 1
             return self._exp[(self._log[a] * e) % o1]
         return self._pow_sm(a, e % (self.order - 1) if e >= self.order else e)
+
+    def discrete_log(self, x: int) -> int:
+        """The e in [0, order - 1) with g^e = x, g = ``first_primitive(self)``:
+        from the log table, or else by baby-step giant-step."""
+        if x == 0:
+            raise ZeroElement("log of 0 undefined")
+        if self._log is not None:
+            return self._log[x]
+        baby, step, giant = self._baby_steps
+        y = x
+        for i in range(step):
+            j = baby.get(y)
+            if j is not None:
+                return i * step + j
+            y = self.mul(y, giant)
+        raise LevelMismatch(f"{x} is not an element of {self!r}")
+
+    @functools.cached_property
+    def _baby_steps(self) -> tuple[dict[int, int], int, int]:
+        """({g^j: j for j < s}, s, g^-s) with s = ceil(sqrt(order - 1)), built on first use."""
+        step = math.isqrt(self.order - 2) + 1
+        g = self._first_primitive_raw()
+        baby = {}
+        y = 1
+        for j in range(step):
+            baby[y] = j
+            y = self.mul(y, g)
+        return baby, step, self.inv(y)
 
     def _pow_sm(self, a, e):
         acc = 1
@@ -581,9 +610,6 @@ class FieldTower:
         if not 0 <= enc < f.order:
             raise LevelMismatch("encoding out of range")
         return FieldElement(self, level, enc)
-
-    def xi_pow(self, e: int) -> int:
-        return self.mid.pow(self.xi, e)
 
     # -- GF(q)-coordinates ------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Linearized (q-)polynomial machinery: kernels as subspaces, the
 coefficient-twist under cyclic shifts, gcd-based intersection dimensions,
 the rank-matrix criterion certifying unions of polynomial-kernel orbits,
-and the exact distance/size scan for such unions.
+and the exact distance and size of such unions.
 
 A q-polynomial sum(a_i * x^(q^i)) is kept sparsely as (exponent, coefficient)
 pairs; coefficients are encodings valid in the tower's top field (elements of
@@ -11,6 +11,7 @@ can be used directly).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -25,7 +26,7 @@ from .errors import (
     ZeroShift,
 )
 from .field_tower import FieldTower, build_tower
-from .subspace_linalg import Subspace, map_kernel, orbit_size
+from .subspace_linalg import Subspace, map_kernel, orbit_size, union_distance
 
 DEFAULT_SCAN_BUDGET = 1 << 26
 
@@ -87,10 +88,6 @@ def linpoly(tower: FieldTower, mapping: Mapping[int, int]) -> LinearizedPolynomi
             items.append((e, c))
     items.sort()
     return LinearizedPolynomial(tower, tuple(items))
-
-
-def poly_eval(P: LinearizedPolynomial, x: int) -> int:
-    return P.evaluate(x)
 
 
 def kernel_subspace(P: LinearizedPolynomial) -> Subspace:
@@ -220,8 +217,8 @@ def intersection_dim_via_gcd(P: LinearizedPolynomial, Q: LinearizedPolynomial) -
     q = P.tower.q
     g = dense_gcd(top, densify(P), densify(Q))
     deg = len(g) - 1
-    dim = round(math.log(deg, q)) if deg > 0 else 0
-    if q ** dim != deg:
+    dim = next((d for d in range(deg.bit_length()) if q ** d == deg), None)
+    if dim is None:
         raise NonPowerDegree(f"gcd degree {deg} is not a power of q={q}")
     return dim
 
@@ -317,32 +314,6 @@ def field_matrix_rank(top, rows: Iterable[Iterable[int]]) -> int:
     return rank
 
 
-def field_matrix_rank_division_free(top, rows: Iterable[Iterable[int]]) -> int:
-    """Division-free elimination oracle (cross-multiplication only)."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        p = work[row][col]
-        for i in range(len(work)):
-            if i != row and work[i][col]:
-                c = work[i][col]
-                work[i] = [
-                    top.sub_(top.mul(p, x), top.mul(c, y))
-                    for x, y in zip(work[i], work[row])
-                ]
-        rank += 1
-        row += 1
-        if row == len(work):
-            break
-    return rank
-
-
 @dataclass
 class CriteriaVerdict:
     """Outcome of the two union-distance conditions, with witnesses."""
@@ -389,13 +360,22 @@ def _admissible_alphas(tower: FieldTower, k: int, s: int) -> list[int]:
 def _rank_condition(
     polys: list[LinearizedPolynomial], s: int, budget: int
 ) -> tuple[bool, tuple | None, int]:
+    """Condition (1): the budget is checked per call, the scan once per family."""
+    n_alphas = len(_admissible_alphas(polys[0].tower, polys[0].q_degree, s))
+    if n_alphas * len(polys) ** 2 > budget:
+        raise Infeasible("rank scan exceeds budget")
+    return (*_rank_verdict(tuple(polys), s), n_alphas)
+
+
+@functools.lru_cache(maxsize=1)
+def _rank_verdict(
+    polys: tuple[LinearizedPolynomial, ...], s: int
+) -> tuple[bool, tuple | None]:
     tower = polys[0].tower
     top = tower.top
     q = tower.q
     k = polys[0].q_degree
     alphas = _admissible_alphas(tower, k, s)
-    if len(alphas) * len(polys) ** 2 > budget:
-        raise Infeasible("rank scan exceeds budget")
     want = k - s + 1
     gammas = [[P.coeff(t) for t in range(s + 2)] for P in polys]
     exps = [q ** k - q ** t for t in range(s + 2)]
@@ -410,8 +390,8 @@ def _rank_condition(
                 rows = _matrix_rows(top, q, k, s, r, last_cols[i])
                 rank = field_matrix_rank(top, rows)
                 if rank != want:
-                    return False, (i, j, alpha, rank), len(alphas)
-    return True, None, len(alphas)
+                    return False, (i, j, alpha, rank)
+    return True, None
 
 
 def check_union_distance_criteria(
@@ -508,6 +488,7 @@ class PolyCodeReport:
     size: int
     orbit_sizes: list[int]
     collisions: list[tuple[int, int]]
+    differences: int  # log differences examined; not part of the result
 
     def to_json(self) -> dict:
         return {
@@ -521,62 +502,20 @@ class PolyCodeReport:
 def poly_code_distance(
     polys: list[LinearizedPolynomial], budget: int = DEFAULT_SCAN_BUDGET
 ) -> PolyCodeReport:
-    """Exact minimum distance and size of the union of kernel orbits, by the
-    gcd method over all projective shifts and all generator pairs."""
-    tower = polys[0].tower
-    top = tower.top
-    q = tower.q
+    """Exact minimum distance and size of the union of kernel orbits, by
+    ``union_distance`` on the kernels."""
     k = polys[0].q_degree
     kernels = [kernel_subspace(P) for P in polys]
-    for P, V in zip(polys, kernels):
+    for V in kernels:
         if V.dim != k:
             raise BadSupport(
                 f"kernel dimension {V.dim} below the q-degree {k}: "
                 "not a subspace polynomial for this field"
             )
-    n_alpha = (top.order - 1) // (q - 1)
-    pairs = [(i, j) for i in range(len(polys)) for j in range(i, len(polys))]
-    if n_alpha * len(pairs) > budget:
-        raise Infeasible("distance scan exceeds budget")
-    dense = [densify(P) for P in polys]
-    exps = [q ** k - q ** t for t in range(k)]
-    best = 2 * k
-    collisions = []
-    for i, j in pairs:
-        Pi, Pj = polys[i], polys[j]
-        di = dense[i]
-        gj = [Pj.coeff(t) for t in range(k)]
-        collision = False
-        for alpha in tower.projective_reps("top"):
-            r = [
-                top.sub_(Pi.coeff(t), top.mul(gj[t], top.pow(alpha, exps[t])))
-                for t in range(k)
-            ]
-            R = [0] * (q ** (k - 1) + 1)
-            for t in range(k):
-                R[q ** t] = r[t]
-            _dense_trim(R)
-            if not R:
-                if i != j:
-                    collision = True
-                continue  # identical subspace, not a distance pair
-            g = dense_gcd(top, di, R)
-            deg = len(g) - 1
-            dim = round(math.log(deg, q)) if deg > 0 else 0
-            if q ** dim != deg:
-                raise NonPowerDegree(f"gcd degree {deg} not a power of {q}")
-            if dim == k:
-                if i != j:
-                    collision = True
-                continue
-            d = 2 * k - 2 * dim
-            if d < best:
-                best = d
-        if collision:
-            collisions.append((i, j))
+    best, collisions, differences = union_distance(kernels, budget)
     sizes = [orbit_size(V) for V in kernels]
     total = sum(sizes) if not collisions else -1
-    return PolyCodeReport(best, total, sizes, collisions)
+    return PolyCodeReport(best, total, sizes, collisions, differences)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -3,19 +3,20 @@ distance verification, closed-form size formulas for the odd/even tower
 constructions and their best known competitors, sphere-packing and Johnson
 bounds, rates, and the n = 4k ratio to the common bound value.
 
-All formula evaluation is exact big-integer arithmetic; divisions assert a
-zero remainder.  Floating point appears only in rate reporting.
+All formula evaluation is exact big-integer arithmetic.  Size formulas and
+Gaussian binomials divide exactly (a remainder raises InexactDivision); a
+bound is the floor of its rational product, since a code size is an integer
+no larger than the product.  Floating point appears only in rate reporting.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import DimensionMismatch, InexactDivision, Infeasible
 from .field_tower import FieldTower, tower_from_spec
@@ -23,8 +24,8 @@ from .sidon_constructions import cross_pair_ok, is_sidon, max_rep_index
 from .subspace_linalg import (
     Subspace,
     orbit_size,
-    rank_rows,
     subspace_from_json,
+    union_distance,
 )
 
 DEFAULT_SCAN_BUDGET = 1 << 26
@@ -81,61 +82,16 @@ def build_union(tower: FieldTower, generators: Iterable[Subspace], provenance: s
 
 # -- exact and criterion-based verification -----------------------------------
 
-def _exact_scan(code: UnionCode, budget: int, map_fn: Callable = map) -> tuple[int, list]:
-    """Minimum distance over all generator pairs and all projective shifts,
-    plus any orbit collisions discovered (i < j with U_i = alpha*U_j)."""
-    tower = code.tower
-    gens = code.generators
-    k = code.dim
-    n_alpha = (tower.top.order - 1) // (tower.q - 1)
-    pairs = [(i, j) for i in range(len(gens)) for j in range(i, len(gens))]
-    if len(pairs) * n_alpha > budget:
-        raise Infeasible(
-            f"{len(pairs)} pairs x {n_alpha} shifts exceeds budget {budget}"
-        )
-    alphas = list(tower.projective_reps("top"))
-    mul = tower.top.mul
-    rank = rank_rows
-
-    def scan_pair(pair):
-        i, j = pair
-        rows_i = gens[i].rows
-        rows_j = gens[j].rows
-        best = 2 * k
-        collision = False
-        for alpha in alphas:
-            stacked = list(rows_i) + [mul(alpha, r) for r in rows_j]
-            inter = 2 * k - rank(tower, stacked)
-            if inter == k:
-                if i != j:
-                    collision = True
-                continue
-            d = 2 * k - 2 * inter
-            if d < best:
-                best = d
-        return best, (pair if collision else None)
-
-    best = 2 * k
-    collisions = []
-    for d, coll in map_fn(scan_pair, pairs):
-        if d < best:
-            best = d
-        if coll is not None:
-            collisions.append(coll)
-    return best, collisions
-
-
 def verify_min_distance(
     code: UnionCode,
     mode: str = "exact",
     budget: int = DEFAULT_SCAN_BUDGET,
-    map_fn: Callable = map,
 ) -> int:
     """Exact minimum distance of the union.
 
-    exact: exhaustive scan over generator pairs and projective shifts.
+    exact: every generator pair at every shift, by ``union_distance``.
     criterion: 2k-2 if every generator is Sidon and every pair passes the
-    cross test; otherwise falls back to the exact scan.
+    cross test; otherwise falls back to the exact computation.
     """
     if mode == "criterion":
         gens = code.generators
@@ -143,14 +99,14 @@ def verify_min_distance(
         reps = (code.tower.mid.order - 1) // (code.tower.q - 1)
         if pair_cost * reps * reps > budget:
             raise Infeasible("criterion pair scan exceeds budget")
-        if all(map_fn(is_sidon, gens)) and all(
+        if all(is_sidon(g) for g in gens) and all(
             cross_pair_ok(a, b) for a, b in itertools.combinations(gens, 2)
         ):
             return 2 * code.dim - 2
         mode = "exact"
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    d, _ = _exact_scan(code, budget, map_fn)
+    d, _, _ = union_distance(code.generators, budget)
     return d
 
 
@@ -158,12 +114,11 @@ def verify_code(
     code: UnionCode,
     mode: str = "exact",
     budget: int = DEFAULT_SCAN_BUDGET,
-    sample_pairs: int | None = None,
-    seed: int = 0,
-    map_fn: Callable = map,
 ) -> dict:
     """Full claim verification: size by orbit accounting plus disjointness,
-    distance per the chosen mode.  Returns a JSON-serializable report."""
+    distance per the chosen mode, every generator pair checked.  Returns a
+    JSON-serializable report; its ``time_*`` keys and (exact mode)
+    ``counters`` say what the run cost and are not part of the result."""
     gens = code.generators
     k = code.dim
     report: dict = {"mode": mode, "n_generators": len(gens)}
@@ -178,17 +133,11 @@ def verify_code(
         sidon_fail = [i for i, g in enumerate(gens) if not is_sidon(g)]
         report["sidon_failures"] = sidon_fail
         report["time_sidon"] = round(time.perf_counter() - t0, 3)
-        all_pairs = list(itertools.combinations(range(len(gens)), 2))
-        if sample_pairs is not None and sample_pairs < len(all_pairs):
-            rng = random.Random(seed)
-            checked = rng.sample(all_pairs, sample_pairs)
-            report["pairs_checked"] = f"sampled {sample_pairs} of {len(all_pairs)}"
-        else:
-            checked = all_pairs
-            report["pairs_checked"] = f"all {len(all_pairs)}"
+        pairs = list(itertools.combinations(range(len(gens)), 2))
+        report["pairs_checked"] = f"all {len(pairs)}"
         t0 = time.perf_counter()
         cross_fail = [
-            (i, j) for i, j in checked if not cross_pair_ok(gens[i], gens[j])
+            (i, j) for i, j in pairs if not cross_pair_ok(gens[i], gens[j])
         ]
         report["cross_failures"] = cross_fail
         report["time_cross"] = round(time.perf_counter() - t0, 3)
@@ -199,10 +148,15 @@ def verify_code(
             report["verified_min_distance"] = 2 * k - 2
     else:
         t0 = time.perf_counter()
-        d, collisions = _exact_scan(code, budget, map_fn)
+        d, collisions, differences = union_distance(gens, budget)
         report["verified_min_distance"] = d
         report["orbit_collisions"] = collisions
         report["time_exact_scan"] = round(time.perf_counter() - t0, 3)
+        report["counters"] = {
+            "pairs": len(gens) * (len(gens) + 1) // 2,
+            "differences": differences,
+            "budget": budget,
+        }
         disjoint = not collisions
 
     verified_size = sum(orbit_sizes) if disjoint else None
@@ -343,18 +297,19 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def sphere_packing_bound(q: int, n: int, k: int, d: int) -> int:
-    """Upper bound for a CDC of minimum distance d = 2*delta + 2."""
+    """Upper bound for a CDC of minimum distance d = 2*delta + 2: the floor
+    of [n, k-delta]_q / [k, k-delta]_q."""
     if d < 2 or d % 2:
         raise InexactDivision("distance must be even and >= 2")
     delta = (d - 2) // 2
     num = gaussian_binomial(n, k - delta, q)
     den = gaussian_binomial(k, k - delta, q)
-    return _exact_div(num, den)
+    return num // den
 
 
 def johnson_bound(q: int, n: int, k: int, d: int) -> int:
-    """Upper bound for a CDC of minimum distance d = 2*delta (product form,
-    exactness asserted)."""
+    """Upper bound for a CDC of minimum distance d = 2*delta: the floor of
+    the product of (q^(n-i) - 1)/(q^(k-i) - 1) over 0 <= i <= k - delta."""
     if d < 2 or d % 2:
         raise InexactDivision("distance must be even and >= 2")
     delta = d // 2
@@ -363,7 +318,7 @@ def johnson_bound(q: int, n: int, k: int, d: int) -> int:
     for i in range(k - delta + 1):
         num *= q ** (n - i) - 1
         den *= q ** (k - i) - 1
-    return _exact_div(num, den)
+    return num // den
 
 
 def rate(code_size: int, q: int, n: int, k: int) -> float:
@@ -375,11 +330,12 @@ def rate(code_size: int, q: int, n: int, k: int) -> float:
 
 def common_bound_4k(q: int, k: int) -> int:
     """The value shared by the sphere-packing and Johnson bounds at n = 4k,
-    distance 2k - 2."""
+    distance 2k - 2: the floor of
+    (q^(4k) - 1)(q^(4k-1) - 1) / ((q^k - 1)(q^(k-1) - 1))."""
     n = 4 * k
     num = (q ** n - 1) * (q ** (n - 1) - 1)
     den = (q ** k - 1) * (q ** (k - 1) - 1)
-    return _exact_div(num, den)
+    return num // den
 
 
 def ratio_to_bound(q: int, k: int) -> Fraction:
@@ -389,7 +345,7 @@ def ratio_to_bound(q: int, k: int) -> Fraction:
     The bound enters as the exact rational product
     (q^(4k) - 1)(q^(4k-1) - 1) / ((q^k - 1)(q^(k-1) - 1)).  For q = 2 and
     q = 3 that product is an integer for k <= 5 and for no k in 6..24, where
-    the integral bound is its floor and ``common_bound_4k`` raises.  The
+    ``common_bound_4k`` returns its floor.  The
     ratio's approach to 1/2, and its entry into (0.45, 0.5) at k = 6, is
     therefore measured against the rational product, not the floor."""
     if k < 2:

@@ -12,10 +12,19 @@ other characteristics unpack to digit lists and use the GF(q)-level tables.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .errors import AmbientMismatch, EmptyInput, ZeroShift
+from .errors import (
+    AmbientMismatch,
+    BrokenInvariant,
+    DimensionMismatch,
+    EmptyInput,
+    Infeasible,
+    ZeroShift,
+)
 from .field_tower import FieldElement, FieldTower
 
 
@@ -229,6 +238,68 @@ def shifted_intersection_dim(u: Subspace, v: Subspace, alpha: int) -> int:
     return u.dim + v.dim - rank_rows(u.tower, list(u.rows) + shifted)
 
 
+# -- every shift at once: projective log differences ----------------------------
+#
+# With g the top field's first primitive element and N = (q^m - 1)/(q - 1),
+# g^N generates GF(q)*, so log p mod N names the projective point of p, and
+# the point pairs (u, v) of U x V with log u - log v = c (mod N) are one per
+# point of U ∩ g^c V.
+
+def _projective_logs(u: Subspace) -> list[int]:
+    n = (u.tower.top.order - 1) // (u.tower.q - 1)
+    return [u.tower.top.discrete_log(p) % n for p in u.projective_reps()]
+
+
+def _shift_dims(tower: FieldTower, lu: list[int], lv: list[int], k: int) -> dict[int, int]:
+    q = tower.q
+    n = (tower.top.order - 1) // (q - 1)
+    dim_of = {(q ** d - 1) // (q - 1): d for d in range(1, k + 1)}
+    hist = Counter((a - b) % n for a in lu for b in lv)
+    if not all(h in dim_of for h in hist.values()):
+        raise BrokenInvariant(f"log-difference counts {sorted(hist.values())} for q={q}")
+    return {c: dim_of[h] for c, h in hist.items()}
+
+
+def shift_intersection_dims(u: Subspace, v: Subspace) -> dict[int, int]:
+    """dim(U ∩ g^c V) for every residue c mod N at which it is nonzero,
+    from one histogram of the projective log differences of U and V."""
+    _check_ambient(u, v)
+    return _shift_dims(u.tower, _projective_logs(u), _projective_logs(v), min(u.dim, v.dim))
+
+
+def union_distance(
+    generators: Sequence[Subspace], budget: int
+) -> tuple[int, list[tuple[int, int]], int]:
+    """Minimum distance of the union of the generators' cyclic orbits, its
+    orbit collisions (i < j with U_i = alpha*U_j), and the number of log
+    differences examined, which must not exceed ``budget``.
+
+    One histogram per pair i <= j gives dim(U_i ∩ alpha*U_j) at every shift
+    alpha.  A full intersection is a collision for i < j and a stabilizer
+    element for i = j; any other shift gives distance 2k - 2 dim.
+    """
+    tower = generators[0].tower
+    k = generators[0].dim
+    if any(g.dim != k for g in generators):
+        raise DimensionMismatch("generators of mixed dimension")
+    if k == 0:
+        raise EmptyInput("generators span only {0}")
+    points = (tower.q ** k - 1) // (tower.q - 1)
+    pairs = len(generators) * (len(generators) + 1) // 2
+    differences = pairs * points * points
+    if differences > budget:
+        raise Infeasible(f"{pairs} pairs x {points}^2 log differences exceeds budget {budget}")
+    logs = [_projective_logs(g) for g in generators]
+    best = 2 * k
+    collisions = []
+    for i, j in itertools.combinations_with_replacement(range(len(generators)), 2):
+        dims = _shift_dims(tower, logs[i], logs[j], k).values()
+        if i < j and k in dims:
+            collisions.append((i, j))
+        best = min(best, 2 * k - 2 * max((d for d in dims if d < k), default=0))
+    return best, collisions, differences
+
+
 # -- subfields and orbit sizes --------------------------------------------------
 
 def _nullspace_q2(eq_rows: list[int], ncols: int) -> list[int]:
@@ -360,7 +431,8 @@ def orbit_size(u: Subspace) -> int:
     d = linearity_field(u)
     num = q ** m - 1
     den = q ** d - 1
-    assert num % den == 0
+    if num % den:
+        raise BrokenInvariant(f"linearity degree {d} does not divide m = {m}")
     return num // den
 
 

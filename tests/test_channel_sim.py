@@ -5,7 +5,7 @@ import pytest
 from cyclic_cdc import channel_sim as ch
 from cyclic_cdc import orbit_codes as oc
 from cyclic_cdc import subspace_linalg as sl
-from cyclic_cdc.errors import InfeasibleNoise
+from cyclic_cdc.errors import DecodingFailure, InfeasibleNoise
 from cyclic_cdc.field_tower import build_tower
 
 
@@ -65,6 +65,14 @@ def test_beyond_guarantee_reports_rate(subfield_codebook):
     rep = ch.run_trials(subfield_codebook, 4, cfg)
     assert rep["guarantee_active"] is False
     assert 0 <= rep["successes"] <= rep["trials"]
+
+
+def test_false_distance_claim_breaks_the_guarantee(subfield_codebook):
+    # d = 4; a claimed 6 puts one erasure plus one insertion under a
+    # guarantee the code cannot keep
+    cfg = ch.ChannelConfig(erasures=1, insertions=1, trials=40, seed=10)
+    with pytest.raises(DecodingFailure):
+        ch.run_trials(subfield_codebook, 6, cfg)
 
 
 def test_trials_are_reproducible(subfield_codebook):

@@ -96,6 +96,16 @@ def test_table_command(tmp_path, capsys):
     assert csv.read_text().count("\n") == 2  # header + one row
 
 
+def test_table_row_with_non_integral_johnson_product(tmp_path):
+    # the Johnson product at (2, 20, 4, 6) is 549754241025 / 105: the row
+    # reports its floor
+    out = tmp_path / "table.json"
+    assert run(["table", "--q", 2, "--k", 4, "--r", 2, "--parity", "odd",
+                "--out", out]) == cli.EXIT_OK
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["johnson"] == str(549754241025 // 105)
+
+
 def test_poly_command_passes(tmp_path):
     out = tmp_path / "poly.json"
     assert run(["poly", "--file", DATA, "--N", 14, "--skip-distance",
@@ -161,12 +171,47 @@ def test_simulate_command(even_code_file, tmp_path):
     assert rep["successes"] == 40 and rep["guarantee_active"] is True
 
 
-def test_manifest_reproducibility(tmp_path):
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / f"{name}.json"
-        run(["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "even",
-             "--out", out])
-        outs.append(json.loads(Path(str(out) + ".manifest.json").read_text()))
-    assert outs[0]["result_digest"] == outs[1]["result_digest"]
-    assert outs[0]["tool_version"] == outs[1]["tool_version"]
+def test_simulate_flags_false_distance_claim(tmp_path):
+    # the GF(4) orbit in GF(2^8) has distance 4; claiming 6 puts one erasure
+    # plus one insertion under a guarantee the code cannot keep
+    from cyclic_cdc import orbit_codes as oc
+    from cyclic_cdc import subspace_linalg as sl
+    from cyclic_cdc.field_tower import build_tower
+
+    tw = build_tower(2, 1, 2, 4)
+    code = oc.UnionCode(tw, (sl.span(tw, range(1, 4)),), 85, 6, "false claim")
+    src = tmp_path / "false_claim.json"
+    src.write_text(json.dumps(code.to_json()))
+    assert run(["simulate", "--code", src, "--erasures", 1, "--insertions", 1,
+                "--trials", 40, "--seed", 0]) == cli.EXIT_MISMATCH
+
+
+def test_manifest_reproducibility(even_code_file, tmp_path):
+    poly_file = tmp_path / "poly.json"
+    poly_file.write_text(json.dumps({
+        "q": 2, "coeff_field_degree": 2, "k": 3, "s": 1,
+        "polys": [{"3": 0, "2": 0, "1": 1, "0": 2}],
+    }))
+    commands = {
+        "construct": ["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "even"],
+        "verify": ["verify", "--code", even_code_file, "--mode", "exact"],
+        "poly": ["poly", "--file", poly_file, "--N", 6],
+        "simulate": ["simulate", "--code", even_code_file, "--erasures", 1,
+                     "--trials", 10, "--seed", 5],
+    }
+    for command, argv in commands.items():
+        manifests = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{command}.{name}.json"
+            run(argv + ["--out", out])
+            assert "time_exact_scan" not in out.read_text()
+            manifests.append(json.loads(Path(str(out) + ".manifest.json").read_text()))
+        a, b = manifests
+        assert a["result_digest"] == b["result_digest"], command
+        assert a["tool_version"] == b["tool_version"]
+        assert a["counters"] == b["counters"]
+    # 4 generators: 10 pairs i <= j of 3-point projective lines, 9 differences each
+    verify = json.loads((tmp_path / "verify.a.json.manifest.json").read_text())
+    assert set(verify["timings"]) == {"time_orbit_sizes", "time_exact_scan"}
+    assert verify["counters"] == {"pairs": 10, "differences": 90,
+                                  "budget": cli.oc.DEFAULT_SCAN_BUDGET}

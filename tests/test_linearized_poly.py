@@ -3,11 +3,13 @@ import random
 from pathlib import Path
 
 import pytest
+from oracles import field_matrix_rank_division_free
 
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import subspace_linalg as sl
 from cyclic_cdc.errors import (
     BadSupport,
+    Infeasible,
     NotFoundWithinBound,
     WrongCharacteristic,
     ZeroShift,
@@ -187,7 +189,7 @@ def test_rank_agrees_with_division_free_oracle():
                 [rng.randrange(top.order) for _ in range(size[1])]
                 for _ in range(size[0])
             ]
-            assert lp.field_matrix_rank(top, rows) == lp.field_matrix_rank_division_free(top, rows)
+            assert lp.field_matrix_rank(top, rows) == field_matrix_rank_division_free(top, rows)
 
 
 def test_single_polynomial_passes_at_small_field():
@@ -224,6 +226,23 @@ def test_pair_rank_failure_at_small_field():
     assert not verdict.rank_ok
     rep = lp.poly_code_distance([A, B])
     assert rep.distance == 2 and rep.size == 2 * 63
+
+
+def test_rank_condition_ranks_once_for_both_criteria(monkeypatch):
+    tw = build_tower(2, 1, 2, 3)
+    polys = [lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2}), lp.linpoly(tw, {3: 1, 2: 1, 1: 3, 0: 3})]
+    calls = []
+    rank = lp.field_matrix_rank
+    monkeypatch.setattr(lp, "field_matrix_rank", lambda top, rows: calls.append(1) or rank(top, rows))
+    lp._rank_verdict.cache_clear()
+    general = lp.check_union_distance_criteria(polys, s=1)
+    ranked = len(calls)
+    gf2 = lp.check_union_distance_criteria_gf2(polys, s=1)
+    assert ranked > 0 and len(calls) == ranked
+    assert (gf2.rank_ok, gf2.rank_witness) == (general.rank_ok, general.rank_witness)
+    # the budget still applies to a family whose verdict is known
+    with pytest.raises(Infeasible):
+        lp.check_union_distance_criteria_gf2(polys, s=1, budget=general.alphas_checked)
 
 
 def test_duplicate_polynomials_fail_coefficient_condition():

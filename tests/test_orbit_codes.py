@@ -93,10 +93,12 @@ def test_criterion_falls_back_on_non_sidon():
 
 
 def test_exact_scan_budget():
+    # one pair of 3-point projective planes: 9 log differences
     tw = build_tower(2, 1, 2, 5)
     code = oc.build_union(tw, [sl.span(tw, range(1, 4))])
     with pytest.raises(Infeasible):
-        oc.verify_min_distance(code, "exact", budget=10)
+        oc.verify_min_distance(code, "exact", budget=8)
+    assert oc.verify_min_distance(code, "exact", budget=9) == 4
 
 
 def test_verify_code_report(even_code_2_2_8):
@@ -166,6 +168,20 @@ def test_bounds_coincide_at_n_4k():
             sp = oc.sphere_packing_bound(q, 4 * k, k, 2 * k - 2)
             jo = oc.johnson_bound(q, 4 * k, k, 2 * k - 2)
             assert sp == jo == oc.common_bound_4k(q, k)
+
+
+def test_bounds_floor_a_non_integral_product():
+    # at (q, n, k, d) = (2, 20, 4, 6) the Johnson product is 549754241025 / 105
+    assert oc.johnson_bound(2, 20, 4, 6) == 549754241025 // 105
+    num = (2 ** 24 - 1) * (2 ** 23 - 1)
+    den = (2 ** 6 - 1) * (2 ** 5 - 1)
+    assert num % den and oc.common_bound_4k(2, 6) == num // den
+    for q, k in ((2, 6), (3, 7)):
+        n = 4 * k
+        assert oc.sphere_packing_bound(q, n, k, 2 * k - 2) == oc.common_bound_4k(q, k)
+        assert oc.johnson_bound(q, n, k, 2 * k - 2) == oc.common_bound_4k(q, k)
+    # integral products keep their values
+    assert oc.johnson_bound(2, 8, 2, 2) == oc.sphere_packing_bound(2, 8, 2, 2) == 10795
 
 
 def test_bounds_input_validation():
