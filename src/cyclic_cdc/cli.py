@@ -189,14 +189,13 @@ def cmd_poly(args) -> int:
             result["criteria_gf2"] = v2.to_json()
         except CdcError as exc:
             result["criteria_gf2"] = {"error": str(exc)}
-    if not args.skip_distance:
-        rep = lp.poly_code_distance(polys, budget=args.budget)
-        result["exact"] = rep.to_json()
-        result["counters"] = {
-            "pairs": len(polys) * (len(polys) + 1) // 2,
-            "differences": rep.differences,
-            "budget": args.budget,
-        }
+    rep = lp.poly_code_distance(polys, budget=args.budget)
+    result["exact"] = rep.to_json()
+    result["counters"] = {
+        "pairs": len(polys) * (len(polys) + 1) // 2,
+        "differences": rep.differences,
+        "budget": args.budget,
+    }
     params = {"file": args.file, "N": args.N, "s": s}
     _emit("poly", params, tower.spec_dict(), result, args.out, t0)
     return EXIT_OK if verdict.passed else EXIT_MISMATCH
@@ -276,7 +275,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--budget", type=int, default=lp.DEFAULT_SCAN_BUDGET)
-    p.add_argument("--skip-distance", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_poly)
 

@@ -144,6 +144,11 @@ class ExtensionField:
         self._add_table = None
         self._mul_table = None
         self._inv_table = None
+        # filled on first use; plain attributes, not functools.cached_property,
+        # whose write to the instance __dict__ slows every later attribute
+        # read of the field (about 30 % on a table mul)
+        self._primitive: int | None = None
+        self._bsgs: tuple[dict[int, int], int, int] | None = None
         self._build_tables()
 
     # -- encoding helpers ---------------------------------------------------
@@ -236,13 +241,15 @@ class ExtensionField:
         return self._pow_sm(a, e % (self.order - 1) if e >= self.order else e)
 
     def discrete_log(self, x: int) -> int:
-        """The e in [0, order - 1) with g^e = x, g = ``first_primitive(self)``:
+        """The e in [0, order - 1) with g^e = x, g = ``self.primitive``:
         from the log table, or else by baby-step giant-step."""
         if x == 0:
             raise ZeroElement("log of 0 undefined")
         if self._log is not None:
             return self._log[x]
-        baby, step, giant = self._baby_steps
+        if self._bsgs is None:
+            self._bsgs = self._baby_steps()
+        baby, step, giant = self._bsgs
         y = x
         for i in range(step):
             j = baby.get(y)
@@ -251,11 +258,10 @@ class ExtensionField:
             y = self.mul(y, giant)
         raise LevelMismatch(f"{x} is not an element of {self!r}")
 
-    @functools.cached_property
     def _baby_steps(self) -> tuple[dict[int, int], int, int]:
-        """({g^j: j for j < s}, s, g^-s) with s = ceil(sqrt(order - 1)), built on first use."""
+        """({g^j: j for j < s}, s, g^-s) with s = ceil(sqrt(order - 1))."""
         step = math.isqrt(self.order - 2) + 1
-        g = self._first_primitive_raw()
+        g = self.primitive
         baby = {}
         y = 1
         for j in range(step):
@@ -323,7 +329,7 @@ class ExtensionField:
     def _build_tables(self):
         if self.order > LOG_TABLE_LIMIT:
             return
-        gen = self._first_primitive_raw()
+        gen = self.primitive
         o1 = self.order - 1
         exp = [1] * o1
         log: list[int] = [0] * self.order
@@ -345,49 +351,29 @@ class ExtensionField:
             if self.char == 2:
                 self._add_table = [[i ^ j for j in range(n)] for i in range(n)]
             else:
-                self._add_table = [
-                    [self._add_slow(i, j) for j in range(n)] for i in range(n)
-                ]
+                self._add_table = [[self.add(i, j) for j in range(n)] for i in range(n)]
             self._inv_table = [0] * n
             for i in range(1, n):
                 self._inv_table[i] = exp[(o1 - log[i]) % o1]
 
-    def _add_slow(self, a, b):
-        so = self.sub.order
-        sadd = self.sub.add
-        enc = 0
-        mult = 1
-        for _ in range(self.degree):
-            a, ra = divmod(a, so)
-            b, rb = divmod(b, so)
-            enc += sadd(ra, rb) * mult
-            mult *= so
-        return enc
+    @property
+    def primitive(self) -> int:
+        """First encoding (ascending) of full multiplicative order, searched
+        once per field."""
+        if self._primitive is None:
+            self._primitive = self._search_primitive()
+        return self._primitive
 
-    def _first_primitive_raw(self) -> int:
-        """First encoding with multiplicative order order-1 (table-free)."""
+    def _search_primitive(self) -> int:
+        # until the tables exist, _pow_sm multiplies by _mul_poly
         o1 = self.order - 1
         if o1 == 1:
             return 1
         facs = factorize(o1)
         for g in range(2, self.order):
-            ok = True
-            for prime in facs:
-                if self._pow_sm_nolut(g, o1 // prime) == 1:
-                    ok = False
-                    break
-            if ok:
+            if all(self._pow_sm(g, o1 // prime) != 1 for prime in facs):
                 return g
         raise SearchExhausted("no primitive element found")
-
-    def _pow_sm_nolut(self, a, e):
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self._mul_poly(acc, a)
-            a = self._mul_poly(a, a)
-            e >>= 1
-        return acc
 
     def __repr__(self):
         return f"GF({self.sub.order}^{self.degree})"
@@ -451,8 +437,11 @@ def _ppowmod(F: Field, base: list[int], e: int, m: list[int]) -> list[int]:
     return acc
 
 
-def _pgcd(F: Field, a: list[int], b: list[int]) -> list[int]:
-    a, b = list(a), list(b)
+def poly_gcd(F: Field, a: list[int], b: list[int]) -> list[int]:
+    """Monic gcd of ordinary polynomials over F (coefficients low degree
+    first).  The inputs are trimmed first: a difference of two monic
+    polynomials has a zero leading coefficient."""
+    a, b = _ptrim(list(a)), _ptrim(list(b))
     while b:
         a, b = b, _pmod(F, a, b)
     if a:
@@ -477,7 +466,7 @@ def poly_is_irreducible(F: Field, poly: list[int]) -> bool:
         return False
     for prime in factorize(d):
         h = _psub(F, _ppowmod(F, x, Q ** (d // prime), poly), x)
-        g = _pgcd(F, poly, h)
+        g = poly_gcd(F, poly, h)
         if len(g) != 1:
             return False
     return True
@@ -510,18 +499,9 @@ def first_irreducible(F: Field, degree: int) -> tuple[int, ...]:
     raise SearchExhausted(f"no irreducible of degree {degree} over {F!r}")
 
 
-def first_primitive(F: Field) -> int:
+def first_primitive(F: ExtensionField) -> int:
     """First encoding (ascending) of full multiplicative order."""
-    if isinstance(F, ExtensionField) and F._exp is not None:
-        return F._exp[1] if F.order > 2 else 1
-    o1 = F.order - 1
-    if o1 == 1:
-        return 1
-    facs = factorize(o1)
-    for g in range(2, F.order):
-        if all(F.pow(g, o1 // prime) != 1 for prime in facs):
-            return g
-    raise SearchExhausted("no primitive element")
+    return F.primitive
 
 
 def element_order(F: Field, x: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import (
     BadSupport,
@@ -25,8 +25,14 @@ from .errors import (
     WrongCharacteristic,
     ZeroShift,
 )
-from .field_tower import FieldTower, build_tower
-from .subspace_linalg import Subspace, map_kernel, orbit_size, union_distance
+from .field_tower import FieldTower, build_tower, poly_gcd
+from .subspace_linalg import (
+    Subspace,
+    field_matrix_rank,
+    map_kernel,
+    orbit_size,
+    union_distance,
+)
 
 DEFAULT_SCAN_BUDGET = 1 << 26
 
@@ -175,35 +181,11 @@ def densify(P: LinearizedPolynomial) -> list[int]:
     return out
 
 
-def _dense_trim(v: list[int]) -> list[int]:
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _dense_mod(top, a: list[int], b: list[int]) -> list[int]:
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = top.inv(b[-1])
-    while len(a) - 1 >= db and a:
-        c = top.mul(a[-1], inv_lead)
-        shift = len(a) - 1 - db
-        for j, bj in enumerate(b):
-            if bj:
-                a[shift + j] = top.sub_(a[shift + j], top.mul(c, bj))
-        _dense_trim(a)
-    return a
-
-
 def dense_gcd(top, a: list[int], b: list[int]) -> list[int]:
-    """Monic gcd of ordinary polynomials over the top field."""
-    a, b = _dense_trim(list(a)), _dense_trim(list(b))
-    while b:
-        a, b = b, _dense_mod(top, a, b)
-    if a and a[-1] != 1:
-        inv = top.inv(a[-1])
-        a = [top.mul(inv, c) for c in a]
-    return a
+    """Monic gcd of ordinary polynomials over the top field.  A name of its
+    own, apart from the tower's ``poly_gcd``, so that counting the gcds of
+    this layer leaves out the tower's irreducibility tests."""
+    return poly_gcd(top, a, b)
 
 
 def intersection_dim_via_gcd(P: LinearizedPolynomial, Q: LinearizedPolynomial) -> int:
@@ -288,30 +270,6 @@ def build_rank_matrix(
     last_col = [Pi.coeff(k - rho) for rho in range(k + 1)]
     rows = _matrix_rows(top, q, k, s, r, last_col)
     return RankMatrix(tuple(tuple(row) for row in rows), -1, -1, alpha)
-
-
-def field_matrix_rank(top, rows: Iterable[Iterable[int]]) -> int:
-    """Rank by Gaussian elimination with field inverses."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        inv = top.inv(work[row][col])
-        work[row] = [top.mul(inv, x) for x in work[row]]
-        for i in range(len(work)):
-            if i != row and work[i][col]:
-                c = work[i][col]
-                work[i] = [top.sub_(x, top.mul(c, y)) for x, y in zip(work[i], work[row])]
-        rank += 1
-        row += 1
-        if row == len(work):
-            break
-    return rank
 
 
 @dataclass

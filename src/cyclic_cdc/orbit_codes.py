@@ -82,6 +82,14 @@ def build_union(tower: FieldTower, generators: Iterable[Subspace], provenance: s
 
 # -- exact and criterion-based verification -----------------------------------
 
+def _check_criterion_budget(code: UnionCode, budget: int) -> None:
+    """The cross tests cost pairs x |P(mid)|^2; above the budget, Infeasible."""
+    n = len(code.generators)
+    reps = (code.tower.mid.order - 1) // (code.tower.q - 1)
+    if n * (n - 1) // 2 * reps * reps > budget:
+        raise Infeasible("criterion pair scan exceeds budget")
+
+
 def verify_min_distance(
     code: UnionCode,
     mode: str = "exact",
@@ -94,11 +102,8 @@ def verify_min_distance(
     cross test; otherwise falls back to the exact computation.
     """
     if mode == "criterion":
+        _check_criterion_budget(code, budget)
         gens = code.generators
-        pair_cost = sum(1 for _ in itertools.combinations(gens, 2))
-        reps = (code.tower.mid.order - 1) // (code.tower.q - 1)
-        if pair_cost * reps * reps > budget:
-            raise Infeasible("criterion pair scan exceeds budget")
         if all(is_sidon(g) for g in gens) and all(
             cross_pair_ok(a, b) for a, b in itertools.combinations(gens, 2)
         ):
@@ -129,6 +134,7 @@ def verify_code(
 
     disjoint = True
     if mode == "criterion":
+        _check_criterion_budget(code, budget)
         t0 = time.perf_counter()
         sidon_fail = [i for i, g in enumerate(gens) if not is_sidon(g)]
         report["sidon_failures"] = sidon_fail

@@ -6,8 +6,18 @@ encoding of the corresponding field element (the packed base-q digits are the
 flattened coordinates).  RREF makes equality of subspaces equality of row
 tuples.  Pivots are taken at the first (lowest-index) nonzero coordinate.
 
-Row operations over GF(2) run directly on the packed integers with XOR;
-other characteristics unpack to digit lists and use the GF(q)-level tables.
+All elimination goes through two forward-only kernels, which return a
+{pivot: row} echelon of the span of their input rows:
+
+- ``_echelon_q2`` works over GF(2) directly on the packed integers, with XOR,
+  and pivots at the lowest set bit;
+- ``_echelon`` works on digit lists over any field: over GF(q) on unpacked
+  coordinates, and over GF(q^m) for ``field_matrix_rank``, the rank of the
+  rank-matrix criterion of ``linearized_poly``.
+
+A rank is the size of the echelon.  The RREF back-substitutes it in
+descending pivot order.  A map's kernel is read off the echelon of the
+augmented rows (image of e_j | e_j).
 """
 
 from __future__ import annotations
@@ -28,98 +38,80 @@ from .errors import (
 from .field_tower import FieldElement, FieldTower
 
 
-# -- packed-row reduction over GF(2) -----------------------------------------
+# -- the two elimination kernels ------------------------------------------------
 
-def _rref_q2(rows: Iterable[int]) -> tuple[int, ...]:
-    piv: list[tuple[int, int]] = []  # (pivot bit, fully reduced row)
-    for v in rows:
-        for pb, pr in piv:
-            if v & pb:
-                v ^= pr
-        if v:
-            pb = v & -v
-            piv = [(b, r ^ v if r & pb else r) for b, r in piv]
-            piv.append((pb, v))
-    piv.sort()
-    return tuple(r for _, r in piv)
-
-
-def _rank_q2(rows: Iterable[int]) -> int:
+def _echelon_q2(rows: Iterable[int]) -> dict[int, int]:
+    """{lowest set bit: row} of a forward echelon basis of the GF(2)-span of
+    packed rows: each row's pivot is its lowest set bit, and no two rows
+    share a pivot."""
     piv: dict[int, int] = {}
-    rank = 0
     for v in rows:
         while v:
             low = v & -v
             w = piv.get(low)
             if w is None:
                 piv[low] = v
-                rank += 1
                 break
             v ^= w
-    return rank
+    return piv
 
 
-# -- digit-row reduction over general GF(q) ----------------------------------
-
-def _rref_gen(tower: FieldTower, rows: Iterable[int]) -> tuple[int, ...]:
-    qf = tower.q_level
-    m = tower.m
-    piv: list[tuple[int, list[int]]] = []
-    for enc in rows:
-        v = list(tower.flatten(enc))
-        for pc, pr in piv:
+def _echelon(F, rows: Iterable[Sequence[int]]) -> dict[int, Sequence[int]]:
+    """{pivot column: row scaled to pivot 1} of a forward echelon basis of the
+    span of digit-list rows over the field F.  A row's pivot is its first
+    nonzero entry, and the row is zero in the pivot columns of the rows
+    inserted before it."""
+    sub, mul = F.sub_, F.mul
+    piv: dict[int, Sequence[int]] = {}
+    for v in rows:
+        for pc, pr in piv.items():
             c = v[pc]
             if c:
-                v = [qf.sub_(x, qf.mul(c, y)) for x, y in zip(v, pr)]
-        pc = next((j for j in range(m) if v[j]), None)
-        if pc is None:
-            continue
-        inv = qf.inv(v[pc])
-        if inv != 1:
-            v = [qf.mul(inv, x) for x in v]
-        new_piv = []
-        for p2, pr in piv:
-            c = pr[pc]
-            if c:
-                pr = [qf.sub_(x, qf.mul(c, y)) for x, y in zip(pr, v)]
-            new_piv.append((p2, pr))
-        new_piv.append((pc, v))
-        piv = new_piv
-    piv.sort(key=lambda it: it[0])
-    return tuple(tower.unflatten(r) for _, r in piv)
-
-
-def _rank_gen(tower: FieldTower, rows: Iterable[int]) -> int:
-    qf = tower.q_level
-    m = tower.m
-    piv: list[tuple[int, list[int]]] = []  # (pivot col, row normalized to pivot 1)
-    for enc in rows:
-        v = list(tower.flatten(enc))
-        for pc, pr in piv:
+                v = [sub(x, mul(c, y)) for x, y in zip(v, pr)]
+        pc = next((j for j, x in enumerate(v) if x), None)
+        if pc is not None:
             c = v[pc]
-            if c:
-                v = [qf.sub_(x, qf.mul(c, y)) for x, y in zip(v, pr)]
-        pc = next((j for j in range(m) if v[j]), None)
-        if pc is None:
-            continue
-        inv = qf.inv(v[pc])
-        if inv != 1:
-            v = [qf.mul(inv, x) for x in v]
-        piv.append((pc, v))
-    return len(piv)
-
-
-def rref_rows(tower: FieldTower, rows: Iterable[int]) -> tuple[int, ...]:
-    """Canonical RREF of the GF(q)-span of the given element encodings."""
-    if tower.q == 2:
-        return _rref_q2(rows)
-    return _rref_gen(tower, rows)
+            if c != 1:
+                inv = F.inv(c)
+                v = [mul(inv, x) for x in v]
+            piv[pc] = v
+    return piv
 
 
 def rank_rows(tower: FieldTower, rows: Iterable[int]) -> int:
     if tower.q == 2:
-        return _rank_q2(rows)
-    return _rank_gen(tower, rows)
+        return len(_echelon_q2(rows))
+    return len(_echelon(tower.q_level, map(tower.flatten, rows)))
+
+
+def rref_rows(tower: FieldTower, rows: Iterable[int]) -> tuple[int, ...]:
+    """Canonical RREF of the GF(q)-span of the given element encodings: the
+    forward echelon, back-substituted in descending pivot order."""
+    done: list = []  # (pivot, fully reduced row), descending pivots
+    if tower.q == 2:
+        piv = _echelon_q2(rows)
+        for b in sorted(piv, reverse=True):
+            v = piv[b]
+            for b2, r2 in done:
+                if v & b2:
+                    v ^= r2
+            done.append((b, v))
+        return tuple(v for _, v in reversed(done))
+    sub, mul = tower.q_level.sub_, tower.q_level.mul
+    piv = _echelon(tower.q_level, map(tower.flatten, rows))
+    for pc in sorted(piv, reverse=True):
+        v = piv[pc]
+        for pc2, r2 in done:
+            c = v[pc2]
+            if c:
+                v = [sub(x, mul(c, y)) for x, y in zip(v, r2)]
+        done.append((pc, v))
+    return tuple(tower.unflatten(v) for _, v in reversed(done))
+
+
+def field_matrix_rank(F, rows: Iterable[Sequence[int]]) -> int:
+    """Rank of a matrix over the field F, given as rows of element encodings."""
+    return len(_echelon(F, rows))
 
 
 # -- subspace type -------------------------------------------------------------
@@ -302,81 +294,24 @@ def union_distance(
 
 # -- subfields and orbit sizes --------------------------------------------------
 
-def _nullspace_q2(eq_rows: list[int], ncols: int) -> list[int]:
-    piv: list[tuple[int, int]] = []
-    for v in eq_rows:
-        for pb, pr in piv:
-            if v & pb:
-                v ^= pr
-        if v:
-            pb = v & -v
-            piv = [(b, r ^ v if r & pb else r) for b, r in piv]
-            piv.append((pb, v))
-    pivot_cols = {pb.bit_length() - 1 for pb, _ in piv}
-    basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        x = 1 << f
-        for pb, pr in piv:
-            if pr & (1 << f):
-                x |= pb
-        basis.append(x)
-    return basis
-
-
-def _nullspace_gen(tower: FieldTower, eq_rows: list[list[int]]) -> list[list[int]]:
-    qf = tower.q_level
-    ncols = len(eq_rows[0]) if eq_rows else 0
-    piv: list[tuple[int, list[int]]] = []
-    for v in eq_rows:
-        v = list(v)
-        for pc, pr in piv:
-            c = v[pc]
-            if c:
-                v = [qf.sub_(x, qf.mul(c, y)) for x, y in zip(v, pr)]
-        pc = next((j for j in range(ncols) if v[j]), None)
-        if pc is None:
-            continue
-        inv = qf.inv(v[pc])
-        if inv != 1:
-            v = [qf.mul(inv, x) for x in v]
-        piv = [
-            (p2, [qf.sub_(x, qf.mul(pr[pc], y)) for x, y in zip(pr, v)] if pr[pc] else pr)
-            for p2, pr in piv
-        ]
-        piv.append((pc, v))
-    pivot_cols = {pc for pc, _ in piv}
-    basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        x = [0] * ncols
-        x[f] = 1
-        for pc, pr in piv:
-            x[pc] = qf.neg(pr[f])
-        basis.append(x)
-    return basis
-
-
 def map_kernel(tower: FieldTower, image_of_basis: list[int]) -> Subspace:
     """Kernel of the GF(q)-linear map sending the j-th flattened basis vector
-    of GF(q^m) to image_of_basis[j]."""
+    e_j of GF(q^m) to image_of_basis[j].
+
+    The echelon of the rows (image_j | e_j), image block first, puts a pivot
+    in the e-block exactly on the rows whose image part is zero; their
+    e-parts are a basis of the kernel.
+    """
     m = tower.m
     if tower.q == 2:
-        eqs = []
-        for i in range(m):
-            row = 0
-            for j, img in enumerate(image_of_basis):
-                if (img >> i) & 1:
-                    row |= 1 << j
-            eqs.append(row)
-        sols = _nullspace_q2(eqs, m)
-        return Subspace(tower, rref_rows(tower, sols))
-    cols = [tower.flatten(img) for img in image_of_basis]
-    eqs = [[cols[j][i] for j in range(m)] for i in range(m)]
-    sols = _nullspace_gen(tower, eqs)
-    return Subspace(tower, rref_rows(tower, [tower.unflatten(x) for x in sols]))
+        piv = _echelon_q2(img | 1 << (m + j) for j, img in enumerate(image_of_basis))
+        sols = [r >> m for b, r in piv.items() if b >> m]
+    else:
+        q = tower.q
+        rows = (tower.flatten(img) + tower.flatten(q ** j) for j, img in enumerate(image_of_basis))
+        piv = _echelon(tower.q_level, rows)
+        sols = [tower.unflatten(r[m:]) for pc, r in piv.items() if pc >= m]
+    return Subspace(tower, rref_rows(tower, sols))
 
 
 def subfield_basis(tower: FieldTower, d: int) -> tuple[int, ...]:

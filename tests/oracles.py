@@ -6,6 +6,10 @@ collisions of a union by brute force: one intersection dimension per
 generator pair and per projective shift, from a rank of stacked bases or
 from the degree of an ordinary-polynomial gcd.  ``field_matrix_rank_division_free``
 ranks a matrix over a field without inverses.
+
+``span_by_enumeration``, ``rref_by_enumeration`` and ``kernel_by_enumeration``
+list every vector of a span, or every vector of GF(q)^m, instead of
+eliminating: they check the package's elimination kernels at small sizes.
 """
 
 from cyclic_cdc import linearized_poly as lp
@@ -82,3 +86,46 @@ def field_matrix_rank_division_free(top, rows):
         if row == len(work):
             break
     return rank
+
+
+def span_by_enumeration(tower, rows):
+    """The set of all GF(q)-combinations of the rows (q^len(rows) of them)."""
+    top = tower.top
+    combos = {0}
+    for row in rows:
+        combos = {top.add(x, tower.scalar_mul(c, row)) for x in combos for c in range(tower.q)}
+    return combos
+
+
+def _first_nonzero(digits):
+    return next(j for j, d in enumerate(digits) if d)
+
+
+def rref_by_enumeration(tower, rows):
+    """The RREF of the span, read off its elements: the pivots are the
+    positions of first nonzero coordinates, and the row at pivot p is the one
+    element with first nonzero coordinate 1 at p and 0 at every other pivot."""
+    elements = {x: tower.flatten(x) for x in span_by_enumeration(tower, rows) if x}
+    pivots = sorted({_first_nonzero(d) for d in elements.values()})
+    return tuple(
+        next(
+            x for x, d in elements.items()
+            if _first_nonzero(d) == p and d[p] == 1 and all(d[o] == 0 for o in pivots if o != p)
+        )
+        for p in pivots
+    )
+
+
+def kernel_by_enumeration(tower, image_of_basis):
+    """{x : sum_j x_j image_of_basis[j] = 0}, by evaluating the map on every
+    one of the q^m coordinate vectors x."""
+    top = tower.top
+    pairs = [(0, 0)]  # (x, image of x)
+    for j, img in enumerate(image_of_basis):
+        unit = tower.q ** j
+        pairs = [
+            (top.add(x, tower.scalar_mul(c, unit)), top.add(y, tower.scalar_mul(c, img)))
+            for x, y in pairs
+            for c in range(tower.q)
+        ]
+    return {x for x, y in pairs if y == 0}

@@ -73,6 +73,19 @@ def test_verify_budget_infeasible(even_code_file, tmp_path):
                 "--budget", 5, "--out", tmp_path / "x.json"]) == cli.EXIT_INFEASIBLE
 
 
+def test_verify_criterion_budget_infeasible(tmp_path):
+    # 528 pairs x 3^2 cross-test points of the odd (2,2,10) code exceed a
+    # budget of 1 in both modes
+    code_path = tmp_path / "odd2210.json"
+    assert run(["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "odd",
+                "--out", code_path]) == cli.EXIT_OK
+    for mode in ("criterion", "exact"):
+        assert run(["verify", "--code", code_path, "--mode", mode, "--budget", 1,
+                    "--out", tmp_path / f"{mode}.json"]) == cli.EXIT_INFEASIBLE
+    assert run(["verify", "--code", code_path, "--mode", "criterion",
+                "--budget", 528 * 9, "--out", tmp_path / "ok.json"]) == cli.EXIT_OK
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert run(["verify", "--code", tmp_path / "nope.json"]) == cli.EXIT_INPUT
 
@@ -108,11 +121,13 @@ def test_table_row_with_non_integral_johnson_product(tmp_path):
 
 def test_poly_command_passes(tmp_path):
     out = tmp_path / "poly.json"
-    assert run(["poly", "--file", DATA, "--N", 14, "--skip-distance",
-                "--out", out]) == cli.EXIT_OK
+    assert run(["poly", "--file", DATA, "--N", 14, "--out", out]) == cli.EXIT_OK
     rep = json.loads(out.read_text())
     assert rep["criteria"]["passed"] and rep["criteria_gf2"]["passed"]
     assert rep["criteria"]["alphas_checked"] == 16382
+    assert rep["exact"]["size"] == "49149"
+    assert rep["exact"]["distance"] == 4
+    assert rep["exact"]["orbit_collisions"] == []
 
 
 def test_poly_command_rank_failure(tmp_path):

@@ -234,6 +234,24 @@ def test_first_primitive_matches_order_scan():
     assert element_order(tw.top, g) == tw.top.order - 1
 
 
+def test_primitive_is_searched_once(monkeypatch):
+    from cyclic_cdc import field_tower as ft
+
+    tw = build_tower(3, 1, 3, 5)
+    calls = []
+    factorize = ft.factorize
+    monkeypatch.setattr(ft, "factorize", lambda n: calls.append(n) or factorize(n))
+    F = ft.ExtensionField(tw.mid, tw.def_poly_top)  # GF(3^15): too large for tables
+    assert calls == []
+    assert first_primitive(F) == 30
+    assert calls == [F.order - 1]
+    # the second call and the baby-step table of discrete_log reuse it
+    assert first_primitive(F) == 30
+    assert F.discrete_log(30) == 1
+    assert calls == [F.order - 1]
+    assert element_order(F, 30) == F.order - 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     x=st.integers(min_value=0, max_value=2 ** 10 - 1),
