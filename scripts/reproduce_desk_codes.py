@@ -18,7 +18,7 @@ def reproduce(q, k, r, parity):
     t0 = time.perf_counter()
     gens = [sc.make_subspace(p, tower) for p in sc.enumerate_family(tower)]
     code = oc.build_union(tower, gens, provenance=f"{parity}(q={q},k={k},r={r})")
-    report = oc.verify_code(code, mode="exact")
+    report = oc.verify_code(code)
     wall = time.perf_counter() - t0
     formula = oc.construction_size(q, k, r, parity)
     print(

@@ -9,11 +9,10 @@ simulator with minimum-distance decoding.
 __version__ = "0.1.0"
 
 from . import errors
-from .field_tower import FieldElement, FieldTower, build_tower
+from .field_tower import FieldTower, build_tower
 from .orbit_codes import UnionCode, build_union, verify_code, verify_min_distance
 from .sidon_constructions import (
     ConstructionParams,
-    cross_pair_ok,
     enumerate_family,
     is_sidon,
     make_subspace,
@@ -22,14 +21,12 @@ from .subspace_linalg import Subspace, cyclic_shift, orbit_size, span, subspace_
 
 __all__ = [
     "ConstructionParams",
-    "FieldElement",
     "FieldTower",
     "Subspace",
     "UnionCode",
     "__version__",
     "build_tower",
     "build_union",
-    "cross_pair_ok",
     "cyclic_shift",
     "enumerate_family",
     "errors",

@@ -36,10 +36,6 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    return lp._prime_power(q)
-
-
 def _emit(command: str, params: dict, tower_spec, result: dict, out: str | None, t0: float) -> None:
     """Write the result and its manifest; ``time_*`` keys and ``counters`` go to the manifest."""
     result = dict(result)
@@ -68,7 +64,7 @@ def _emit(command: str, params: dict, tower_spec, result: dict, out: str | None,
 
 
 def _tower_for(q: int, k: int, r: int, parity: str):
-    p, a = _prime_power(q)
+    p, a = lp._prime_power(q)
     t = 2 * r + 1 if parity == "odd" else 2 * r
     return build_tower(p, a, k, t)
 
@@ -92,7 +88,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     with open(args.code) as fh:
         code = oc.code_from_json(json.load(fh))
-    report = oc.verify_code(code, mode=args.mode, budget=args.budget)
+    report = oc.verify_code(code, budget=args.budget)
     report["claimed_size"] = str(code.claimed_size)
     report["claimed_min_distance"] = code.claimed_min_distance
     params = {"code": args.code, "mode": args.mode, "budget": args.budget}
@@ -127,7 +123,8 @@ def cmd_bounds(args) -> int:
         "johnson": str(jo),
         "equal": sp == jo,
     }
-    _emit("bounds", vars_of(args, "q", "n", "k", "d"), None, result, args.out, t0)
+    params = {"q": args.q, "n": args.n, "k": args.k, "d": args.d}
+    _emit("bounds", params, None, result, args.out, t0)
     return EXIT_OK
 
 
@@ -220,10 +217,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def vars_of(args, *names) -> dict:
-    return {name: getattr(args, name) for name in names}
-
-
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
@@ -242,7 +235,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a code file's size and distance claims")
     p.add_argument("--code", required=True)
-    p.add_argument("--mode", choices=("exact", "criterion"), default="exact")
+    p.add_argument("--mode", choices=("exact",), default="exact",
+                   help="the only mode; kept so that existing command lines parse")
     p.add_argument("--budget", type=int, default=oc.DEFAULT_SCAN_BUDGET,
                    help="most log differences the exact distance may examine")
     p.add_argument("--out", default=None)

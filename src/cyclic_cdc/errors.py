@@ -21,7 +21,8 @@ class DivisionByZero(CdcError):
 
 
 class LevelMismatch(CdcError):
-    """Binary operation on elements of different tower levels."""
+    """An encoding or level name that does not belong to the requested
+    tower level."""
 
 
 class ZeroElement(CdcError):
@@ -54,10 +55,6 @@ class BadShape(CdcError):
 
 class GreedyFellShort(CdcError):
     """The avoiding-set search produced fewer elements than guaranteed."""
-
-
-class EqualInputs(CdcError):
-    """A pairwise check was called with identical subspaces."""
 
 
 # -- codes, formulas, scans -------------------------------------------------

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import (
@@ -40,8 +39,6 @@ from .errors import (
 
 FULL_TABLE_LIMIT = 1 << 8   # dense add/mul/inv tables
 LOG_TABLE_LIMIT = 1 << 16   # discrete log/exp tables
-
-LEVELS = ("prime", "q", "mid", "top")
 
 
 def is_prime(n: int) -> bool:
@@ -567,30 +564,6 @@ class FieldTower:
         """The q-power map on the given level."""
         return self.field(level).pow(x, self.q)
 
-    def embed(self, x: int, frm: str, to: str) -> int:
-        """Embedding between levels is the identity on encodings."""
-        i, j = LEVELS.index(frm), LEVELS.index(to)
-        if i > j:
-            raise LevelMismatch(f"cannot embed {frm} down into {to}")
-        if x >= self.field(frm).order:
-            raise LevelMismatch("encoding out of range for source level")
-        return x
-
-    def section(self, x: int, frm: str, to: str) -> int:
-        """Partial inverse of embed; requires x to lie in the sub-level."""
-        i, j = LEVELS.index(frm), LEVELS.index(to)
-        if j > i:
-            raise LevelMismatch(f"{to} is not below {frm}")
-        if x >= self.field(to).order:
-            raise LevelMismatch(f"element not in the image of {to}")
-        return x
-
-    def element(self, level: str, enc: int) -> "FieldElement":
-        f = self.field(level)
-        if not 0 <= enc < f.order:
-            raise LevelMismatch("encoding out of range")
-        return FieldElement(self, level, enc)
-
     # -- GF(q)-coordinates ------------------------------------------------------
 
     def flatten(self, enc: int) -> tuple[int, ...]:
@@ -711,58 +684,3 @@ def tower_from_spec(spec: dict) -> FieldTower:
     if tw.spec_dict() != spec:
         raise ValueError("tower spec does not match deterministic construction")
     return tw
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of one tower level; thin wrapper over the int encoding."""
-
-    tower: FieldTower
-    level: str
-    enc: int
-
-    @property
-    def field(self) -> Field:
-        return self.tower.field(self.level)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficient vector over the level immediately below."""
-        return self.field.digits(self.enc)
-
-    def _check(self, other: "FieldElement"):
-        if self.tower != other.tower or self.level != other.level:
-            raise LevelMismatch(f"{self.level} vs {other.level}")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.tower, self.level, self.field.add(self.enc, other.enc))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.tower, self.level, self.field.sub_(self.enc, other.enc))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.tower, self.level, self.field.mul(self.enc, other.enc))
-
-    def __neg__(self):
-        return FieldElement(self.tower, self.level, self.field.neg(self.enc))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.tower, self.level, self.field.pow(self.enc, e))
-
-    def inverse(self):
-        return FieldElement(self.tower, self.level, self.field.inv(self.enc))
-
-    def frobenius(self):
-        return FieldElement(self.tower, self.level, self.tower.frobenius(self.enc, self.level))
-
-    def order(self) -> int:
-        return element_order(self.field, self.enc)
-
-    def embed(self, to: str) -> "FieldElement":
-        return FieldElement(self.tower, to, self.tower.embed(self.enc, self.level, to))
-
-    def section(self, to: str) -> "FieldElement":
-        return FieldElement(self.tower, to, self.tower.section(self.enc, self.level, to))

@@ -1,6 +1,6 @@
 """Sidon-space constructions in GF(q^n) for n = (2r+1)k (odd towers) and
-n = 2rk (even towers), plus the brute-force Sidon test and the pairwise
-cross-product test used to certify unions of orbits.
+n = 2rk (even towers), plus the brute-force Sidon test, the per-generator
+certificate of the paper.
 
 Four families are built, all k-dimensional images of GF(q^k) written in the
 basis {1, gamma, ..., gamma^(t-1)}:
@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import BadShape, EqualInputs, GreedyFellShort, InvalidParams
+from .errors import BadShape, GreedyFellShort, InvalidParams
 from .field_tower import FieldTower
 from .subspace_linalg import Subspace, span
 
@@ -282,7 +282,7 @@ def family_count(tower: FieldTower) -> int:
     return sum(1 for _ in enumerate_family(tower))
 
 
-# -- Sidon and cross-pair tests ------------------------------------------------
+# -- Sidon test ----------------------------------------------------------------
 
 def is_sidon(u: Subspace) -> bool:
     """Brute-force Sidon test: products of projective representatives must
@@ -294,27 +294,6 @@ def is_sidon(u: Subspace) -> bool:
     seen: set[int] = set()
     for i, a in enumerate(reps):
         for b in reps[i:]:
-            p = canon(mul(a, b))
-            if p in seen:
-                return False
-            seen.add(p)
-    return True
-
-
-def cross_pair_ok(u: Subspace, v: Subspace) -> bool:
-    """Pairwise cross test: products a*b over (rep of U, rep of V) must be
-    pairwise distinct as projective points over distinct class pairs.
-
-    Equivalent to dim(U ∩ alpha*V) <= 1 for every nonzero alpha.
-    """
-    if u.rows == v.rows:
-        raise EqualInputs("cross test needs distinct subspaces")
-    tower = u.tower
-    mul = tower.top.mul
-    canon = tower.canon_projective
-    seen: set[int] = set()
-    for a in u.projective_reps():
-        for b in v.projective_reps():
             p = canon(mul(a, b))
             if p in seen:
                 return False

@@ -22,7 +22,9 @@ augmented rows (image of e_j | e_j).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -35,7 +37,7 @@ from .errors import (
     Infeasible,
     ZeroShift,
 )
-from .field_tower import FieldElement, FieldTower
+from .field_tower import FieldTower
 
 
 # -- the two elimination kernels ------------------------------------------------
@@ -189,9 +191,8 @@ def subspace_from_json(tower: FieldTower, obj: dict) -> Subspace:
 
 
 def span(tower: FieldTower, vectors: Iterable, min_dim: int = 0) -> Subspace:
-    """Subspace spanned by the given elements (encodings or FieldElements)."""
-    encs = [v.enc if isinstance(v, FieldElement) else int(v) for v in vectors]
-    rows = rref_rows(tower, encs)
+    """Subspace spanned by the given element encodings."""
+    rows = rref_rows(tower, vectors)
     if min_dim > 0 and not rows:
         raise EmptyInput("span is the zero space")
     return Subspace(tower, rows)
@@ -214,13 +215,12 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
     return 2 * rank_rows(u.tower, u.rows + v.rows) - u.dim - v.dim
 
 
-def cyclic_shift(u: Subspace, alpha) -> Subspace:
+def cyclic_shift(u: Subspace, alpha: int) -> Subspace:
     """The shifted subspace alpha*U = {alpha*x : x in U}."""
-    enc = alpha.enc if isinstance(alpha, FieldElement) else int(alpha)
-    if enc == 0:
+    if alpha == 0:
         raise ZeroShift("shift by zero")
     mul = u.tower.top.mul
-    return Subspace(u.tower, rref_rows(u.tower, [mul(enc, r) for r in u.rows]))
+    return Subspace(u.tower, rref_rows(u.tower, [mul(alpha, r) for r in u.rows]))
 
 
 def shifted_intersection_dim(u: Subspace, v: Subspace, alpha: int) -> int:
@@ -292,7 +292,7 @@ def union_distance(
     return best, collisions, differences
 
 
-# -- subfields and orbit sizes --------------------------------------------------
+# -- map kernels ----------------------------------------------------------------
 
 def map_kernel(tower: FieldTower, image_of_basis: list[int]) -> Subspace:
     """Kernel of the GF(q)-linear map sending the j-th flattened basis vector
@@ -314,48 +314,29 @@ def map_kernel(tower: FieldTower, image_of_basis: list[int]) -> Subspace:
     return Subspace(tower, rref_rows(tower, sols))
 
 
-def subfield_basis(tower: FieldTower, d: int) -> tuple[int, ...]:
-    """GF(q)-basis of the subfield GF(q^d) inside GF(q^m), for d | m.
+# -- subfields and orbit sizes --------------------------------------------------
 
-    Computed as the fixed space of the d-fold q-power map.
-    """
-    cache = getattr(tower, "_subfield_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(tower, "_subfield_cache", cache)
-    if d in cache:
-        return cache[d]
-    q = tower.q
-    top = tower.top
-    e = q ** d
-    m = tower.m
-    images = []
-    for j in range(m):
-        b = tower.unflatten([1 if i == j else 0 for i in range(m)])
-        images.append(top.sub_(top.pow(b, e), b))
-    ker = map_kernel(tower, images)
-    cache[d] = ker.rows
-    return ker.rows
+@functools.lru_cache(maxsize=None)
+def _subfield_generator(tower: FieldTower, d: int) -> int:
+    """A primitive element w of the subfield GF(q^d) of GF(q^m), d | m: the
+    (q^m - 1)/(q^d - 1)-th power of the top field's primitive element."""
+    top, q = tower.top, tower.q
+    return top.pow(top.primitive, (q ** tower.m - 1) // (q ** d - 1))
 
 
 def linearity_field(u: Subspace) -> int:
     """Largest d with U linear over the subfield GF(q^d) of GF(q^m).
 
-    U must be closed under multiplication by a GF(q)-basis of GF(q^d); d has
-    to divide both dim U and m.
+    GF(q^d) = GF(q)[w] for its primitive element w, so U is GF(q^d)-linear
+    exactly when w*U is inside U; d has to divide both dim U and m.
     """
     if u.dim == 0:
         return u.tower.m
-    import math
-
     g = math.gcd(u.dim, u.tower.m)
     mul = u.tower.top.mul
     for d in sorted((d for d in range(2, g + 1) if g % d == 0), reverse=True):
-        basis = subfield_basis(u.tower, d)
-        closed = all(
-            u.contains(mul(b, r)) for b in basis for r in u.rows
-        )
-        if closed:
+        w = _subfield_generator(u.tower, d)
+        if all(u.contains(mul(w, r)) for r in u.rows):
             return d
     return 1
 

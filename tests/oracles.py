@@ -4,8 +4,10 @@ as differential oracles for the tests.
 ``rank_scan`` and ``gcd_scan`` find the minimum distance and the orbit
 collisions of a union by brute force: one intersection dimension per
 generator pair and per projective shift, from a rank of stacked bases or
-from the degree of an ordinary-polynomial gcd.  ``field_matrix_rank_division_free``
-ranks a matrix over a field without inverses.
+from the degree of an ordinary-polynomial gcd.  ``cross_pair_ok`` is the
+paper's cross-product test of one generator pair, the pairwise half of its
+certificate.  ``field_matrix_rank_division_free`` ranks a matrix over a field
+without inverses.
 
 ``span_by_enumeration``, ``rref_by_enumeration`` and ``kernel_by_enumeration``
 list every vector of a span, or every vector of GF(q)^m, instead of
@@ -39,6 +41,27 @@ def rank_scan(generators):
             if collision:
                 collisions.append((i, j))
     return best, collisions
+
+
+def cross_pair_ok(u, v):
+    """Pairwise cross test: products a*b over (rep of U, rep of V) must be
+    pairwise distinct as projective points over distinct class pairs.
+
+    Equivalent to dim(U ∩ alpha*V) <= 1 for every nonzero alpha.
+    """
+    if u.rows == v.rows:
+        raise ValueError("cross test needs distinct subspaces")
+    tower = u.tower
+    mul = tower.top.mul
+    canon = tower.canon_projective
+    seen = set()
+    for a in u.projective_reps():
+        for b in v.projective_reps():
+            p = canon(mul(a, b))
+            if p in seen:
+                return False
+            seen.add(p)
+    return True
 
 
 def gcd_scan(polys):

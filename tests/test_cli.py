@@ -40,12 +40,14 @@ def test_construct_verify_roundtrip_odd(tmp_path):
     assert rep["verified_size"] == "33759" and rep["verified_min_distance"] == 2
 
 
-def test_verify_criterion_mode(even_code_file, tmp_path):
-    out = tmp_path / "crit.json"
-    assert run(["verify", "--code", even_code_file, "--mode", "criterion",
-                "--out", out]) == cli.EXIT_OK
-    rep = json.loads(out.read_text())
-    assert rep["pairs_checked"] == "all 6"
+def test_verify_rejects_criterion_mode(even_code_file, tmp_path, capsys):
+    # exact is the only mode; an unknown choice is an argparse usage error
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--code", even_code_file, "--mode", "criterion",
+             "--out", tmp_path / "crit.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'criterion'" in capsys.readouterr().err
+    assert not (tmp_path / "crit.json").exists()
 
 
 def test_verify_flags_corrupted_generator(even_code_file, tmp_path):
@@ -74,16 +76,28 @@ def test_verify_budget_infeasible(even_code_file, tmp_path):
 
 
 def test_verify_criterion_budget_infeasible(tmp_path):
-    # 528 pairs x 3^2 cross-test points of the odd (2,2,10) code exceed a
-    # budget of 1 in both modes
+    # the exact distance of the odd (2,2,10) code examines 561 pairs i <= j
+    # x 3^2 log differences: one less is over budget, exactly that is not
     code_path = tmp_path / "odd2210.json"
     assert run(["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "odd",
                 "--out", code_path]) == cli.EXIT_OK
-    for mode in ("criterion", "exact"):
-        assert run(["verify", "--code", code_path, "--mode", mode, "--budget", 1,
-                    "--out", tmp_path / f"{mode}.json"]) == cli.EXIT_INFEASIBLE
-    assert run(["verify", "--code", code_path, "--mode", "criterion",
-                "--budget", 528 * 9, "--out", tmp_path / "ok.json"]) == cli.EXIT_OK
+    assert run(["verify", "--code", code_path, "--mode", "exact",
+                "--budget", 561 * 9 - 1, "--out", tmp_path / "over.json"]) == cli.EXIT_INFEASIBLE
+    assert run(["verify", "--code", code_path, "--mode", "exact",
+                "--budget", 561 * 9, "--out", tmp_path / "ok.json"]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["verify", "sidon-check", "simulate"])
+def test_empty_or_mixed_generator_lists_are_input_errors(even_code_file, tmp_path, command, capsys):
+    obj = json.loads(Path(even_code_file).read_text())
+    empty = dict(obj, generators=[])
+    one_dim = {"ambient_dim": 8, "dim": 1, "basis": [[1, 0, 0, 0, 0, 0, 0, 0]]}
+    mixed = dict(obj, generators=obj["generators"] + [one_dim])
+    for name, code in (("empty", empty), ("mixed", mixed)):
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps(code))
+        assert run([command, "--code", src]) == cli.EXIT_INPUT, name
+        assert "DimensionMismatch" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(tmp_path):

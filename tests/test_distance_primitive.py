@@ -1,5 +1,6 @@
 """Differential tests of the projective log-difference distance against the
-brute-force rank and gcd scans of ``oracles.py``, over q in {2, 3, 4}."""
+brute-force rank and gcd scans of ``oracles.py``, and of the orbit size against
+listing the orbit, over q in {2, 3, 4}."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -86,6 +87,31 @@ def test_poly_code_distance_matches_gcd_scan(q, subfield_linear, data):
     polys = [lp.subspace_polynomial(u) for u in data.draw(orbit_generators(q, subfield_linear))]
     rep = lp.poly_code_distance(polys)
     assert (rep.distance, rep.collisions) == gcd_scan(polys)
+
+
+@KINDS
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_orbit_size_matches_enumeration(q, subfield_linear, data):
+    for u in data.draw(orbit_generators(q, subfield_linear)):
+        assert sl.orbit_size(u) == len(sl.enumerate_orbit(u))
+
+
+@pytest.mark.parametrize("spec, d", [((2, 1, 2, 3), 3), ((2, 1, 2, 4), 4)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_orbit_size_of_a_subfield_shift(spec, d, data):
+    # x * GF(2^d) in GF(2^m): d-dimensional and linear over GF(2^d), so the
+    # orbit has (2^m - 1)/(2^d - 1) members.  In GF(2^8), x * GF(2^4) is also
+    # linear over GF(2^2): the largest subfield must win.
+    tw = build_tower(*spec)
+    top = tw.top
+    x = data.draw(st.integers(1, top.order - 1))
+    subfield = [y for y in range(1, top.order) if top.pow(y, 2 ** d) == y]
+    u = sl.span(tw, [top.mul(x, y) for y in subfield])
+    assert u.dim == d and len(subfield) == 2 ** d - 1
+    assert sl.linearity_field(u) == d
+    assert sl.orbit_size(u) == len(sl.enumerate_orbit(u)) == (top.order - 1) // len(subfield)
 
 
 # -- a field without log tables ---------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cyclic_cdc.errors import (
     DivisionByZero,
-    LevelMismatch,
     NotPrime,
     ZeroElement,
 )
@@ -168,17 +167,6 @@ def test_element_order_examples():
         element_order(tw.mid, 0)
 
 
-def test_embed_section_roundtrip():
-    tw = build_tower(2, 2, 2, 3)
-    for x in range(tw.q_level.order):
-        up = tw.embed(x, "q", "top")
-        assert tw.section(up, "top", "q") == x
-    with pytest.raises(LevelMismatch):
-        tw.section(tw.mid.order + 1, "top", "mid")
-    with pytest.raises(LevelMismatch):
-        tw.embed(5, "top", "q")
-
-
 def test_embedding_respects_multiplication():
     # the middle field sits inside the top with unchanged encodings
     tw = build_tower(3, 1, 3, 5)
@@ -187,24 +175,6 @@ def test_embedding_respects_multiplication():
         x, y = rng.randrange(tw.mid.order), rng.randrange(tw.mid.order)
         assert tw.top.mul(x, y) == tw.mid.mul(x, y)
         assert tw.top.add(x, y) == tw.mid.add(x, y)
-
-
-def test_field_element_wrapper():
-    tw = build_tower(2, 1, 2, 5)
-    x = tw.element("top", 37)
-    y = tw.element("top", 101)
-    assert (x + y).enc == tw.top.add(37, 101)
-    assert (x * y).enc == tw.top.mul(37, 101)
-    assert (x - y + y).enc == 37
-    assert (x ** 3).enc == tw.top.pow(37, 3)
-    assert x.inverse().enc == tw.top.inv(37)
-    assert x.frobenius().enc == tw.top.pow(37, 2)
-    assert len(x.coeffs) == tw.t
-    z = tw.element("mid", 3)
-    with pytest.raises(LevelMismatch):
-        _ = x + z
-    with pytest.raises(DivisionByZero):
-        tw.element("top", 0).inverse()
 
 
 def test_errors():

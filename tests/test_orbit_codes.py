@@ -70,7 +70,7 @@ def test_build_union_subfield_orbit():
     F4 = sl.span(tw, range(1, 4))
     code = oc.build_union(tw, [F4], provenance="subfield")
     assert code.claimed_size == (2 ** 10 - 1) // 3
-    assert oc.verify_min_distance(code, "exact") == 2 * tw.k
+    assert oc.verify_min_distance(code) == 2 * tw.k
 
 
 def test_union_sizes(odd_code_2_2_10, even_code_2_2_8):
@@ -79,17 +79,7 @@ def test_union_sizes(odd_code_2_2_10, even_code_2_2_8):
 
 
 def test_exact_distance_even(even_code_2_2_8):
-    assert oc.verify_min_distance(even_code_2_2_8, "exact") == 2
-
-
-def test_criterion_agrees_with_exact(even_code_2_2_8):
-    assert oc.verify_min_distance(even_code_2_2_8, "criterion") == 2
-
-
-def test_criterion_falls_back_on_non_sidon():
-    tw = build_tower(2, 1, 2, 5)
-    code = oc.build_union(tw, [sl.span(tw, range(1, 4))])
-    assert oc.verify_min_distance(code, "criterion") == 4  # exact fallback: 2k
+    assert oc.verify_min_distance(even_code_2_2_8) == 2
 
 
 def test_exact_scan_budget():
@@ -97,16 +87,14 @@ def test_exact_scan_budget():
     tw = build_tower(2, 1, 2, 5)
     code = oc.build_union(tw, [sl.span(tw, range(1, 4))])
     with pytest.raises(Infeasible):
-        oc.verify_min_distance(code, "exact", budget=8)
-    assert oc.verify_min_distance(code, "exact", budget=9) == 4
+        oc.verify_min_distance(code, budget=8)
+    assert oc.verify_min_distance(code, budget=9) == 4
 
 
 def test_verify_code_report(even_code_2_2_8):
-    rep = oc.verify_code(even_code_2_2_8, mode="exact")
+    rep = oc.verify_code(even_code_2_2_8)
     assert rep["ok"] and rep["size_claim_ok"] and rep["distance_claim_ok"]
     assert rep["verified_size"] == "1020"
-    rep2 = oc.verify_code(even_code_2_2_8, mode="criterion")
-    assert rep2["ok"] and rep2["verified_min_distance"] == 2
 
 
 def test_verify_code_flags_bad_claims(even_code_2_2_8):
@@ -116,7 +104,7 @@ def test_verify_code_flags_bad_claims(even_code_2_2_8):
         even_code_2_2_8.claimed_size + 1,
         even_code_2_2_8.claimed_min_distance,
     )
-    rep = oc.verify_code(forged, mode="exact")
+    rep = oc.verify_code(forged)
     assert not rep["ok"] and not rep["size_claim_ok"]
 
 

@@ -28,7 +28,7 @@ def first_generator(tower):
 
 def test_span_examples():
     tw = build_tower(2, 1, 2, 5)
-    two = sl.span(tw, [1, tw.embed(tw.xi, "mid", "top")])
+    two = sl.span(tw, [1, tw.xi])
     assert two.dim == 2
     assert subfield_subspace(tw).dim == tw.k
     # scalar multiples collapse
