@@ -173,22 +173,25 @@ def cmd_poly(args) -> int:
     t0 = time.perf_counter()
     with open(args.file) as fh:
         obj = json.load(fh)
-    s = args.s if args.s is not None else int(obj["s"])
-    tower, polys, k, _ = lp.poly_family_from_json(obj, args.N)
-    if not 1 <= s < k - 1:
-        print(f"s={s} outside [1, {k - 2}]", file=sys.stderr)
-        return EXIT_INPUT
+    tower, polys, k, s = lp.poly_family_from_json(obj, args.N)
+    t1 = time.perf_counter()
     verdict = lp.check_union_distance_criteria(polys, s, budget=args.budget)
     result = {"N": args.N, "s": s, "k": k, "e": len(polys), "criteria": verdict.to_json()}
+    result["time_criteria"] = round(time.perf_counter() - t1, 3)
     if tower.q == 2:
+        t1 = time.perf_counter()
         try:
             v2 = lp.check_union_distance_criteria_gf2(polys, s, budget=args.budget)
             result["criteria_gf2"] = v2.to_json()
         except CdcError as exc:
             result["criteria_gf2"] = {"error": str(exc)}
+        result["time_criteria_gf2"] = round(time.perf_counter() - t1, 3)
+    t1 = time.perf_counter()
     rep = lp.poly_code_distance(polys, budget=args.budget)
     result["exact"] = rep.to_json()
+    result["time_distance"] = round(time.perf_counter() - t1, 3)
     result["counters"] = {
+        "rank_matrices": verdict.rank_matrices,
         "pairs": len(polys) * (len(polys) + 1) // 2,
         "differences": rep.differences,
         "budget": args.budget,
@@ -267,8 +270,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poly", help="check a q-polynomial family and scan its code")
     p.add_argument("--file", required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--budget", type=int, default=lp.DEFAULT_SCAN_BUDGET)
+    p.add_argument("--budget", type=int, default=oc.DEFAULT_SCAN_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_poly)
 

@@ -26,7 +26,7 @@ class LevelMismatch(CdcError):
 
 
 class ZeroElement(CdcError):
-    """Operation undefined on the zero element (e.g. multiplicative order)."""
+    """Operation undefined on the zero element (e.g. the discrete log)."""
 
 
 # -- subspace linear algebra ------------------------------------------------
@@ -77,14 +77,6 @@ class BrokenInvariant(CdcError):
 
 
 # -- linearized polynomials -------------------------------------------------
-
-class NotFoundWithinBound(CdcError):
-    """No splitting field found within the search bound."""
-
-
-class NonPowerDegree(CdcError):
-    """A q-polynomial gcd has degree that is not a power of q."""
-
 
 class BadSupport(CdcError):
     """Polynomial support violates the required coefficient pattern."""

@@ -106,9 +106,6 @@ class PrimeField:
     def digits(self, a):
         return (a,)
 
-    def elements(self):
-        return range(self.order)
-
     def __repr__(self):
         return f"GF({self.order})"
 
@@ -164,9 +161,6 @@ class ExtensionField:
         for d in reversed(list(digs)):
             enc = enc * so + d
         return enc
-
-    def elements(self):
-        return range(self.order)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -496,22 +490,6 @@ def first_irreducible(F: Field, degree: int) -> tuple[int, ...]:
     raise SearchExhausted(f"no irreducible of degree {degree} over {F!r}")
 
 
-def first_primitive(F: ExtensionField) -> int:
-    """First encoding (ascending) of full multiplicative order."""
-    return F.primitive
-
-
-def element_order(F: Field, x: int) -> int:
-    """Multiplicative order, by factoring the group order and descending."""
-    if x == 0:
-        raise ZeroElement("order of 0 undefined")
-    e = F.order - 1
-    for prime in factorize(e):
-        while e % prime == 0 and F.pow(x, e // prime) == 1:
-            e //= prime
-    return e
-
-
 # -- the tower ----------------------------------------------------------------
 
 
@@ -540,7 +518,7 @@ class FieldTower:
         self.def_poly_top = first_irreducible(self.mid, t)
         self.top = ExtensionField(self.mid, self.def_poly_top)
         self.m = t * k
-        self.xi = first_primitive(self.mid)
+        self.xi = self.mid.primitive
         self.gamma = self.mid.order if t > 1 else self._gamma_deg1()
 
     def _gamma_deg1(self) -> int:
@@ -559,10 +537,6 @@ class FieldTower:
             }[level]
         except KeyError:
             raise LevelMismatch(f"unknown level {level!r}") from None
-
-    def frobenius(self, x: int, level: str = "top") -> int:
-        """The q-power map on the given level."""
-        return self.field(level).pow(x, self.q)
 
     # -- GF(q)-coordinates ------------------------------------------------------
 
@@ -672,9 +646,7 @@ def enc_from_nested(F: Field, node) -> int:
 @functools.lru_cache(maxsize=None)
 def build_tower(p: int, a: int, k: int, t: int) -> FieldTower:
     """Deterministic tower for q = p^a, middle degree k, top degree t over
-    the middle (so GF(q^m) with m = t*k)."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    the middle (so GF(q^m) with m = t*k); NotPrime unless p is prime."""
     return FieldTower(p, a, k, t)
 
 

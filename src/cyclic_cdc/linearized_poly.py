@@ -1,7 +1,7 @@
 """Linearized (q-)polynomial machinery: kernels as subspaces, the
-coefficient-twist under cyclic shifts, gcd-based intersection dimensions,
-the rank-matrix criterion certifying unions of polynomial-kernel orbits,
-and the exact distance and size of such unions.
+coefficient-twist under cyclic shifts, the rank-matrix criterion certifying
+unions of polynomial-kernel orbits, and the exact distance and size of such
+unions.
 
 A q-polynomial sum(a_i * x^(q^i)) is kept sparsely as (exponent, coefficient)
 pairs; coefficients are encodings valid in the tower's top field (elements of
@@ -20,12 +20,11 @@ from .errors import (
     BadSupport,
     Infeasible,
     LevelMismatch,
-    NonPowerDegree,
-    NotFoundWithinBound,
     WrongCharacteristic,
     ZeroShift,
 )
-from .field_tower import FieldTower, build_tower, poly_gcd
+from .field_tower import FieldTower, build_tower, enc_from_nested, poly_gcd
+from .orbit_codes import DEFAULT_SCAN_BUDGET
 from .subspace_linalg import (
     Subspace,
     field_matrix_rank,
@@ -33,8 +32,6 @@ from .subspace_linalg import (
     orbit_size,
     union_distance,
 )
-
-DEFAULT_SCAN_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -78,9 +75,6 @@ class LinearizedPolynomial:
             power = top.pow(power, q)
         return acc
 
-    def to_json(self) -> dict:
-        return {str(e): int(c) for e, c in self.coeffs}
-
 
 def linpoly(tower: FieldTower, mapping: Mapping[int, int]) -> LinearizedPolynomial:
     """Build a q-polynomial from {exponent: encoding}, dropping zeros."""
@@ -105,29 +99,6 @@ def kernel_subspace(P: LinearizedPolynomial) -> Subspace:
     return map_kernel(tower, images)
 
 
-def find_splitting_N(
-    p: int, a: int, coeff_degree: int, coeffs: Mapping[int, int], max_multiple: int
-) -> int:
-    """Smallest N = coeff_degree * t (t <= max_multiple) such that the kernel
-    over GF(q^N) has full dimension equal to the q-degree.
-
-    ``coeffs`` uses encodings of the degree-``coeff_degree`` coefficient
-    field, which transfer unchanged into every hosting tower.
-    """
-    mid_order = build_tower(p, a, coeff_degree, 1).mid.order
-    if any(int(c) >= mid_order for c in coeffs.values()):
-        raise LevelMismatch("coefficients must lie in the coefficient field")
-    want = max(int(e) for e, c in coeffs.items() if int(c) != 0)
-    for t in range(1, max_multiple + 1):
-        tw = build_tower(p, a, coeff_degree, t)
-        P = linpoly(tw, coeffs)
-        if kernel_subspace(P).dim == want:
-            return coeff_degree * t
-    raise NotFoundWithinBound(
-        f"no splitting field within {max_multiple} multiples of {coeff_degree}"
-    )
-
-
 def shift_transform(P: LinearizedPolynomial, alpha: int) -> LinearizedPolynomial:
     """The polynomial vanishing on alpha*V when P vanishes on V: the
     coefficient at exponent j picks up the factor alpha^(q^k - q^j)."""
@@ -148,29 +119,12 @@ def shift_transform(P: LinearizedPolynomial, alpha: int) -> LinearizedPolynomial
     return LinearizedPolynomial(tower, tuple(out))
 
 
-def subspace_polynomial(V: Subspace) -> LinearizedPolynomial:
-    """The monic q-polynomial of q-degree dim(V) vanishing exactly on V,
-    built by adjoining one basis vector at a time:
-    P_(V + <w>)(y) = P_V(y)^q - P_V(w)^(q-1) * P_V(y)."""
-    tower = V.tower
-    top = tower.top
-    q = tower.q
-    coeffs: dict[int, int] = {0: 1}  # P = x
-    for w in V.rows:
-        b = 0
-        for e, c in coeffs.items():
-            b = top.add(b, top.mul(c, top.pow(w, q ** e)))
-        scale = top.pow(b, q - 1)
-        new: dict[int, int] = {}
-        for e, c in coeffs.items():
-            new[e + 1] = top.pow(c, q)
-        for e, c in coeffs.items():
-            new[e] = top.sub_(new.get(e, 0), top.mul(scale, c))
-        coeffs = {e: c for e, c in new.items() if c}
-    return LinearizedPolynomial(tower, tuple(sorted(coeffs.items())))
-
-
-# -- ordinary polynomial view and gcds ------------------------------------------
+# -- ordinary polynomial view ------------------------------------------------------
+#
+# No library path takes the gcd of two q-polynomials.  ``densify`` and
+# ``dense_gcd`` serve the gcd oracle of the tests and the benchmark's
+# ``dense_gcd`` probe, which counts these gcds apart from the tower's
+# irreducibility tests.
 
 def densify(P: LinearizedPolynomial) -> list[int]:
     """Ordinary coefficient list (low degree first) of the q-polynomial."""
@@ -182,27 +136,8 @@ def densify(P: LinearizedPolynomial) -> list[int]:
 
 
 def dense_gcd(top, a: list[int], b: list[int]) -> list[int]:
-    """Monic gcd of ordinary polynomials over the top field.  A name of its
-    own, apart from the tower's ``poly_gcd``, so that counting the gcds of
-    this layer leaves out the tower's irreducibility tests."""
+    """Monic gcd of ordinary polynomials over the top field."""
     return poly_gcd(top, a, b)
-
-
-def intersection_dim_via_gcd(P: LinearizedPolynomial, Q: LinearizedPolynomial) -> int:
-    """dim(ker P ∩ ker Q) as log_q of the degree of the ordinary gcd.
-
-    Both polynomials must split with simple roots in the working field (true
-    for subspace polynomials); the gcd is then the subspace polynomial of the
-    intersection.
-    """
-    top = P.tower.top
-    q = P.tower.q
-    g = dense_gcd(top, densify(P), densify(Q))
-    deg = len(g) - 1
-    dim = next((d for d in range(deg.bit_length()) if q ** d == deg), None)
-    if dim is None:
-        raise NonPowerDegree(f"gcd degree {deg} is not a power of q={q}")
-    return dim
 
 
 # -- the rank-matrix criterion ---------------------------------------------------
@@ -227,9 +162,6 @@ class RankMatrix:
     shift certifies small intersections between shifted kernels."""
 
     entries: tuple[tuple[int, ...], ...]
-    i: int
-    j: int
-    alpha: int
 
 
 def _matrix_rows(top, q: int, k: int, s: int, r: list[int], last_col: list[int]) -> list[list[int]]:
@@ -269,7 +201,7 @@ def build_rank_matrix(
     ]
     last_col = [Pi.coeff(k - rho) for rho in range(k + 1)]
     rows = _matrix_rows(top, q, k, s, r, last_col)
-    return RankMatrix(tuple(tuple(row) for row in rows), -1, -1, alpha)
+    return RankMatrix(tuple(tuple(row) for row in rows))
 
 
 @dataclass
@@ -281,6 +213,7 @@ class CriteriaVerdict:
     coeff_ok: bool
     coeff_witnesses: list
     alphas_checked: int
+    rank_matrices: int  # matrices the rank verdict took; not part of the result
 
     @property
     def passed(self) -> bool:
@@ -317,8 +250,9 @@ def _admissible_alphas(tower: FieldTower, k: int, s: int) -> list[int]:
 
 def _rank_condition(
     polys: list[LinearizedPolynomial], s: int, budget: int
-) -> tuple[bool, tuple | None, int]:
-    """Condition (1): the budget is checked per call, the scan once per family."""
+) -> tuple[bool, tuple | None, int, int]:
+    """Condition (1): the budget is checked per call, the scan once per family.
+    Returns (ok, witness, matrices ranked, admissible alphas)."""
     n_alphas = len(_admissible_alphas(polys[0].tower, polys[0].q_degree, s))
     if n_alphas * len(polys) ** 2 > budget:
         raise Infeasible("rank scan exceeds budget")
@@ -328,7 +262,7 @@ def _rank_condition(
 @functools.lru_cache(maxsize=1)
 def _rank_verdict(
     polys: tuple[LinearizedPolynomial, ...], s: int
-) -> tuple[bool, tuple | None]:
+) -> tuple[bool, tuple | None, int]:
     tower = polys[0].tower
     top = tower.top
     q = tower.q
@@ -338,6 +272,7 @@ def _rank_verdict(
     gammas = [[P.coeff(t) for t in range(s + 2)] for P in polys]
     exps = [q ** k - q ** t for t in range(s + 2)]
     last_cols = [[P.coeff(k - rho) for rho in range(k + 1)] for P in polys]
+    ranked = 0
     for alpha in alphas:
         apow = [top.pow(alpha, e) for e in exps]
         for i in range(len(polys)):
@@ -347,9 +282,10 @@ def _rank_verdict(
                 r = [top.sub_(gi[t], top.mul(gj[t], apow[t])) for t in range(s + 2)]
                 rows = _matrix_rows(top, q, k, s, r, last_cols[i])
                 rank = field_matrix_rank(top, rows)
+                ranked += 1
                 if rank != want:
-                    return False, (i, j, alpha, rank)
-    return True, None
+                    return False, (i, j, alpha, rank), ranked
+    return True, None, ranked
 
 
 def check_union_distance_criteria(
@@ -372,7 +308,7 @@ def check_union_distance_criteria(
         validate_support(P, s)
         if P.q_degree != k:
             raise BadSupport("polynomials must share the q-degree")
-    rank_ok, witness, n_alphas = _rank_condition(polys, s, budget)
+    rank_ok, witness, ranked, n_alphas = _rank_condition(polys, s, budget)
 
     top = tower.top
     q = tower.q
@@ -398,7 +334,7 @@ def check_union_distance_criteria(
                     break
             if not found:
                 failures.append((i, j))
-    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas)
+    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas, ranked)
 
 
 def check_union_distance_criteria_gf2(
@@ -416,7 +352,7 @@ def check_union_distance_criteria_gf2(
         raise BadSupport("need k > 2 and 1 <= s < k - 1")
     for P in polys:
         validate_support(P, s)
-    rank_ok, witness, n_alphas = _rank_condition(polys, s, budget)
+    rank_ok, witness, ranked, n_alphas = _rank_condition(polys, s, budget)
     n_coeff = tower.k
     mid_order = tower.mid.order
     failures = []
@@ -435,7 +371,7 @@ def check_union_distance_criteria_gf2(
                 )
             if not ok:
                 failures.append((i, j))
-    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas)
+    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas, ranked)
 
 
 # -- exact distance and size of polynomial-kernel unions -------------------------
@@ -494,8 +430,6 @@ def poly_family_from_json(obj: dict, N: int) -> tuple[FieldTower, list[Linearize
         raise BadSupport(f"N={N} is not a multiple of the coefficient degree {n_coeff}")
     p, a = _prime_power(q)
     tower = build_tower(p, a, n_coeff, N // n_coeff)
-    from .field_tower import enc_from_nested
-
     polys = []
     for raw in obj["polys"]:
         mapping = {}

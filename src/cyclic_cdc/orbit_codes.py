@@ -55,13 +55,15 @@ class UnionCode:
 
 
 def _common_dim(generators: tuple[Subspace, ...]) -> int:
-    """The dimension every generator shares; DimensionMismatch if there are
-    none or they differ."""
+    """The dimension k >= 1 every generator shares; DimensionMismatch if there
+    are none, they differ, or they span only {0}."""
     if not generators:
         raise DimensionMismatch("no generators")
     k = generators[0].dim
     if any(g.dim != k for g in generators):
         raise DimensionMismatch("generators of mixed dimension")
+    if k == 0:
+        raise DimensionMismatch("generators of dimension 0")
     return k
 
 
@@ -289,26 +291,16 @@ def rate(code_size: int, q: int, n: int, k: int) -> float:
     return math.log2(code_size) / math.log2(q) / (n * k)
 
 
-def common_bound_4k(q: int, k: int) -> int:
-    """The value shared by the sphere-packing and Johnson bounds at n = 4k,
-    distance 2k - 2: the floor of
-    (q^(4k) - 1)(q^(4k-1) - 1) / ((q^k - 1)(q^(k-1) - 1))."""
-    n = 4 * k
-    num = (q ** n - 1) * (q ** (n - 1) - 1)
-    den = (q ** k - 1) * (q ** (k - 1) - 1)
-    return num // den
-
-
 def ratio_to_bound(q: int, k: int) -> Fraction:
     """Even-construction size at r = 2 (n = 4k) over the common bound value,
     as an exact rational.
 
     The bound enters as the exact rational product
-    (q^(4k) - 1)(q^(4k-1) - 1) / ((q^k - 1)(q^(k-1) - 1)).  For q = 2 and
-    q = 3 that product is an integer for k <= 5 and for no k in 6..24, where
-    ``common_bound_4k`` returns its floor.  The
-    ratio's approach to 1/2, and its entry into (0.45, 0.5) at k = 6, is
-    therefore measured against the rational product, not the floor."""
+    (q^(4k) - 1)(q^(4k-1) - 1) / ((q^k - 1)(q^(k-1) - 1)), whose floor both
+    bounds equal at n = 4k, distance 2k - 2.  For q = 2 and q = 3 that
+    product is an integer for k <= 5 and for no k in 6..24.  The ratio's
+    approach to 1/2, and its entry into (0.45, 0.5) at k = 6, is therefore
+    measured against the rational product, not the floor."""
     if k < 2:
         raise ValueError("k must be >= 2")
     n = 4 * k

@@ -50,27 +50,6 @@ class ConstructionParams:
     delta_exps: tuple[int, ...]
     theta_exp: int | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "r": self.r,
-            "rep": self.rep,
-            "l": self.l,
-            "deltas": list(self.delta_exps),
-            "theta": self.theta_exp,
-        }
-
-
-def params_from_json(obj: dict) -> ConstructionParams:
-    return ConstructionParams(
-        family=obj["family"],
-        r=obj["r"],
-        rep=obj["rep"],
-        l=obj["l"],
-        delta_exps=tuple(obj["deltas"]),
-        theta_exp=obj["theta"],
-    )
-
 
 def tower_shape(tower: FieldTower) -> tuple[str, int]:
     """('odd'|'even', r) derived from the top extension degree t."""
@@ -134,9 +113,24 @@ def build_avoiding_set(tower: FieldTower) -> tuple[int, ...]:
     if f0 == 0:
         raise BadShape("top defining polynomial has zero constant term")
     o1 = mid.order - 1
-    target = (mid.order - 2) // 2
     # f0 * xi^(i+j) == 1  <=>  i + j == forbidden (mod o1)
-    forbidden = (-mid._log[f0]) % o1
+    chosen = avoiding_exponents(o1, (-mid._log[f0]) % o1, (mid.order - 2) // 2)
+    # verification pass over the defining property
+    for i in chosen:
+        for j in chosen:
+            if mid.mul(f0, mid.pow(tower.xi, i + j)) == 1:
+                raise GreedyFellShort("avoiding set verification failed")
+    return tuple(chosen)
+
+
+def avoiding_exponents(o1: int, forbidden: int, target: int) -> list[int]:
+    """The first ``target`` residues i mod o1, ascending, with no two chosen
+    (i = j included) summing to ``forbidden``.
+
+    The pairs {i, forbidden - i} with i != forbidden - i partition the
+    residues i with 2i != forbidden.  There are at least floor((o1 - 1)/2)
+    of them, and the greedy takes the smaller member of each, so a target of
+    floor((o1 - 1)/2) = floor((q^k - 2)/2) is always reached."""
     chosen: list[int] = []
     for i in range(o1):
         if len(chosen) == target:
@@ -146,26 +140,7 @@ def build_avoiding_set(tower: FieldTower) -> tuple[int, ...]:
         if any((i + j) % o1 == forbidden for j in chosen):
             continue
         chosen.append(i)
-    if len(chosen) < target:
-        chosen = _avoiding_set_exhaustive(o1, forbidden, target)
-    # verification pass over the defining property
-    for i in chosen:
-        for j in chosen:
-            if mid.mul(f0, mid.pow(tower.xi, i + j)) == 1:
-                raise GreedyFellShort("avoiding set verification failed")
-    return tuple(chosen)
-
-
-def _avoiding_set_exhaustive(o1: int, forbidden: int, target: int) -> list[int]:
-    if o1 > 16:
-        raise GreedyFellShort(
-            f"greedy produced fewer than {target} exponents and the space is "
-            "too large for exhaustive search"
-        )
-    for combo in itertools.combinations(range(o1), target):
-        if all((i + j) % o1 != forbidden for i in combo for j in combo):
-            return list(combo)
-    raise GreedyFellShort("no avoiding set of the guaranteed size exists")
+    return chosen
 
 
 def validate_params(params: ConstructionParams, tower: FieldTower) -> None:
@@ -275,11 +250,6 @@ def enumerate_family(tower: FieldTower) -> Iterator[ConstructionParams]:
     for l in range(1, v_hi + 1):
         for deltas in delta_tuples(l):
             yield ConstructionParams(v_fam, r, 1, l, deltas, None)
-
-
-def family_count(tower: FieldTower) -> int:
-    """Number of admissible tuples, by honest iteration."""
-    return sum(1 for _ in enumerate_family(tower))
 
 
 # -- Sidon test ----------------------------------------------------------------

@@ -27,7 +27,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -136,16 +136,6 @@ class Subspace:
     def contains(self, enc: int) -> bool:
         return rank_rows(self.tower, self.rows + (enc,)) == self.dim
 
-    def elements(self) -> Iterator[int]:
-        """All q^dim elements (small dimensions only)."""
-        q = self.tower.q
-        top = self.tower.top
-        combos = [0]
-        for row in self.rows:
-            scaled = [self.tower.scalar_mul(c, row) for c in range(q)]
-            combos = [top.add(base, s) for base in combos for s in scaled]
-        return iter(combos)
-
     def projective_reps(self) -> list[int]:
         """(q^dim - 1)/(q - 1) representatives, one per GF(q)*-class."""
         q = self.tower.q
@@ -190,28 +180,15 @@ def subspace_from_json(tower: FieldTower, obj: dict) -> Subspace:
     return Subspace(tower, canon)
 
 
-def span(tower: FieldTower, vectors: Iterable, min_dim: int = 0) -> Subspace:
+def span(tower: FieldTower, vectors: Iterable) -> Subspace:
     """Subspace spanned by the given element encodings."""
-    rows = rref_rows(tower, vectors)
-    if min_dim > 0 and not rows:
-        raise EmptyInput("span is the zero space")
-    return Subspace(tower, rows)
-
-
-def _check_ambient(u: Subspace, v: Subspace):
-    if u.tower != v.tower:
-        raise AmbientMismatch("subspaces live in different towers")
-
-
-def intersection_dim(u: Subspace, v: Subspace) -> int:
-    """dim(U ∩ V) = dim U + dim V - rank of the stacked bases."""
-    _check_ambient(u, v)
-    return u.dim + v.dim - rank_rows(u.tower, u.rows + v.rows)
+    return Subspace(tower, rref_rows(tower, vectors))
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:
     """The subspace metric dim U + dim V - 2 dim(U ∩ V)."""
-    _check_ambient(u, v)
+    if u.tower != v.tower:
+        raise AmbientMismatch("subspaces live in different towers")
     return 2 * rank_rows(u.tower, u.rows + v.rows) - u.dim - v.dim
 
 
@@ -221,13 +198,6 @@ def cyclic_shift(u: Subspace, alpha: int) -> Subspace:
         raise ZeroShift("shift by zero")
     mul = u.tower.top.mul
     return Subspace(u.tower, rref_rows(u.tower, [mul(alpha, r) for r in u.rows]))
-
-
-def shifted_intersection_dim(u: Subspace, v: Subspace, alpha: int) -> int:
-    """dim(U ∩ alpha*V) without materializing the shifted subspace."""
-    mul = u.tower.top.mul
-    shifted = [mul(alpha, r) for r in v.rows]
-    return u.dim + v.dim - rank_rows(u.tower, list(u.rows) + shifted)
 
 
 # -- every shift at once: projective log differences ----------------------------
@@ -250,13 +220,6 @@ def _shift_dims(tower: FieldTower, lu: list[int], lv: list[int], k: int) -> dict
     if not all(h in dim_of for h in hist.values()):
         raise BrokenInvariant(f"log-difference counts {sorted(hist.values())} for q={q}")
     return {c: dim_of[h] for c, h in hist.items()}
-
-
-def shift_intersection_dims(u: Subspace, v: Subspace) -> dict[int, int]:
-    """dim(U ∩ g^c V) for every residue c mod N at which it is nonzero,
-    from one histogram of the projective log differences of U and V."""
-    _check_ambient(u, v)
-    return _shift_dims(u.tower, _projective_logs(u), _projective_logs(v), min(u.dim, v.dim))
 
 
 def union_distance(
@@ -352,15 +315,11 @@ def orbit_size(u: Subspace) -> int:
     return num // den
 
 
-def enumerate_orbit(u: Subspace, cap: int | None = None) -> list[Subspace]:
+def enumerate_orbit(u: Subspace) -> list[Subspace]:
     """All distinct cyclic shifts of U, by direct scan over projective
     representatives of the ambient unit group."""
     mul = u.tower.top.mul
     seen: dict[tuple[int, ...], None] = {}
     for alpha in u.tower.projective_reps("top"):
-        rows = rref_rows(u.tower, [mul(alpha, r) for r in u.rows])
-        if rows not in seen:
-            seen[rows] = None
-            if cap is not None and len(seen) > cap:
-                raise ValueError(f"orbit larger than cap {cap}")
+        seen[rref_rows(u.tower, [mul(alpha, r) for r in u.rows])] = None
     return [Subspace(u.tower, rows) for rows in seen]

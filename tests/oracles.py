@@ -12,10 +12,104 @@ without inverses.
 ``span_by_enumeration``, ``rref_by_enumeration`` and ``kernel_by_enumeration``
 list every vector of a span, or every vector of GF(q)^m, instead of
 eliminating: they check the package's elimination kernels at small sizes.
+
+``shifted_intersection_dim`` is dim(U ∩ alpha*V) from one rank, and
+``shift_intersection_dims`` reads it at every shift from the package's own
+log-difference histogram.  ``subspace_polynomial``, ``intersection_dim_via_gcd``
+and ``find_splitting_N`` are the paper's polynomial view of a subspace: its
+annihilating q-polynomial, the gcd step of ``gcd_scan``, and the smallest
+field that splits a q-polynomial.  ``element_order`` is the multiplicative
+order by factoring the group order.  ``common_bound_4k`` is the paper's
+closed form of the value that the sphere-packing and Johnson bounds share at
+n = 4k.
 """
 
 from cyclic_cdc import linearized_poly as lp
+from cyclic_cdc import subspace_linalg as sl
+from cyclic_cdc.field_tower import build_tower, factorize
 from cyclic_cdc.subspace_linalg import rank_rows
+
+
+def shifted_intersection_dim(u, v, alpha):
+    """dim(U ∩ alpha*V) = dim U + dim V - rank of U's rows stacked on alpha*V's."""
+    mul = u.tower.top.mul
+    return u.dim + v.dim - rank_rows(u.tower, list(u.rows) + [mul(alpha, r) for r in v.rows])
+
+
+def shift_intersection_dims(u, v):
+    """{c: dim(U ∩ g^c V)} for every residue c mod (q^m - 1)/(q - 1) at which
+    it is nonzero, g the top field's primitive element."""
+    logs_u, logs_v = sl._projective_logs(u), sl._projective_logs(v)
+    return sl._shift_dims(u.tower, logs_u, logs_v, min(u.dim, v.dim))
+
+
+def element_order(F, x):
+    """Multiplicative order of x != 0, by factoring the group order and descending."""
+    if x == 0:
+        raise ValueError("order of 0 undefined")
+    e = F.order - 1
+    for prime in factorize(e):
+        while e % prime == 0 and F.pow(x, e // prime) == 1:
+            e //= prime
+    return e
+
+
+def subspace_polynomial(V):
+    """The monic q-polynomial of q-degree dim(V) vanishing exactly on V,
+    built by adjoining one basis vector at a time:
+    P_(V + <w>)(y) = P_V(y)^q - P_V(w)^(q-1) * P_V(y)."""
+    tower = V.tower
+    top = tower.top
+    q = tower.q
+    coeffs = {0: 1}  # P = x
+    for w in V.rows:
+        b = 0
+        for e, c in coeffs.items():
+            b = top.add(b, top.mul(c, top.pow(w, q ** e)))
+        scale = top.pow(b, q - 1)
+        new = {e + 1: top.pow(c, q) for e, c in coeffs.items()}
+        for e, c in coeffs.items():
+            new[e] = top.sub_(new.get(e, 0), top.mul(scale, c))
+        coeffs = {e: c for e, c in new.items() if c}
+    return lp.LinearizedPolynomial(tower, tuple(sorted(coeffs.items())))
+
+
+def intersection_dim_via_gcd(P, Q):
+    """dim(ker P ∩ ker Q) as log_q of the degree of the ordinary gcd.
+
+    Both polynomials must split with simple roots in the working field (true
+    for subspace polynomials); the gcd is then the subspace polynomial of the
+    intersection, whose degree is a power of q.
+    """
+    q = P.tower.q
+    g = lp.dense_gcd(P.tower.top, lp.densify(P), lp.densify(Q))
+    deg = len(g) - 1
+    dim = next((d for d in range(deg.bit_length()) if q ** d == deg), None)
+    if dim is None:
+        raise ValueError(f"gcd degree {deg} is not a power of q={q}")
+    return dim
+
+
+def common_bound_4k(q, k):
+    """The floor of (q^(4k) - 1)(q^(4k-1) - 1) / ((q^k - 1)(q^(k-1) - 1)), the
+    value of both bounds at n = 4k, distance 2k - 2."""
+    n = 4 * k
+    return (q ** n - 1) * (q ** (n - 1) - 1) // ((q ** k - 1) * (q ** (k - 1) - 1))
+
+
+def find_splitting_N(p, a, coeff_degree, coeffs, max_multiple):
+    """Smallest N = coeff_degree * t (t <= max_multiple) such that the kernel
+    over GF(q^N) has full dimension equal to the q-degree, or None.
+
+    ``coeffs`` uses encodings of the degree-``coeff_degree`` coefficient
+    field, which transfer unchanged into every hosting tower.
+    """
+    want = max(int(e) for e, c in coeffs.items() if int(c) != 0)
+    for t in range(1, max_multiple + 1):
+        tw = build_tower(p, a, coeff_degree, t)
+        if lp.kernel_subspace(lp.linpoly(tw, coeffs)).dim == want:
+            return coeff_degree * t
+    return None
 
 
 def rank_scan(generators):
@@ -75,7 +169,7 @@ def gcd_scan(polys):
         for j in range(i, len(polys)):
             collision = False
             for alpha in tower.projective_reps("top"):
-                dim = lp.intersection_dim_via_gcd(polys[i], lp.shift_transform(polys[j], alpha))
+                dim = intersection_dim_via_gcd(polys[i], lp.shift_transform(polys[j], alpha))
                 if dim == k:
                     collision = collision or i != j
                     continue

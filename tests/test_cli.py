@@ -93,7 +93,8 @@ def test_empty_or_mixed_generator_lists_are_input_errors(even_code_file, tmp_pat
     empty = dict(obj, generators=[])
     one_dim = {"ambient_dim": 8, "dim": 1, "basis": [[1, 0, 0, 0, 0, 0, 0, 0]]}
     mixed = dict(obj, generators=obj["generators"] + [one_dim])
-    for name, code in (("empty", empty), ("mixed", mixed)):
+    zero_dim = dict(obj, generators=[{"ambient_dim": 8, "dim": 0, "basis": []}])
+    for name, code in (("empty", empty), ("mixed", mixed), ("zero_dim", zero_dim)):
         src = tmp_path / f"{name}.json"
         src.write_text(json.dumps(code))
         assert run([command, "--code", src]) == cli.EXIT_INPUT, name
@@ -142,6 +143,12 @@ def test_poly_command_passes(tmp_path):
     assert rep["exact"]["size"] == "49149"
     assert rep["exact"]["distance"] == 4
     assert rep["exact"]["orbit_collisions"] == []
+    # phase timings and the work done go to the manifest, not the result
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert set(manifest["timings"]) == {"time_criteria", "time_criteria_gf2", "time_distance"}
+    assert not any(key.startswith("time_") for key in rep)
+    # one rank matrix per admissible alpha and ordered pair: 16382 x 3^2
+    assert manifest["counters"]["rank_matrices"] == 16382 * 9 == 147438
 
 
 def test_poly_command_rank_failure(tmp_path):
@@ -159,8 +166,16 @@ def test_poly_command_rank_failure(tmp_path):
     assert rep["exact"]["distance"] == 2
 
 
-def test_poly_command_s_out_of_range():
-    assert run(["poly", "--file", DATA, "--N", 14, "--s", 2]) == cli.EXIT_INPUT
+def test_poly_command_s_out_of_range(tmp_path, capsys):
+    # s comes from the family file; k = 3 allows s = 1 only
+    src = tmp_path / "s2.json"
+    src.write_text(json.dumps(dict(json.loads(DATA.read_text()), s=2)))
+    assert run(["poly", "--file", src, "--N", 14]) == cli.EXIT_INPUT
+    assert "BadSupport" in capsys.readouterr().err
+    # there is no --s option to override the file's s
+    with pytest.raises(SystemExit) as exc:
+        run(["poly", "--file", DATA, "--N", 14, "--s", 1])
+    assert exc.value.code == 2
 
 
 def test_verify_subfield_orbit_reports_double_distance(tmp_path):

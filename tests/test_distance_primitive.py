@@ -5,13 +5,19 @@ listing the orbit, over q in {2, 3, 4}."""
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import gcd_scan, rank_scan
+from oracles import (
+    gcd_scan,
+    rank_scan,
+    shift_intersection_dims,
+    shifted_intersection_dim,
+    subspace_polynomial,
+)
 
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
 from cyclic_cdc.errors import Infeasible
-from cyclic_cdc.field_tower import LOG_TABLE_LIMIT, build_tower, first_primitive
+from cyclic_cdc.field_tower import LOG_TABLE_LIMIT, build_tower
 
 # q -> tower (p, a, k, t) of GF(q^4) or GF(q^6), both with the subfield GF(q^2)
 TOWERS = {2: (2, 1, 2, 3), 3: (3, 1, 2, 2), 4: (2, 2, 2, 2)}
@@ -47,10 +53,10 @@ def orbit_generators(draw, q, subfield_linear):
 def _check_shift_dims(u, v):
     top = u.tower.top
     n = (top.order - 1) // (u.tower.q - 1)
-    dims = sl.shift_intersection_dims(u, v)
+    dims = shift_intersection_dims(u, v)
     for alpha in u.tower.projective_reps("top"):
         got = dims.get(top.discrete_log(alpha) % n, 0)
-        assert got == sl.shifted_intersection_dim(u, v, alpha), alpha
+        assert got == shifted_intersection_dim(u, v, alpha), alpha
 
 
 KINDS = pytest.mark.parametrize(
@@ -84,7 +90,7 @@ def test_union_distance_matches_rank_scan_on_even_2_2_8(even_code_2_2_8):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_poly_code_distance_matches_gcd_scan(q, subfield_linear, data):
-    polys = [lp.subspace_polynomial(u) for u in data.draw(orbit_generators(q, subfield_linear))]
+    polys = [subspace_polynomial(u) for u in data.draw(orbit_generators(q, subfield_linear))]
     rep = lp.poly_code_distance(polys)
     assert (rep.distance, rep.collisions) == gcd_scan(polys)
 
@@ -124,8 +130,8 @@ def gf3_15_shift_dims():
     assert tw.top.order > LOG_TABLE_LIMIT
     params = sc.enumerate_family(tw)
     u, v = (sc.make_subspace(next(params), tw) for _ in range(2))
-    dims = {(a, b): sl.shift_intersection_dims(a, b) for a, b in ((u, u), (u, v))}
-    return first_primitive(tw.top), dims
+    dims = {(a, b): shift_intersection_dims(a, b) for a, b in ((u, u), (u, v))}
+    return tw.top.primitive, dims
 
 
 @settings(max_examples=10, deadline=None)
@@ -140,7 +146,7 @@ def test_shift_dims_above_table_limit(gf3_15_shift_dims):
     g, dims_by_pair = gf3_15_shift_dims
     for (a, b), dims in dims_by_pair.items():
         for c, d in dims.items():
-            assert sl.shifted_intersection_dim(a, b, a.tower.top.pow(g, c)) == d
+            assert shifted_intersection_dim(a, b, a.tower.top.pow(g, c)) == d
 
 
 @settings(max_examples=20, deadline=None)
@@ -148,4 +154,4 @@ def test_shift_dims_above_table_limit(gf3_15_shift_dims):
 def test_sampled_shift_dims_above_table_limit(gf3_15_shift_dims, c):
     g, dims_by_pair = gf3_15_shift_dims
     for (a, b), dims in dims_by_pair.items():
-        assert dims.get(c, 0) == sl.shifted_intersection_dim(a, b, a.tower.top.pow(g, c))
+        assert dims.get(c, 0) == shifted_intersection_dim(a, b, a.tower.top.pow(g, c))

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from oracles import cross_pair_ok
+from oracles import cross_pair_ok, shifted_intersection_dim
 
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
@@ -58,11 +58,15 @@ def test_avoiding_set_rejected_on_odd_tower():
         sc.build_avoiding_set(build_tower(2, 1, 2, 5))
 
 
+def family_count(tower):
+    return sum(1 for _ in sc.enumerate_family(tower))
+
+
 def test_enumeration_counts():
-    assert sc.family_count(build_tower(2, 1, 2, 5)) == 33
-    assert sc.family_count(build_tower(2, 1, 2, 4)) == 4
+    assert family_count(build_tower(2, 1, 2, 5)) == 33
+    assert family_count(build_tower(2, 1, 2, 4)) == 4
     # 3*(q^k-1)^2*(q-1) + 2*(q^k-1) at q=3, k=3, r=2
-    assert sc.family_count(build_tower(3, 1, 3, 5)) == 3 * 26 * 26 * 2 + 2 * 26
+    assert family_count(build_tower(3, 1, 3, 5)) == 3 * 26 * 26 * 2 + 2 * 26
 
 
 def test_enumerated_tuples_are_admissible_and_unique():
@@ -147,9 +151,9 @@ def test_sidon_iff_orbit_and_shift_profile():
     cases.append(sl.span(tw, range(1, 4)))
     for u in cases:
         proper = [
-            sl.shifted_intersection_dim(u, u, a)
+            shifted_intersection_dim(u, u, a)
             for a in tw.projective_reps("top")
-            if sl.shifted_intersection_dim(u, u, a) < u.dim
+            if shifted_intersection_dim(u, u, a) < u.dim
         ]
         characterized = sl.orbit_size(u) == full and max(proper) == 1
         assert sc.is_sidon(u) == characterized
@@ -179,7 +183,7 @@ def test_cross_pair_agrees_with_alpha_scan_oracle():
     alphas = list(tw.projective_reps("top"))
     for i, j in pairs:
         scan_ok = all(
-            sl.shifted_intersection_dim(gens[i], gens[j], a) <= 1 for a in alphas
+            shifted_intersection_dim(gens[i], gens[j], a) <= 1 for a in alphas
         )
         assert cross_pair_ok(gens[i], gens[j]) == scan_ok
 
@@ -193,11 +197,28 @@ def test_orbits_disjoint_across_distinct_tuples(odd_code_2_2_10):
     for _ in range(10):
         i, j = rng.sample(range(len(gens)), 2)
         assert all(
-            sl.shifted_intersection_dim(gens[i], gens[j], a) < gens[i].dim
+            shifted_intersection_dim(gens[i], gens[j], a) < gens[i].dim
             for a in tw.projective_reps("top")
         )
 
 
-def test_params_json_roundtrip():
-    p = sc.ConstructionParams("u-even", 3, 2, 1, (0, 4, 2), 1)
-    assert sc.params_from_json(p.to_json()) == p
+
+@pytest.mark.parametrize("order", [4, 8, 16, 32, 64, 9, 27, 81, 25, 49])
+def test_avoiding_greedy_reaches_target_for_every_forbidden_residue(order):
+    o1, target = order - 1, (order - 2) // 2
+    for forbidden in range(o1):
+        chosen = sc.avoiding_exponents(o1, forbidden, target)
+        assert len(chosen) == target, forbidden
+        assert chosen == sorted(set(chosen))
+        assert all((i + j) % o1 != forbidden for i in chosen for j in chosen)
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 2, 4), (2, 1, 3, 4), (2, 1, 4, 4), (2, 1, 5, 4),
+                                  (3, 1, 2, 4), (3, 1, 3, 4), (5, 1, 2, 4)])
+def test_avoiding_set_size_on_even_towers(spec):
+    # build_avoiding_set raises GreedyFellShort if its own check fails
+    tw = build_tower(*spec)
+    pool = sc.build_avoiding_set(tw)
+    assert len(pool) == (tw.mid.order - 2) // 2
+    f0 = tw.def_poly_top[0]
+    assert all(tw.mid.mul(f0, tw.mid.pow(tw.xi, i + j)) != 1 for i in pool for j in pool)

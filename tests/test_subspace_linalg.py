@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import shifted_intersection_dim, span_by_enumeration
 
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
-from cyclic_cdc.errors import AmbientMismatch, EmptyInput, ZeroShift
+from cyclic_cdc.errors import AmbientMismatch, ZeroShift
 from cyclic_cdc.field_tower import build_tower
 
 
@@ -35,8 +36,7 @@ def test_span_examples():
     tw3 = build_tower(3, 1, 3, 5)
     u = 12345
     assert sl.span(tw3, [u, tw3.scalar_mul(2, u)]).dim == 1
-    with pytest.raises(EmptyInput):
-        sl.span(tw, [0, 0], min_dim=1)
+    assert sl.span(tw, [0, 0]).rows == ()
 
 
 def test_rref_canonical_under_row_mixing():
@@ -55,12 +55,12 @@ def test_rref_canonical_under_row_mixing():
 def test_intersection_examples():
     tw = build_tower(2, 1, 2, 5)
     F4 = subfield_subspace(tw)
-    assert sl.intersection_dim(F4, F4) == tw.k
+    # dim(U ∩ V) = (dim U + dim V - distance) / 2
+    assert sl.subspace_distance(F4, F4) == 0
     shifted = sl.cyclic_shift(F4, tw.gamma)
-    assert sl.intersection_dim(F4, shifted) == 0
     assert sl.subspace_distance(F4, shifted) == 2 * tw.k
     with pytest.raises(AmbientMismatch):
-        sl.intersection_dim(F4, subfield_subspace(build_tower(2, 1, 2, 4)))
+        sl.subspace_distance(F4, subfield_subspace(build_tower(2, 1, 2, 4)))
 
 
 def test_max_shift_intersection_of_construction_generator_is_one():
@@ -70,7 +70,7 @@ def test_max_shift_intersection_of_construction_generator_is_one():
     u = first_generator(tw)
     dims = []
     for alpha in tw.projective_reps("top"):
-        d = sl.shifted_intersection_dim(u, u, alpha)
+        d = shifted_intersection_dim(u, u, alpha)
         if d < u.dim:  # alpha outside the stabilizer
             dims.append(d)
     assert max(dims) == 1
@@ -111,9 +111,7 @@ def test_shift_intersection_invariant_under_scalar():
     for _ in range(20):
         alpha = rng.randrange(1, tw.top.order)
         lam_alpha = tw.scalar_mul(2, alpha)
-        assert sl.shifted_intersection_dim(u, v, alpha) == sl.shifted_intersection_dim(
-            u, v, lam_alpha
-        )
+        assert shifted_intersection_dim(u, v, alpha) == shifted_intersection_dim(u, v, lam_alpha)
 
 
 def test_linearity_field_and_orbit_size():
@@ -158,10 +156,10 @@ def test_subspace_json_roundtrip_and_rref_enforcement():
 def test_contains_and_elements():
     tw = build_tower(2, 1, 2, 5)
     u = first_generator(tw)
-    els = list(u.elements())
+    els = span_by_enumeration(tw, u.rows)
     assert len(els) == 2 ** u.dim
     assert all(u.contains(e) for e in els)
-    outside = next(x for x in range(1, 2 ** 10) if x not in set(els))
+    outside = next(x for x in range(1, 2 ** 10) if x not in els)
     assert not u.contains(outside)
 
 
