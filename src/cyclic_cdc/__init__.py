@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from . import errors
 from .field_tower import FieldTower, build_tower
-from .orbit_codes import UnionCode, build_union, verify_code, verify_min_distance
+from .orbit_codes import UnionCode, build_union, verify_code
 from .sidon_constructions import (
     ConstructionParams,
     enumerate_family,
@@ -36,5 +36,4 @@ __all__ = [
     "span",
     "subspace_distance",
     "verify_code",
-    "verify_min_distance",
 ]

@@ -39,10 +39,6 @@ class ZeroShift(CdcError):
     """Cyclic shift by zero requested."""
 
 
-class EmptyInput(CdcError):
-    """A nonzero span was required but the input spans only {0}."""
-
-
 # -- constructions ----------------------------------------------------------
 
 class InvalidParams(CdcError):

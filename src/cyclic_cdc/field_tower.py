@@ -41,21 +41,6 @@ FULL_TABLE_LIMIT = 1 << 8   # dense add/mul/inv tables
 LOG_TABLE_LIMIT = 1 << 16   # discrete log/exp tables
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (desk-scale group orders)."""
     out: dict[int, int] = {}
@@ -70,16 +55,23 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, a) with q = p^a for a prime p; NotPrime for any other q."""
+    facs = factorize(q)
+    if len(facs) != 1:
+        raise NotPrime(f"q={q} is not a prime power")
+    ((p, a),) = facs.items()
+    return p, a
+
+
 class PrimeField:
     """GF(p) with elements 0..p-1."""
 
     def __init__(self, p: int):
-        if not is_prime(p):
+        if factorize(p) != {p: 1}:
             raise NotPrime(f"{p} is not prime")
         self.order = p
         self.char = p
-        self.degree = 1
-        self.sub = None
 
     def add(self, a, b):
         return (a + b) % self.order
@@ -98,22 +90,8 @@ class PrimeField:
             raise DivisionByZero("inverse of 0")
         return pow(a, self.order - 2, self.order)
 
-    def pow(self, a, e):
-        if e < 0:
-            return pow(self.inv(a), -e, self.order)
-        return pow(a, e, self.order)
-
-    def digits(self, a):
-        return (a,)
-
     def __repr__(self):
         return f"GF({self.order})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.order == self.order
-
-    def __hash__(self):
-        return hash(("PrimeField", self.order))
 
 
 class ExtensionField:
@@ -127,7 +105,6 @@ class ExtensionField:
         if len(def_poly) < 2 or def_poly[-1] != 1:
             raise ValueError("defining polynomial must be monic of degree >= 1")
         self.sub = sub
-        self.def_poly = tuple(def_poly)
         self.degree = len(def_poly) - 1
         self.order = sub.order ** self.degree
         self.char = sub.char
@@ -369,16 +346,6 @@ class ExtensionField:
     def __repr__(self):
         return f"GF({self.sub.order}^{self.degree})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.sub == self.sub
-            and other.def_poly == self.def_poly
-        )
-
-    def __hash__(self):
-        return hash(("ExtensionField", hash(self.sub), self.def_poly))
-
 
 Field = Union[PrimeField, ExtensionField]
 
@@ -500,7 +467,6 @@ class FieldTower:
         p, a, k, t: construction parameters (q = p^a, m = t*k).
         prime, q_level, mid, top: the field objects.
         xi: encoding of the first primitive element of GF(q^k).
-        gamma: encoding of the distinguished root of def_poly_top in GF(q^m).
 
     Immutable after construction; safe to share.
     """
@@ -519,11 +485,6 @@ class FieldTower:
         self.top = ExtensionField(self.mid, self.def_poly_top)
         self.m = t * k
         self.xi = self.mid.primitive
-        self.gamma = self.mid.order if t > 1 else self._gamma_deg1()
-
-    def _gamma_deg1(self) -> int:
-        # degree-1 top: gamma is the root of x + c, i.e. -c
-        return self.mid.neg(self.def_poly_top[0])
 
     # -- level bookkeeping ----------------------------------------------------
 

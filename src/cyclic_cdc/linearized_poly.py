@@ -19,11 +19,12 @@ from typing import Mapping
 from .errors import (
     BadSupport,
     Infeasible,
+    InvalidParams,
     LevelMismatch,
     WrongCharacteristic,
     ZeroShift,
 )
-from .field_tower import FieldTower, build_tower, enc_from_nested, poly_gcd
+from .field_tower import FieldTower, build_tower, enc_from_nested, poly_gcd, prime_power
 from .orbit_codes import DEFAULT_SCAN_BUDGET
 from .subspace_linalg import (
     Subspace,
@@ -428,7 +429,9 @@ def poly_family_from_json(obj: dict, N: int) -> tuple[FieldTower, list[Linearize
     s = int(obj["s"])
     if N % n_coeff:
         raise BadSupport(f"N={N} is not a multiple of the coefficient degree {n_coeff}")
-    p, a = _prime_power(q)
+    if not obj["polys"]:
+        raise InvalidParams("the family has no polynomials")
+    p, a = prime_power(q)
     tower = build_tower(p, a, n_coeff, N // n_coeff)
     polys = []
     for raw in obj["polys"]:
@@ -446,15 +449,3 @@ def poly_family_from_json(obj: dict, N: int) -> tuple[FieldTower, list[Linearize
             raise BadSupport("polynomial q-degree disagrees with the declared k")
     return tower, polys, k, s
 
-
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            a = 0
-            while q % p == 0:
-                q //= p
-                a += 1
-            if q != 1:
-                raise BadSupport("q must be a prime power")
-            return p, a
-    raise BadSupport("q must be >= 2")

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DimensionMismatch, InexactDivision
-from .field_tower import FieldTower, tower_from_spec
+from .errors import InexactDivision, InvalidParams
+from .field_tower import FieldTower, prime_power, tower_from_spec
 from .sidon_constructions import max_rep_index
 from .subspace_linalg import (
     Subspace,
+    common_dim,
     orbit_size,
     subspace_from_json,
     union_distance,
@@ -40,10 +41,6 @@ class UnionCode:
     claimed_min_distance: int
     provenance: str = ""
 
-    @property
-    def dim(self) -> int:
-        return self.generators[0].dim
-
     def to_json(self) -> dict:
         return {
             "tower": self.tower.spec_dict(),
@@ -54,23 +51,10 @@ class UnionCode:
         }
 
 
-def _common_dim(generators: tuple[Subspace, ...]) -> int:
-    """The dimension k >= 1 every generator shares; DimensionMismatch if there
-    are none, they differ, or they span only {0}."""
-    if not generators:
-        raise DimensionMismatch("no generators")
-    k = generators[0].dim
-    if any(g.dim != k for g in generators):
-        raise DimensionMismatch("generators of mixed dimension")
-    if k == 0:
-        raise DimensionMismatch("generators of dimension 0")
-    return k
-
-
 def code_from_json(obj: dict) -> UnionCode:
     tower = tower_from_spec(obj["tower"])
     gens = tuple(subspace_from_json(tower, g) for g in obj["generators"])
-    _common_dim(gens)
+    common_dim(gens)
     return UnionCode(
         tower=tower,
         generators=gens,
@@ -84,19 +68,12 @@ def build_union(tower: FieldTower, generators: Iterable[Subspace], provenance: s
     """Union code with claimed size = sum of orbit sizes (disjointness is
     claimed here and established by verification)."""
     gens = tuple(generators)
-    k = _common_dim(gens)
+    k = common_dim(gens)
     size = sum(orbit_size(g) for g in gens)
     return UnionCode(tower, gens, size, 2 * k - 2, provenance)
 
 
 # -- exact verification ----------------------------------------------------------
-
-def verify_min_distance(code: UnionCode, budget: int = DEFAULT_SCAN_BUDGET) -> int:
-    """Exact minimum distance of the union: every generator pair at every
-    shift, by ``union_distance``."""
-    d, _, _ = union_distance(code.generators, budget)
-    return d
-
 
 def verify_code(code: UnionCode, budget: int = DEFAULT_SCAN_BUDGET) -> dict:
     """Full claim verification: size by orbit accounting plus disjointness,
@@ -143,17 +120,15 @@ def _exact_div(num: int, den: int) -> int:
 def construction_size(q: int, k: int, r: int, parity: str) -> int:
     """Size of the union code built over the odd (n = (2r+1)k) or even
     (n = 2rk) tower, as a closed form."""
-    if r < 2:
-        raise InexactDivision("r must be >= 2")
+    prime_power(q)
+    p0 = max_rep_index(r, parity)  # InvalidParams unless r >= 2 and odd/even
     qk = q ** k - 1
     if parity == "odd":
         n = (2 * r + 1) * k
-        p0 = max_rep_index(r, "odd")
         s = sum(r // i - r // (i + 1) for i in range(2, p0 + 1))
         num = ((r + s) * qk * (q - 1) + r) * qk ** (r - 1) * (q ** n - 1)
-    elif parity == "even":
+    else:
         n = 2 * r * k
-        p0 = max_rep_index(r, "even")
         s = sum(-(-r // i) - r // (i + 1) - 1 for i in range(2, p0 + 1))
         num = (
             ((r - 1 + s) * qk * (q - 1) + (r - 1))
@@ -161,13 +136,12 @@ def construction_size(q: int, k: int, r: int, parity: str) -> int:
             * ((q ** k - 2) // 2)
             * (q ** n - 1)
         )
-    else:
-        raise ValueError(f"unknown parity {parity!r}")
     return _exact_div(num, q - 1)
 
 
 def best_known_size(q: int, k: int, r: int, parity: str) -> int:
     """Best previously known size for the same parameters."""
+    prime_power(q)
     qk = q ** k - 1
     if parity == "odd":
         n = (2 * r + 1) * k
@@ -175,52 +149,22 @@ def best_known_size(q: int, k: int, r: int, parity: str) -> int:
     if parity == "even":
         n = 2 * r * k
         return ((q ** k - 2) // 2) * (r - 1) * qk ** (r - 1) * (q ** n - 1)
-    raise ValueError(f"unknown parity {parity!r}")
+    raise InvalidParams(f"unknown parity {parity!r}")
 
 
 def known_size_5k(q: int, k: int) -> int:
     """Competing n = 5k construction size."""
+    prime_power(q)
     n = 5 * k
     qk = q ** k - 1
     return _exact_div(qk * (3 * q ** k - 2) * (q ** n - 1), q - 1)
 
 
-def size_difference(q: int, k: int, r: int, parity: str) -> int:
-    """Closed-form difference (ours minus best known) for the same row."""
-    qk = q ** k - 1
-    if parity == "odd":
-        n = (2 * r + 1) * k
-        p0 = max_rep_index(r, "odd")
-        s = sum(r // i - r // (i + 1) for i in range(2, p0 + 1))
-        return s * qk ** r * (q ** n - 1)
-    if parity == "even":
-        n = 2 * r * k
-        p0 = max_rep_index(r, "even")
-        s = sum(-(-r // i) - r // (i + 1) - 1 for i in range(2, p0 + 1))
-        num = (
-            (s * qk * (q - 1) + (r - 1))
-            * qk ** (r - 2)
-            * ((q ** k - 2) // 2)
-            * (q ** n - 1)
-        )
-        return _exact_div(num, q - 1)
-    raise ValueError(f"unknown parity {parity!r}")
-
-
-def size_difference_5k(q: int, k: int) -> int:
-    n = 5 * k
-    qk = q ** k - 1
-    return _exact_div((qk * (3 * q - 6) + 1) * qk * (q ** n - 1), q - 1)
-
-
 def compare_sizes(q: int, k: int, r: int, parity: str) -> dict:
-    """One comparison row: our size, the best known, the difference column,
-    with the identity ours - known == difference asserted exactly."""
+    """One comparison row: our size, the best known, and the difference
+    column ours - known (with ours - known_5k at n = 5k)."""
     ours = construction_size(q, k, r, parity)
     known = best_known_size(q, k, r, parity)
-    diff = size_difference(q, k, r, parity)
-    if ours - known != diff:
-        raise InexactDivision("difference column does not match ours - known")
     n = (2 * r + 1) * k if parity == "odd" else 2 * r * k
     row = {
         "q": q,
@@ -230,17 +174,14 @@ def compare_sizes(q: int, k: int, r: int, parity: str) -> dict:
         "n": n,
         "ours": ours,
         "best_known": known,
-        "difference": diff,
+        "difference": ours - known,
         "rate_ours": round(rate(ours, q, n, k), 6),
         "rate_best_known": round(rate(known, q, n, k), 6),
     }
     if parity == "odd" and r == 2:
         other = known_size_5k(q, k)
-        diff5 = size_difference_5k(q, k)
-        if ours - other != diff5:
-            raise InexactDivision("n=5k difference column does not match")
         row["known_5k"] = other
-        row["difference_5k"] = diff5
+        row["difference_5k"] = ours - other
         row["rate_known_5k"] = round(rate(other, q, n, k), 6)
     return row
 
@@ -259,11 +200,18 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return _exact_div(num, den)
 
 
+def _check_bound_params(q: int, n: int, k: int, d: int) -> None:
+    prime_power(q)
+    if not 1 <= k <= n or d < 2 or d % 2:
+        raise InvalidParams("need 1 <= k <= n and an even distance >= 2")
+
+
 def sphere_packing_bound(q: int, n: int, k: int, d: int) -> int:
     """Upper bound for a CDC of minimum distance d = 2*delta + 2: the floor
-    of [n, k-delta]_q / [k, k-delta]_q."""
-    if d < 2 or d % 2:
-        raise InexactDivision("distance must be even and >= 2")
+    of [n, k-delta]_q / [k, k-delta]_q, and 1 for d > 2k."""
+    _check_bound_params(q, n, k, d)
+    if d > 2 * k:
+        return 1
     delta = (d - 2) // 2
     num = gaussian_binomial(n, k - delta, q)
     den = gaussian_binomial(k, k - delta, q)
@@ -273,8 +221,7 @@ def sphere_packing_bound(q: int, n: int, k: int, d: int) -> int:
 def johnson_bound(q: int, n: int, k: int, d: int) -> int:
     """Upper bound for a CDC of minimum distance d = 2*delta: the floor of
     the product of (q^(n-i) - 1)/(q^(k-i) - 1) over 0 <= i <= k - delta."""
-    if d < 2 or d % 2:
-        raise InexactDivision("distance must be even and >= 2")
+    _check_bound_params(q, n, k, d)
     delta = d // 2
     num = 1
     den = 1

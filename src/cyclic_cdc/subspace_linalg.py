@@ -33,7 +33,6 @@ from .errors import (
     AmbientMismatch,
     BrokenInvariant,
     DimensionMismatch,
-    EmptyInput,
     Infeasible,
     ZeroShift,
 )
@@ -137,26 +136,16 @@ class Subspace:
         return rank_rows(self.tower, self.rows + (enc,)) == self.dim
 
     def projective_reps(self) -> list[int]:
-        """(q^dim - 1)/(q - 1) representatives, one per GF(q)*-class."""
-        q = self.tower.q
-        top = self.tower.top
+        """(q^dim - 1)/(q - 1) representatives, one per GF(q)*-class: for
+        each leading row, that row plus every combination of the later rows."""
+        add, smul, q = self.tower.top.add, self.tower.scalar_mul, self.tower.q
         reps: list[int] = []
-        # coefficient vectors whose first nonzero entry is 1 pick one
-        # representative per projective point
-        def rec(idx: int, acc: int, started: bool):
-            if idx == self.dim:
-                if started:
-                    reps.append(acc)
-                return
-            row = self.rows[idx]
-            if not started:
-                rec(idx + 1, acc, False)
-                rec(idx + 1, top.add(acc, row), True)
-            else:
-                for c in range(q):
-                    rec(idx + 1, top.add(acc, self.tower.scalar_mul(c, row)), True)
-
-        rec(0, 0, False)
+        for i in reversed(range(self.dim)):
+            points = [self.rows[i]]
+            for row in self.rows[i + 1:]:
+                multiples = [smul(c, row) for c in range(q)]
+                points = [add(p, m) for p in points for m in multiples]
+            reps.extend(points)
         return reps
 
     def to_json(self) -> dict:
@@ -222,6 +211,19 @@ def _shift_dims(tower: FieldTower, lu: list[int], lv: list[int], k: int) -> dict
     return {c: dim_of[h] for c, h in hist.items()}
 
 
+def common_dim(generators: Sequence[Subspace]) -> int:
+    """The dimension k >= 1 every generator shares; DimensionMismatch if there
+    are none, they differ, or they span only {0}."""
+    if not generators:
+        raise DimensionMismatch("no generators")
+    k = generators[0].dim
+    if any(g.dim != k for g in generators):
+        raise DimensionMismatch("generators of mixed dimension")
+    if k == 0:
+        raise DimensionMismatch("generators of dimension 0")
+    return k
+
+
 def union_distance(
     generators: Sequence[Subspace], budget: int
 ) -> tuple[int, list[tuple[int, int]], int]:
@@ -233,12 +235,8 @@ def union_distance(
     alpha.  A full intersection is a collision for i < j and a stabilizer
     element for i = j; any other shift gives distance 2k - 2 dim.
     """
+    k = common_dim(generators)
     tower = generators[0].tower
-    k = generators[0].dim
-    if any(g.dim != k for g in generators):
-        raise DimensionMismatch("generators of mixed dimension")
-    if k == 0:
-        raise EmptyInput("generators span only {0}")
     points = (tower.q ** k - 1) // (tower.q - 1)
     pairs = len(generators) * (len(generators) + 1) // 2
     differences = pairs * points * points

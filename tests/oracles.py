@@ -21,12 +21,15 @@ annihilating q-polynomial, the gcd step of ``gcd_scan``, and the smallest
 field that splits a q-polynomial.  ``element_order`` is the multiplicative
 order by factoring the group order.  ``common_bound_4k`` is the paper's
 closed form of the value that the sphere-packing and Johnson bounds share at
-n = 4k.
+n = 4k, and ``size_difference``/``size_difference_5k`` are its closed forms of
+the gap between the construction's size and a competitor's, which the package
+gets by subtraction.
 """
 
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import subspace_linalg as sl
 from cyclic_cdc.field_tower import build_tower, factorize
+from cyclic_cdc.sidon_constructions import max_rep_index
 from cyclic_cdc.subspace_linalg import rank_rows
 
 
@@ -95,6 +98,33 @@ def common_bound_4k(q, k):
     value of both bounds at n = 4k, distance 2k - 2."""
     n = 4 * k
     return (q ** n - 1) * (q ** (n - 1) - 1) // ((q ** k - 1) * (q ** (k - 1) - 1))
+
+
+def _exact_quotient(num, den):
+    quotient, rest = divmod(num, den)
+    assert rest == 0, (num, den)
+    return quotient
+
+
+def size_difference(q, k, r, parity):
+    """Closed-form gap (ours minus best known) of one table row."""
+    qk = q ** k - 1
+    p0 = max_rep_index(r, parity)
+    if parity == "odd":
+        n = (2 * r + 1) * k
+        s = sum(r // i - r // (i + 1) for i in range(2, p0 + 1))
+        return s * qk ** r * (q ** n - 1)
+    n = 2 * r * k
+    s = sum(-(-r // i) - r // (i + 1) - 1 for i in range(2, p0 + 1))
+    num = (s * qk * (q - 1) + (r - 1)) * qk ** (r - 2) * ((q ** k - 2) // 2) * (q ** n - 1)
+    return _exact_quotient(num, q - 1)
+
+
+def size_difference_5k(q, k):
+    """Closed-form gap (ours minus the n = 5k construction) at r = 2, n = 5k."""
+    n = 5 * k
+    qk = q ** k - 1
+    return _exact_quotient((qk * (3 * q - 6) + 1) * qk * (q ** n - 1), q - 1)
 
 
 def find_splitting_N(p, a, coeff_degree, coeffs, max_multiple):

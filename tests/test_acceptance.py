@@ -8,7 +8,13 @@ import itertools
 import random
 from fractions import Fraction
 
-from oracles import cross_pair_ok, intersection_dim_via_gcd, shifted_intersection_dim
+from oracles import (
+    cross_pair_ok,
+    intersection_dim_via_gcd,
+    shifted_intersection_dim,
+    size_difference,
+    size_difference_5k,
+)
 
 from cyclic_cdc import channel_sim as ch
 from cyclic_cdc import linearized_poly as lp
@@ -65,8 +71,8 @@ def test_a03_odd_formula_q3_k3_and_sidon_family():
     _report("odd formula (3,3,15) equals its display value", size == display, str(size))
     _report(
         "odd formula exceeds both competitors by the exact difference columns",
-        size - yu == oc.size_difference(3, 3, 2, "odd")
-        and size - li == oc.size_difference_5k(3, 3),
+        size - yu == size_difference(3, 3, 2, "odd")
+        and size - li == size_difference_5k(3, 3),
         f"gaps {size - yu} and {size - li}",
     )
     rates = (

@@ -101,6 +101,26 @@ def test_empty_or_mixed_generator_lists_are_input_errors(even_code_file, tmp_pat
         assert "DimensionMismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, exit_code, text", [
+    (["bounds", "--q", 1, "--n", 8, "--k", 2, "--d", 4], cli.EXIT_INPUT, "NotPrime"),
+    (["bounds", "--q", 6, "--n", 8, "--k", 2, "--d", 4], cli.EXIT_INPUT, "NotPrime"),
+    (["table", "--q", 1, "--k", 2, "--r", 2, "--parity", "odd"], cli.EXIT_INPUT, "NotPrime"),
+    (["bounds", "--q", 2, "--n", 8, "--k", 2, "--d", 3], cli.EXIT_INPUT, "InvalidParams"),
+    (["bounds", "--q", 2, "--n", 1, "--k", 3, "--d", 2], cli.EXIT_INPUT, "InvalidParams"),
+    (["table", "--q", 2, "--k", 2, "--r", 1, "--parity", "odd"], cli.EXIT_INPUT, "InvalidParams"),
+    (["poly", "--file", "EMPTY", "--N", 14], cli.EXIT_INPUT, "InvalidParams"),
+    # beyond d = 2k a code holds one word: both bounds are 1
+    (["bounds", "--q", 2, "--n", 8, "--k", 2, "--d", 8], cli.EXIT_OK, '"sphere_packing": "1"'),
+], ids=["bounds-q1", "bounds-q6", "table-q1", "bounds-odd-d", "bounds-n-below-k",
+        "table-r1", "poly-empty-family", "bounds-d-above-2k"])
+def test_out_of_range_parameters(argv, exit_code, text, tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(dict(json.loads(DATA.read_text()), polys=[])))
+    assert run([empty if a == "EMPTY" else a for a in argv]) == exit_code
+    captured = capsys.readouterr()
+    assert text in captured.out + captured.err
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert run(["verify", "--code", tmp_path / "nope.json"]) == cli.EXIT_INPUT
 

@@ -10,13 +10,14 @@ from oracles import (
     rank_scan,
     shift_intersection_dims,
     shifted_intersection_dim,
+    span_by_enumeration,
     subspace_polynomial,
 )
 
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
-from cyclic_cdc.errors import Infeasible
+from cyclic_cdc.errors import DimensionMismatch, Infeasible
 from cyclic_cdc.field_tower import LOG_TABLE_LIMIT, build_tower
 
 # q -> tower (p, a, k, t) of GF(q^4) or GF(q^6), both with the subfield GF(q^2)
@@ -84,6 +85,30 @@ def test_union_distance_matches_rank_scan_on_even_2_2_8(even_code_2_2_8):
     assert sl.union_distance(with_copy, BUDGET)[:2] == rank_scan(with_copy) == (2, [(2, 4)])
     with pytest.raises(Infeasible):
         sl.union_distance(gens, 10 * 9 - 1)
+
+
+def test_union_distance_rejects_empty_mixed_and_zero_dimensional_lists():
+    tw = build_tower(*TOWERS[2])
+    line, plane, zero = sl.span(tw, [1]), sl.span(tw, [1, 2]), sl.span(tw, [])
+    for gens in ([], [line, plane], [zero], [zero, zero]):
+        with pytest.raises(DimensionMismatch):
+            sl.union_distance(gens, BUDGET)
+
+
+@KINDS
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_projective_reps_match_span_enumeration(q, subfield_linear, data):
+    for u in data.draw(orbit_generators(q, subfield_linear)):
+        tw = u.tower
+        reps = u.projective_reps()
+        elements = span_by_enumeration(tw, u.rows)
+        assert len(reps) == (tw.q ** u.dim - 1) // (tw.q - 1)
+        assert set(reps) <= elements
+        # no two reps are proportional, and their multiples cover the span
+        multiples = {tw.scalar_mul(c, p) for p in reps for c in range(1, tw.q)}
+        assert len(multiples) == len(reps) * (tw.q - 1)
+        assert multiples == elements - {0}
 
 
 @KINDS

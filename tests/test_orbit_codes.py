@@ -3,12 +3,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from oracles import common_bound_4k
+from oracles import common_bound_4k, size_difference, size_difference_5k
 
 from cyclic_cdc import orbit_codes as oc
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
-from cyclic_cdc.errors import DimensionMismatch, InexactDivision, Infeasible
+from cyclic_cdc.errors import DimensionMismatch, Infeasible, InvalidParams
 from cyclic_cdc.field_tower import build_tower
 
 
@@ -31,18 +31,23 @@ def test_desk_scale_sizes():
     assert oc.construction_size(2, 2, 2, "even") == 4 * 255
 
 
+GRID_Q = (2, 3, 4, 5, 7)
+GRID_K = range(2, 6)
+
+
 def test_difference_identities():
-    for q, k, r, parity in itertools.product((2, 3), (2, 3), (2, 3, 4), ("odd", "even")):
-        ours = oc.construction_size(q, k, r, parity)
-        known = oc.best_known_size(q, k, r, parity)
-        assert ours - known == oc.size_difference(q, k, r, parity)
-        assert ours > known
+    # the paper's closed forms of the gap equal the table's ours - known
+    for q, k, r, parity in itertools.product(GRID_Q, GRID_K, range(2, 7), ("odd", "even")):
+        row = oc.compare_sizes(q, k, r, parity)
+        assert row["ours"] - row["best_known"] == row["difference"]
+        assert row["difference"] == size_difference(q, k, r, parity) > 0
 
 
 def test_difference_identity_5k():
-    for q, k in itertools.product((2, 3, 5), (2, 3)):
-        ours = oc.construction_size(q, k, 2, "odd")
-        assert ours - oc.known_size_5k(q, k) == oc.size_difference_5k(q, k)
+    for q, k in itertools.product(GRID_Q, GRID_K):
+        row = oc.compare_sizes(q, k, 2, "odd")
+        assert row["ours"] - row["known_5k"] == row["difference_5k"]
+        assert row["difference_5k"] == size_difference_5k(q, k)
 
 
 def test_compare_sizes_row():
@@ -71,7 +76,7 @@ def test_build_union_subfield_orbit():
     F4 = sl.span(tw, range(1, 4))
     code = oc.build_union(tw, [F4], provenance="subfield")
     assert code.claimed_size == (2 ** 10 - 1) // 3
-    assert oc.verify_min_distance(code) == 2 * tw.k
+    assert sl.union_distance(code.generators, oc.DEFAULT_SCAN_BUDGET)[0] == 2 * tw.k
 
 
 def test_union_sizes(odd_code_2_2_10, even_code_2_2_8):
@@ -80,7 +85,7 @@ def test_union_sizes(odd_code_2_2_10, even_code_2_2_8):
 
 
 def test_exact_distance_even(even_code_2_2_8):
-    assert oc.verify_min_distance(even_code_2_2_8) == 2
+    assert oc.verify_code(even_code_2_2_8)["verified_min_distance"] == 2
 
 
 def test_exact_scan_budget():
@@ -88,8 +93,8 @@ def test_exact_scan_budget():
     tw = build_tower(2, 1, 2, 5)
     code = oc.build_union(tw, [sl.span(tw, range(1, 4))])
     with pytest.raises(Infeasible):
-        oc.verify_min_distance(code, budget=8)
-    assert oc.verify_min_distance(code, budget=9) == 4
+        oc.verify_code(code, budget=8)
+    assert oc.verify_code(code, budget=9)["verified_min_distance"] == 4
 
 
 def test_verify_code_report(even_code_2_2_8):
@@ -174,7 +179,7 @@ def test_bounds_floor_a_non_integral_product():
 
 
 def test_bounds_input_validation():
-    with pytest.raises(InexactDivision):
+    with pytest.raises(InvalidParams):
         oc.johnson_bound(2, 8, 2, 3)  # odd distance
 
 

@@ -168,7 +168,7 @@ def test_cross_pair_all_pairs_desk_scale(odd_code_2_2_10):
 def test_cross_pair_counterexample_and_errors():
     tw = build_tower(2, 1, 2, 5)
     F4 = sl.span(tw, range(1, 4))
-    shifted = sl.cyclic_shift(F4, tw.gamma)
+    shifted = sl.cyclic_shift(F4, tw.mid.order)  # by gamma
     assert not cross_pair_ok(F4, shifted)
     with pytest.raises(ValueError):
         cross_pair_ok(F4, F4)

@@ -57,7 +57,7 @@ def test_intersection_examples():
     F4 = subfield_subspace(tw)
     # dim(U ∩ V) = (dim U + dim V - distance) / 2
     assert sl.subspace_distance(F4, F4) == 0
-    shifted = sl.cyclic_shift(F4, tw.gamma)
+    shifted = sl.cyclic_shift(F4, tw.mid.order)  # by gamma
     assert sl.subspace_distance(F4, shifted) == 2 * tw.k
     with pytest.raises(AmbientMismatch):
         sl.subspace_distance(F4, subfield_subspace(build_tower(2, 1, 2, 4)))
