@@ -1,6 +1,13 @@
 """Minimal operator-channel simulator: a transmitted subspace suffers
 dimension erasures and error-dimension insertions, and the receiver decodes
-by minimum subspace distance against a materialized codebook.
+to a codeword at minimum subspace distance.
+
+The decoder reads the orbit structure, not the codebook.  With L_R and L_i
+the projective logs of the received space R and of generator U_i, the count
+of c in L_R - L_i is the number of points of R ∩ g^c U_i, so one histogram
+per generator gives dim(R ∩ g^c U_i) at every shift c, and the words that
+meet R most are the ones nearest to it.  Sent words are drawn from the
+materialized codebook, sorted by RREF rows.
 
 Randomness comes from a seeded ``random.Random`` (Mersenne Twister), so
 trial runs are reproducible from the seed alone.
@@ -10,11 +17,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import BrokenInvariant, DecodingFailure, InfeasibleNoise
 from .orbit_codes import UnionCode
 from .subspace_linalg import (
     Subspace,
+    _projective_logs,
+    _shift_dims,
+    cyclic_shift,
     enumerate_orbit,
     rank_rows,
     span,
@@ -82,17 +93,35 @@ def transmit(codeword: Subspace, cfg: ChannelConfig, rng: random.Random) -> Subs
     return received
 
 
-def md_decode(received: Subspace, codebook: list[Subspace]) -> int:
-    """Index of a codeword at minimum subspace distance; ties break to the
-    lowest index.  Correct whenever 2*(erasures + insertions) is below the
-    codebook's minimum distance."""
-    best_idx = 0
-    best = subspace_distance(received, codebook[0])
-    for idx in range(1, len(codebook)):
-        d = subspace_distance(received, codebook[idx])
-        if d < best:
-            best, best_idx = d, idx
-    return best_idx
+def md_decode(
+    received: Subspace,
+    generators: Sequence[Subspace],
+    logs: Sequence[list[int]],
+    codebook: Sequence[Subspace],
+) -> tuple[Subspace, int]:
+    """A codeword at minimum subspace distance from ``received``, and the
+    number of maximising shifts whose RREF was taken.  ``logs`` holds each
+    generator's projective logs.
+
+    All words have dimension k, so the nearest are the g^c U_i that meet R
+    most; the smallest RREF among them wins, the lowest index of the sorted
+    codebook.  Correct whenever 2*(erasures + insertions) is below the
+    code's minimum distance."""
+    if received.dim == 0:
+        # R = {0} meets every word trivially: all sit at distance k
+        return codebook[0], 0
+    tower = received.tower
+    lr = _projective_logs(received)
+    best, argmax = 0, []
+    for gen, lu in zip(generators, logs):
+        for c, d in _shift_dims(tower, lr, lu, min(received.dim, gen.dim)).items():
+            if d > best:
+                best, argmax = d, []
+            if d == best:
+                argmax.append((gen, c))
+    top = tower.top
+    words = (cyclic_shift(gen, top.pow(top.primitive, c)) for gen, c in argmax)
+    return min(words, key=lambda w: w.rows), len(argmax)
 
 
 def materialize_codebook(code: UnionCode, cap: int = CODEBOOK_CAP) -> list[Subspace]:
@@ -107,27 +136,36 @@ def materialize_codebook(code: UnionCode, cap: int = CODEBOOK_CAP) -> list[Subsp
 
 
 def run_trials(
+    generators: Sequence[Subspace],
     codebook: list[Subspace],
     min_distance: int,
     cfg: ChannelConfig,
 ) -> dict:
-    """Seeded decoding trials; returns a JSON-ready report.
+    """Seeded decoding trials on the code with these generators, whose
+    materialized codebook the sent words are drawn from; returns a
+    JSON-ready report whose ``counters`` say what decoding examined.
 
     When the guarantee 2*(erasures+insertions) < min_distance is active,
     every trial must decode correctly, and a wrong decode raises
     DecodingFailure; otherwise the failure rate is only reported."""
     rng = random.Random(cfg.seed)
     guarantee = 2 * (cfg.erasures + cfg.insertions) < min_distance
-    successes = 0
+    logs = [_projective_logs(g) for g in generators]
+    points = sum(map(len, logs))
+    q = codebook[0].tower.q
+    successes = differences = candidates = 0
     for _ in range(cfg.trials):
         sent = rng.randrange(len(codebook))
         received = transmit(codebook[sent], cfg, rng)
-        decoded = md_decode(received, codebook)
-        if decoded == sent:
+        decoded, taken = md_decode(received, generators, logs, codebook)
+        differences += (q ** received.dim - 1) // (q - 1) * points
+        candidates += taken
+        if decoded.rows == codebook[sent].rows:
             successes += 1
         elif guarantee:
             raise DecodingFailure(
-                f"sent {sent}, decoded {decoded}, claimed distance {min_distance}"
+                f"sent {sent}, decoded {codebook.index(decoded)}, "
+                f"claimed distance {min_distance}"
             )
     return {
         "trials": cfg.trials,
@@ -136,4 +174,5 @@ def run_trials(
         "insertions": cfg.insertions,
         "seed": cfg.seed,
         "guarantee_active": guarantee,
+        "counters": {"log_differences": differences, "decode_candidates": candidates},
     }

@@ -206,9 +206,13 @@ def cmd_simulate(args) -> int:
         erasures=args.erasures, insertions=args.insertions,
         trials=args.trials, seed=args.seed,
     )
+    t1 = time.perf_counter()
     codebook = ch.materialize_codebook(code)
-    report = ch.run_trials(codebook, code.claimed_min_distance, cfg)
+    t2 = time.perf_counter()
+    report = ch.run_trials(code.generators, codebook, code.claimed_min_distance, cfg)
     report["codebook_size"] = len(codebook)
+    report["time_codebook"] = round(t2 - t1, 3)
+    report["time_trials"] = round(time.perf_counter() - t2, 3)
     params = {
         "code": args.code, "erasures": args.erasures,
         "insertions": args.insertions, "trials": args.trials, "seed": args.seed,

@@ -46,7 +46,8 @@ class InvalidParams(CdcError):
 
 
 class BadShape(CdcError):
-    """Tower shape does not match the requested construction family."""
+    """Tower shape does not match the requested construction family, or a
+    stored basis is not a canonical basis of digit rows in GF(q)^m."""
 
 
 class GreedyFellShort(CdcError):

@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     AmbientMismatch,
+    BadShape,
     BrokenInvariant,
     DimensionMismatch,
     Infeasible,
@@ -157,15 +158,19 @@ class Subspace:
 
 
 def subspace_from_json(tower: FieldTower, obj: dict) -> Subspace:
-    """Load a subspace, enforcing that the stored basis is the canonical RREF."""
+    """Load a subspace, enforcing that each basis row has m digits in
+    range(q) and that the stored basis is the canonical RREF."""
     if obj["ambient_dim"] != tower.m:
         raise AmbientMismatch("ambient dimension does not match tower")
+    for r in obj["basis"]:
+        if len(r) != tower.m or not all(d in range(tower.q) for d in r):
+            raise BadShape(f"basis row {r} is not {tower.m} digits in range({tower.q})")
     rows = tuple(tower.unflatten(r) for r in obj["basis"])
     canon = rref_rows(tower, rows)
     if canon != rows:
-        raise ValueError("basis is not in canonical reduced row-echelon form")
+        raise BadShape("basis is not in canonical reduced row-echelon form")
     if len(canon) != obj["dim"]:
-        raise ValueError("stored dim disagrees with basis rank")
+        raise BadShape("stored dim disagrees with basis rank")
     return Subspace(tower, canon)
 
 

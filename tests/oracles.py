@@ -24,6 +24,9 @@ closed form of the value that the sphere-packing and Johnson bounds share at
 n = 4k, and ``size_difference``/``size_difference_5k`` are its closed forms of
 the gap between the construction's size and a competitor's, which the package
 gets by subtraction.
+
+``decode_by_scan`` is minimum-distance decoding by one subspace distance per
+codeword, the check of the channel simulator's orbit-index decoder.
 """
 
 from cyclic_cdc import linearized_poly as lp
@@ -44,6 +47,18 @@ def shift_intersection_dims(u, v):
     it is nonzero, g the top field's primitive element."""
     logs_u, logs_v = sl._projective_logs(u), sl._projective_logs(v)
     return sl._shift_dims(u.tower, logs_u, logs_v, min(u.dim, v.dim))
+
+
+def decode_by_scan(received, codebook):
+    """Index of a codeword at minimum subspace distance; ties break to the
+    lowest index."""
+    best_idx = 0
+    best = sl.subspace_distance(received, codebook[0])
+    for idx in range(1, len(codebook)):
+        d = sl.subspace_distance(received, codebook[idx])
+        if d < best:
+            best, best_idx = d, idx
+    return best_idx
 
 
 def element_order(F, x):

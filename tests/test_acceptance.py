@@ -318,7 +318,7 @@ def test_a10_channel_guarantee(odd_code_2_2_10):
     codebook = ch.materialize_codebook(code)
     d = code.claimed_min_distance
     assert len(codebook) == 1023 and d == 2
-    rep = ch.run_trials(codebook, d, ch.ChannelConfig(0, 0, 1000, seed=42))
+    rep = ch.run_trials(code.generators, codebook, d, ch.ChannelConfig(0, 0, 1000, seed=42))
     _report(
         "noiseless trials decode perfectly (guarantee active)",
         rep["guarantee_active"] and rep["successes"] == 1000,
@@ -326,7 +326,7 @@ def test_a10_channel_guarantee(odd_code_2_2_10):
     )
     rates = []
     for rho, t in ((1, 0), (0, 1)):
-        out = ch.run_trials(codebook, d, ch.ChannelConfig(rho, t, 200, seed=43))
+        out = ch.run_trials(code.generators, codebook, d, ch.ChannelConfig(rho, t, 200, seed=43))
         assert out["guarantee_active"] is False
         rates.append(out["successes"] / out["trials"])
     _report(

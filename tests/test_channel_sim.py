@@ -1,6 +1,13 @@
+"""The operator channel, and the orbit-index decoder against decoding by a
+scan of the whole codebook."""
+
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import decode_by_scan
+from strategies import TOWERS, orbit_generators
 
 from cyclic_cdc import channel_sim as ch
 from cyclic_cdc import orbit_codes as oc
@@ -10,13 +17,22 @@ from cyclic_cdc.field_tower import build_tower
 
 
 @pytest.fixture(scope="module")
-def subfield_codebook():
+def subfield_code():
     # orbit of GF(4) inside GF(2^8): 85 words, minimum distance 4
     tw = build_tower(2, 1, 2, 4)
-    code = oc.build_union(tw, [sl.span(tw, range(1, 4))], provenance="subfield")
-    book = ch.materialize_codebook(code)
+    return oc.build_union(tw, [sl.span(tw, range(1, 4))], provenance="subfield")
+
+
+@pytest.fixture(scope="module")
+def subfield_codebook(subfield_code):
+    book = ch.materialize_codebook(subfield_code)
     assert len(book) == 85
     return book
+
+
+def _decode(received, generators, codebook):
+    logs = [sl._projective_logs(g) for g in generators]
+    return ch.md_decode(received, generators, logs, codebook)
 
 
 def test_noiseless_transmission_is_identity(subfield_codebook):
@@ -45,40 +61,73 @@ def test_transmit_noise_limits(subfield_codebook):
         ch.transmit(w, ch.ChannelConfig(3, 0, 1, 0), rng)  # rho > k
 
 
-def test_decode_identity_and_ties(subfield_codebook):
+def test_decode_identity_and_ties(subfield_code, subfield_codebook):
     w = subfield_codebook[11]
-    assert ch.md_decode(w, subfield_codebook) == 11
-    assert ch.md_decode(w, [subfield_codebook[4], w, w]) == 1  # lowest index wins
+    assert decode_by_scan(w, subfield_codebook) == 11
+    assert decode_by_scan(w, [subfield_codebook[4], w, w]) == 1  # lowest index wins
+    # the orbit-index decoder finds the word itself; the orbit is short, so
+    # the 3 shifts by GF(4)* name it three times
+    assert _decode(w, subfield_code.generators, subfield_codebook) == (w, 3)
 
 
-def test_guaranteed_regime_always_decodes(subfield_codebook):
+def test_decode_of_the_zero_space_is_the_first_word(subfield_code, subfield_codebook):
+    # rho = k erasures leave R = {0}, at distance k from every word: the
+    # scan keeps index 0, and the decoder takes it without a log difference
+    zero = ch.transmit(subfield_codebook[5], ch.ChannelConfig(2, 0, 1, 0), random.Random(0))
+    assert zero.dim == 0
+    assert decode_by_scan(zero, subfield_codebook) == 0
+    assert _decode(zero, subfield_code.generators, subfield_codebook) == (subfield_codebook[0], 0)
+
+
+def test_decode_ties_break_to_the_smallest_rref(even_code_2_2_8):
+    # a point lies on 12 of the 1,020 lines of the even (2,2,8) code, each
+    # at distance 1 from it: the scan keeps the lowest index, and the
+    # decoder the smallest of the 12 RREFs
+    book = ch.materialize_codebook(even_code_2_2_8)
+    point = sl.span(even_code_2_2_8.tower, [book[40].rows[0]])
+    hits = [i for i, w in enumerate(book) if sl.subspace_distance(point, w) == 1]
+    assert len(hits) == 12 and hits[0] == decode_by_scan(point, book) < 40
+    decoded, taken = _decode(point, even_code_2_2_8.generators, book)
+    assert decoded == book[hits[0]] and taken == 12
+
+
+def test_guaranteed_regime_always_decodes(subfield_code, subfield_codebook):
     # d = 4, so one erasure or one insertion stays under the guarantee
     for rho, t in ((0, 0), (1, 0), (0, 1)):
         cfg = ch.ChannelConfig(erasures=rho, insertions=t, trials=120, seed=9)
-        rep = ch.run_trials(subfield_codebook, 4, cfg)
+        rep = ch.run_trials(subfield_code.generators, subfield_codebook, 4, cfg)
         assert rep["guarantee_active"] is True
         assert rep["successes"] == rep["trials"]
 
 
-def test_beyond_guarantee_reports_rate(subfield_codebook):
+def test_beyond_guarantee_reports_rate(subfield_code, subfield_codebook):
     cfg = ch.ChannelConfig(erasures=1, insertions=1, trials=120, seed=10)
-    rep = ch.run_trials(subfield_codebook, 4, cfg)
+    rep = ch.run_trials(subfield_code.generators, subfield_codebook, 4, cfg)
     assert rep["guarantee_active"] is False
     assert 0 <= rep["successes"] <= rep["trials"]
 
 
-def test_false_distance_claim_breaks_the_guarantee(subfield_codebook):
+def test_false_distance_claim_breaks_the_guarantee(subfield_code, subfield_codebook):
     # d = 4; a claimed 6 puts one erasure plus one insertion under a
     # guarantee the code cannot keep
     cfg = ch.ChannelConfig(erasures=1, insertions=1, trials=40, seed=10)
-    with pytest.raises(DecodingFailure):
-        ch.run_trials(subfield_codebook, 6, cfg)
+    with pytest.raises(DecodingFailure) as exc:
+        ch.run_trials(subfield_code.generators, subfield_codebook, 6, cfg)
+    # the message names the codebook indices of the first wrong trial, as
+    # the scan decodes it
+    rng = random.Random(cfg.seed)
+    while True:
+        sent = rng.randrange(len(subfield_codebook))
+        decoded = decode_by_scan(ch.transmit(subfield_codebook[sent], cfg, rng), subfield_codebook)
+        if decoded != sent:
+            break
+    assert str(exc.value) == f"sent {sent}, decoded {decoded}, claimed distance 6"
 
 
-def test_trials_are_reproducible(subfield_codebook):
+def test_trials_are_reproducible(subfield_code, subfield_codebook):
     cfg = ch.ChannelConfig(erasures=1, insertions=1, trials=60, seed=123)
-    a = ch.run_trials(subfield_codebook, 4, cfg)
-    b = ch.run_trials(subfield_codebook, 4, cfg)
+    a = ch.run_trials(subfield_code.generators, subfield_codebook, 4, cfg)
+    b = ch.run_trials(subfield_code.generators, subfield_codebook, 4, cfg)
     assert a == b
 
 
@@ -87,3 +136,30 @@ def test_codebook_cap():
     code = oc.build_union(tw, [sl.span(tw, range(1, 4))])
     with pytest.raises(InfeasibleNoise):
         ch.materialize_codebook(code, cap=10)
+
+
+@pytest.mark.parametrize(
+    "q, subfield_linear", [(q, sub) for q in sorted(TOWERS) for sub in (False, True)]
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_orbit_decoder_matches_scan_trial_by_trial(q, subfield_linear, data):
+    # run_trials' own draws, replayed: every erasure count rho in 0..k (so
+    # R = {0} too) and t in 0..3 insertions where they fit, inside the
+    # decoding guarantee and outside it
+    gens = data.draw(orbit_generators(q, subfield_linear))
+    code = oc.build_union(gens[0].tower, gens)
+    book = ch.materialize_codebook(code)
+    logs = [sl._projective_logs(g) for g in gens]
+    k, m = gens[0].dim, code.tower.m
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    for rho in range(k + 1):
+        for t in range(min(3, m - k) + 1):
+            cfg = ch.ChannelConfig(rho, t, 3, seed)
+            rng = random.Random(seed)
+            for _ in range(cfg.trials):
+                sent = rng.randrange(len(book))
+                received = ch.transmit(book[sent], cfg, rng)
+                decoded, taken = ch.md_decode(received, gens, logs, book)
+                assert decoded == book[decode_by_scan(received, book)], (rho, t)
+                assert (taken == 0) == (received.dim == 0)

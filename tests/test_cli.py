@@ -101,6 +101,21 @@ def test_empty_or_mixed_generator_lists_are_input_errors(even_code_file, tmp_pat
         assert "DimensionMismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "sidon-check", "simulate"])
+@pytest.mark.parametrize("row", [[0] * 8 + [1], [3, 0, 0, 0, 0, 0, 0, 0]],
+                         ids=["nine-coordinates", "digit-3-over-q2"])
+def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, command, row, capsys):
+    # unchecked, a 9-coordinate row indexes past the log table, and the
+    # digit 3 loads as the element 3 = (1, 1, 0, ...), another subspace
+    obj = json.loads(Path(even_code_file).read_text())
+    obj["generators"] = [{"ambient_dim": 8, "dim": 1, "basis": [row]}]
+    src = tmp_path / "bad_row.json"
+    src.write_text(json.dumps(obj))
+    assert run([command, "--code", src, "--out", tmp_path / "out.json"]) == cli.EXIT_INPUT
+    assert "BadShape" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("argv, exit_code, text", [
     (["bounds", "--q", 1, "--n", 8, "--k", 2, "--d", 4], cli.EXIT_INPUT, "NotPrime"),
     (["bounds", "--q", 6, "--n", 8, "--k", 2, "--d", 4], cli.EXIT_INPUT, "NotPrime"),
@@ -233,6 +248,12 @@ def test_simulate_command(even_code_file, tmp_path):
                 "--out", out]) == cli.EXIT_OK
     rep = json.loads(out.read_text())
     assert rep["successes"] == 40 and rep["guarantee_active"] is True
+    # each noiseless R is a full-orbit line: 3 points x 4 generators x 3
+    # points of log differences, and one maximising shift, per trial
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert set(manifest["timings"]) == {"time_codebook", "time_trials"}
+    assert manifest["counters"] == {"log_differences": 40 * 36, "decode_candidates": 40}
+    assert "counters" not in rep and not any(key.startswith("time_") for key in rep)
 
 
 def test_simulate_flags_false_distance_claim(tmp_path):
@@ -279,3 +300,9 @@ def test_manifest_reproducibility(even_code_file, tmp_path):
     assert set(verify["timings"]) == {"time_orbit_sizes", "time_exact_scan"}
     assert verify["counters"] == {"pairs": 10, "differences": 90,
                                   "budget": cli.oc.DEFAULT_SCAN_BUDGET}
+    # 10 trials with one erasure: each R is one point, against 4 x 3 points,
+    # and lies on 12 of the lines
+    simulate = json.loads((tmp_path / "simulate.a.json.manifest.json").read_text())
+    assert set(simulate["timings"]) == {"time_codebook", "time_trials"}
+    assert simulate["counters"]["log_differences"] == 10 * 12
+    assert simulate["counters"]["decode_candidates"] == 10 * 12  # 12 lines per point

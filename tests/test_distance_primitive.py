@@ -3,7 +3,7 @@ brute-force rank and gcd scans of ``oracles.py``, and of the orbit size against
 listing the orbit, over q in {2, 3, 4}."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     gcd_scan,
@@ -13,6 +13,7 @@ from oracles import (
     span_by_enumeration,
     subspace_polynomial,
 )
+from strategies import TOWERS, orbit_generators
 
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import sidon_constructions as sc
@@ -20,35 +21,7 @@ from cyclic_cdc import subspace_linalg as sl
 from cyclic_cdc.errors import DimensionMismatch, Infeasible
 from cyclic_cdc.field_tower import LOG_TABLE_LIMIT, build_tower
 
-# q -> tower (p, a, k, t) of GF(q^4) or GF(q^6), both with the subfield GF(q^2)
-TOWERS = {2: (2, 1, 2, 3), 3: (3, 1, 2, 2), 4: (2, 2, 2, 2)}
 BUDGET = 1 << 26
-
-
-@st.composite
-def orbit_generators(draw, q, subfield_linear):
-    """1-3 subspaces of one dimension k, and sometimes a shifted copy of one
-    of them (an orbit collision).  With ``subfield_linear`` k = 2, the first
-    generator is a shift of GF(q^2), whose orbit is short, and each other
-    generator may be one too."""
-    tw = build_tower(*TOWERS[q])
-    top = tw.top
-    element = st.integers(1, top.order - 1)
-    k = 2 if subfield_linear else draw(st.integers(1, min(3, tw.m - 1)))
-    gens = []
-    for i in range(draw(st.integers(1, 3))):
-        if subfield_linear and (i == 0 or draw(st.booleans())):
-            x = draw(element)
-            vecs = [top.mul(x, b) for b in range(1, q ** 2)]
-        else:
-            vecs = draw(st.lists(element, min_size=k, max_size=k))
-        u = sl.span(tw, vecs)
-        assume(u.dim == k)
-        gens.append(u)
-    if draw(st.booleans()):
-        source = gens[draw(st.integers(0, len(gens) - 1))]
-        gens.append(sl.cyclic_shift(source, draw(element)))
-    return gens
 
 
 def _check_shift_dims(u, v):

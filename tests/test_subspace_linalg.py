@@ -7,7 +7,7 @@ from oracles import shifted_intersection_dim, span_by_enumeration
 
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
-from cyclic_cdc.errors import AmbientMismatch, ZeroShift
+from cyclic_cdc.errors import AmbientMismatch, BadShape, ZeroShift
 from cyclic_cdc.field_tower import build_tower
 
 
@@ -149,8 +149,19 @@ def test_subspace_json_roundtrip_and_rref_enforcement():
     assert sl.subspace_from_json(tw, u.to_json()).rows == u.rows
     bad = u.to_json()
     bad["basis"][0], bad["basis"][1] = bad["basis"][1], bad["basis"][0]
-    with pytest.raises(ValueError):
+    with pytest.raises(BadShape, match="canonical"):
         sl.subspace_from_json(tw, bad)
+    with pytest.raises(BadShape, match="stored dim"):
+        sl.subspace_from_json(tw, dict(u.to_json(), dim=2))
+
+
+@pytest.mark.parametrize("row", [[0] * 8 + [1], [1] * 7, [3] + [0] * 7, [-1] + [0] * 7],
+                         ids=["long", "short", "digit-q", "negative"])
+def test_subspace_json_rejects_rows_outside_gf_q_m(row):
+    # over GF(2^8): a row needs 8 digits in {0, 1}
+    tw = build_tower(2, 1, 2, 4)
+    with pytest.raises(BadShape, match="digits in range"):
+        sl.subspace_from_json(tw, {"ambient_dim": 8, "dim": 1, "basis": [row]})
 
 
 def test_contains_and_elements():
