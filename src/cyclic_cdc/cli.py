@@ -189,6 +189,8 @@ def cmd_poly(args) -> int:
     result["time_distance"] = round(time.perf_counter() - t1, 3)
     result["counters"] = {
         "rank_matrices": verdict.rank_matrices,
+        "alpha_orbits": verdict.alpha_orbits,
+        "frobenius_degree": verdict.frobenius_degree,
         "pairs": len(polys) * (len(polys) + 1) // 2,
         "differences": rep.differences,
         "budget": args.budget,

@@ -7,6 +7,10 @@ A q-polynomial sum(a_i * x^(q^i)) is kept sparsely as (exponent, coefficient)
 pairs; coefficients are encodings valid in the tower's top field (elements of
 the middle field embed with unchanged encodings, so middle-level coefficients
 can be used directly).
+
+The rank-matrix criterion is checked at one shift per orbit of a Frobenius
+map that fixes the family's coefficients, on which the rank is constant; a
+failure's witness is still the smallest failing shift (``_rank_verdict``).
 """
 
 from __future__ import annotations
@@ -214,7 +218,10 @@ class CriteriaVerdict:
     coeff_ok: bool
     coeff_witnesses: list
     alphas_checked: int
-    rank_matrices: int  # matrices the rank verdict took; not part of the result
+    # the work of the rank verdict; not part of the result
+    rank_matrices: int
+    alpha_orbits: int
+    frobenius_degree: int
 
     @property
     def passed(self) -> bool:
@@ -231,29 +238,18 @@ class CriteriaVerdict:
         }
 
 
-def _admissible_alphas(tower: FieldTower, k: int, s: int) -> list[int]:
+@functools.lru_cache(maxsize=1)
+def _admissible_alphas(tower: FieldTower, k: int, s: int) -> tuple[int, ...]:
     """All nonzero alpha excluding the subfields GF(q^(k-s-1)) and GF(q^k)
-    intersected with the working field."""
-    q = tower.q
-    N = tower.m
+    intersected with the working field, ascending; built once per family."""
     top = tower.top
-    g1 = math.gcd(k - s - 1, N)
-    g2 = math.gcd(k, N)
-    out = []
-    e1 = q ** g1
-    e2 = q ** g2
-    for alpha in range(1, top.order):
-        if top.pow(alpha, e1) == alpha or top.pow(alpha, e2) == alpha:
-            continue
-        out.append(alpha)
-    return out
+    e1, e2 = tower.q ** math.gcd(k - s - 1, tower.m), tower.q ** math.gcd(k, tower.m)
+    return tuple(a for a in range(1, top.order) if top.pow(a, e1) != a and top.pow(a, e2) != a)
 
 
-def _rank_condition(
-    polys: list[LinearizedPolynomial], s: int, budget: int
-) -> tuple[bool, tuple | None, int, int]:
+def _rank_condition(polys: list[LinearizedPolynomial], s: int, budget: int) -> tuple:
     """Condition (1): the budget is checked per call, the scan once per family.
-    Returns (ok, witness, matrices ranked, admissible alphas)."""
+    Returns ``_rank_verdict``'s tuple, then the number of admissible alphas."""
     n_alphas = len(_admissible_alphas(polys[0].tower, polys[0].q_degree, s))
     if n_alphas * len(polys) ** 2 > budget:
         raise Infeasible("rank scan exceeds budget")
@@ -263,18 +259,38 @@ def _rank_condition(
 @functools.lru_cache(maxsize=1)
 def _rank_verdict(
     polys: tuple[LinearizedPolynomial, ...], s: int
-) -> tuple[bool, tuple | None, int]:
+) -> tuple[bool, tuple | None, int, int, int]:
+    """One rank per ordered pair at one shift per Frobenius orbit.
+
+    phi: x -> x^(q^d), d the smallest divisor of m for which phi fixes every
+    coefficient of the family, gives M_ij(phi(alpha)) = phi(M_ij(alpha)) entry
+    by entry, so the rank is constant on each orbit, and the excluded subfields
+    are unions of orbits.  Ranking at the smallest member of each orbit, in
+    ascending order, meets the smallest failing alpha with the pairs in the
+    same order: the witness (i, j, alpha, rank) is that of a scan of every alpha.
+    Returns (ok, witness, matrices ranked, orbits ranked, d)."""
     tower = polys[0].tower
     top = tower.top
     q = tower.q
     k = polys[0].q_degree
-    alphas = _admissible_alphas(tower, k, s)
+    coeffs = {c for P in polys for _, c in P.coeffs}
+    d = next(d for d in range(1, tower.m + 1)
+             if tower.m % d == 0 and all(top.pow(c, q ** d) == c for c in coeffs))
+    frob = q ** d
     want = k - s + 1
     gammas = [[P.coeff(t) for t in range(s + 2)] for P in polys]
     exps = [q ** k - q ** t for t in range(s + 2)]
     last_cols = [[P.coeff(k - rho) for rho in range(k + 1)] for P in polys]
-    ranked = 0
-    for alpha in alphas:
+    seen = bytearray(top.order)
+    ranked = orbits = 0
+    for alpha in _admissible_alphas(tower, k, s):
+        if seen[alpha]:
+            continue
+        x = alpha
+        while not seen[x]:
+            seen[x] = 1
+            x = top.pow(x, frob)
+        orbits += 1
         apow = [top.pow(alpha, e) for e in exps]
         for i in range(len(polys)):
             gi = gammas[i]
@@ -285,8 +301,8 @@ def _rank_verdict(
                 rank = field_matrix_rank(top, rows)
                 ranked += 1
                 if rank != want:
-                    return False, (i, j, alpha, rank), ranked
-    return True, None, ranked
+                    return False, (i, j, alpha, rank), ranked, orbits, d
+    return True, None, ranked, orbits, d
 
 
 def check_union_distance_criteria(
@@ -309,7 +325,7 @@ def check_union_distance_criteria(
         validate_support(P, s)
         if P.q_degree != k:
             raise BadSupport("polynomials must share the q-degree")
-    rank_ok, witness, ranked, n_alphas = _rank_condition(polys, s, budget)
+    rank_ok, witness, *work, n_alphas = _rank_condition(polys, s, budget)
 
     top = tower.top
     q = tower.q
@@ -335,7 +351,7 @@ def check_union_distance_criteria(
                     break
             if not found:
                 failures.append((i, j))
-    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas, ranked)
+    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas, *work)
 
 
 def check_union_distance_criteria_gf2(
@@ -353,7 +369,7 @@ def check_union_distance_criteria_gf2(
         raise BadSupport("need k > 2 and 1 <= s < k - 1")
     for P in polys:
         validate_support(P, s)
-    rank_ok, witness, ranked, n_alphas = _rank_condition(polys, s, budget)
+    rank_ok, witness, *work, n_alphas = _rank_condition(polys, s, budget)
     n_coeff = tower.k
     mid_order = tower.mid.order
     failures = []
@@ -372,7 +388,7 @@ def check_union_distance_criteria_gf2(
                 )
             if not ok:
                 failures.append((i, j))
-    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas, ranked)
+    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas, *work)
 
 
 # -- exact distance and size of polynomial-kernel unions -------------------------

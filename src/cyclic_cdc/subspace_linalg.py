@@ -158,12 +158,12 @@ class Subspace:
 
 
 def subspace_from_json(tower: FieldTower, obj: dict) -> Subspace:
-    """Load a subspace, enforcing that each basis row has m digits in
-    range(q) and that the stored basis is the canonical RREF."""
+    """Load a subspace, enforcing that each basis row has m integer digits
+    in range(q) and that the stored basis is the canonical RREF."""
     if obj["ambient_dim"] != tower.m:
         raise AmbientMismatch("ambient dimension does not match tower")
     for r in obj["basis"]:
-        if len(r) != tower.m or not all(d in range(tower.q) for d in r):
+        if len(r) != tower.m or not all(type(d) is int and 0 <= d < tower.q for d in r):
             raise BadShape(f"basis row {r} is not {tower.m} digits in range({tower.q})")
     rows = tuple(tower.unflatten(r) for r in obj["basis"])
     canon = rref_rows(tower, rows)

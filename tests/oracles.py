@@ -25,6 +25,10 @@ n = 4k, and ``size_difference``/``size_difference_5k`` are its closed forms of
 the gap between the construction's size and a competitor's, which the package
 gets by subtraction.
 
+``rank_verdict_by_full_scan`` is the rank-matrix condition of a
+q-polynomial family checked at every admissible shift, the check of the
+package's scan at one shift per Frobenius orbit.
+
 ``decode_by_scan`` is minimum-distance decoding by one subspace distance per
 codeword, the check of the channel simulator's orbit-index decoder.
 """
@@ -180,6 +184,29 @@ def rank_scan(generators):
             if collision:
                 collisions.append((i, j))
     return best, collisions
+
+
+def rank_verdict_by_full_scan(polys, s):
+    """(rank_ok, rank_witness) of the rank-matrix condition, by one rank per
+    admissible alpha (ascending) and per ordered pair; the witness
+    (i, j, alpha, rank) is the first matrix below full column rank."""
+    tower = polys[0].tower
+    top = tower.top
+    q = tower.q
+    k = polys[0].q_degree
+    want = k - s + 1
+    gammas = [[P.coeff(t) for t in range(s + 2)] for P in polys]
+    exps = [q ** k - q ** t for t in range(s + 2)]
+    last_cols = [[P.coeff(k - rho) for rho in range(k + 1)] for P in polys]
+    for alpha in lp._admissible_alphas(tower, k, s):
+        apow = [top.pow(alpha, e) for e in exps]
+        for i in range(len(polys)):
+            for j in range(len(polys)):
+                r = [top.sub_(gammas[i][t], top.mul(gammas[j][t], apow[t])) for t in range(s + 2)]
+                rank = lp.field_matrix_rank(top, lp._matrix_rows(top, q, k, s, r, last_cols[i]))
+                if rank != want:
+                    return False, (i, j, alpha, rank)
+    return True, None
 
 
 def cross_pair_ok(u, v):

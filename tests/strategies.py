@@ -3,6 +3,7 @@
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import subspace_linalg as sl
 from cyclic_cdc.field_tower import build_tower
 
@@ -34,3 +35,26 @@ def orbit_generators(draw, q, subfield_linear):
         source = gens[draw(st.integers(0, len(gens) - 1))]
         gens.append(sl.cyclic_shift(source, draw(element)))
     return gens
+
+
+@st.composite
+def criteria_families(draw, q):
+    """1-3 monic q-polynomials x^(q^3) + a x^(q^2) + b x^q + c x (k = 3,
+    s = 1) over the tower of ``TOWERS[q]``, with a, b, c drawn from the
+    subfield GF(q^d) for a drawn divisor d of m (d = m: the whole top field),
+    and sometimes the shift transform of one of them (a shifted duplicate:
+    an orbit collision), by a shift from GF(q^d) or from the top field."""
+    tw = build_tower(*TOWERS[q])
+    top = tw.top
+    d = draw(st.sampled_from([d for d in range(1, tw.m + 1) if tw.m % d == 0]))
+    step = (top.order - 1) // (q ** d - 1)
+    element = st.integers(0, q ** d - 2).map(lambda j: top.pow(top.primitive, j * step))
+    polys = [
+        lp.linpoly(tw, {3: 1, 2: draw(element), 1: draw(element), 0: draw(element)})
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.booleans()):
+        source = polys[draw(st.integers(0, len(polys) - 1))]
+        shift = draw(element | st.integers(1, top.order - 1))
+        polys.insert(draw(st.integers(0, len(polys))), lp.shift_transform(source, shift))
+    return polys

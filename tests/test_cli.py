@@ -102,11 +102,13 @@ def test_empty_or_mixed_generator_lists_are_input_errors(even_code_file, tmp_pat
 
 
 @pytest.mark.parametrize("command", ["verify", "sidon-check", "simulate"])
-@pytest.mark.parametrize("row", [[0] * 8 + [1], [3, 0, 0, 0, 0, 0, 0, 0]],
-                         ids=["nine-coordinates", "digit-3-over-q2"])
+@pytest.mark.parametrize("row", [[0] * 8 + [1], [3, 0, 0, 0, 0, 0, 0, 0],
+                                 [1.0, 0, 0, 0, 0, 0, 0, 0], [True, 0, 0, 0, 0, 0, 0, 0]],
+                         ids=["nine-coordinates", "digit-3-over-q2", "float-digit", "true-digit"])
 def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, command, row, capsys):
-    # unchecked, a 9-coordinate row indexes past the log table, and the
-    # digit 3 loads as the element 3 = (1, 1, 0, ...), another subspace
+    # unchecked, a 9-coordinate row indexes past the log table, the digit 3
+    # loads as the element 3 = (1, 1, 0, ...), another subspace, and the
+    # digit 1.0 stops the elimination with a TypeError (exit 1)
     obj = json.loads(Path(even_code_file).read_text())
     obj["generators"] = [{"ambient_dim": 8, "dim": 1, "basis": [row]}]
     src = tmp_path / "bad_row.json"
@@ -182,8 +184,18 @@ def test_poly_command_passes(tmp_path):
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert set(manifest["timings"]) == {"time_criteria", "time_criteria_gf2", "time_distance"}
     assert not any(key.startswith("time_") for key in rep)
-    # one rank matrix per admissible alpha and ordered pair: 16382 x 3^2
-    assert manifest["counters"]["rank_matrices"] == 16382 * 9 == 147438
+    # one rank matrix per ordered pair and per orbit of x -> x^4 on the
+    # admissible alphas, which fixes the GF(4) coefficients: 2 orbits in
+    # GF(4), 18 more in GF(2^7) and 2322 of length 7
+    from cyclic_cdc.field_tower import build_tower
+
+    top = build_tower(2, 1, 2, 7).top
+    admissible = range(2, top.order)  # GF(2) is the only excluded subfield
+    orbits = {min(top.pow(a, 4 ** i) for i in range(7)) for a in admissible}
+    assert len(admissible) == 16382 and len(orbits) == 2 + 18 + 2322
+    counters = manifest["counters"]
+    assert counters["alpha_orbits"] == len(orbits) and counters["frobenius_degree"] == 2
+    assert counters["rank_matrices"] == len(orbits) * 9 == 21078
 
 
 def test_poly_command_rank_failure(tmp_path):
@@ -197,7 +209,7 @@ def test_poly_command_rank_failure(tmp_path):
     assert run(["poly", "--file", src, "--N", 6, "--out", out]) == cli.EXIT_MISMATCH
     rep = json.loads(out.read_text())
     assert rep["criteria"]["rank_condition_ok"] is False
-    assert rep["criteria"]["rank_witness"] is not None
+    assert rep["criteria"]["rank_witness"] == [0, 0, 2, 2]
     assert rep["exact"]["distance"] == 2
 
 

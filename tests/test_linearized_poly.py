@@ -3,14 +3,18 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     field_matrix_rank_division_free,
     find_splitting_N,
     intersection_dim_via_gcd,
+    rank_verdict_by_full_scan,
     shifted_intersection_dim,
     span_by_enumeration,
     subspace_polynomial,
 )
+from strategies import TOWERS, criteria_families
 
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import subspace_linalg as sl
@@ -229,6 +233,7 @@ def test_pair_rank_failure_at_small_field():
     B = lp.linpoly(tw, {3: 1, 2: 1, 1: 3, 0: 3})
     verdict = lp.check_union_distance_criteria_gf2([A, B], s=1)
     assert not verdict.rank_ok
+    assert verdict.rank_witness == (0, 1, 2, 2)
     rep = lp.poly_code_distance([A, B])
     assert rep.distance == 2 and rep.size == 2 * 63
 
@@ -248,6 +253,62 @@ def test_rank_condition_ranks_once_for_both_criteria(monkeypatch):
     # the budget still applies to a family whose verdict is known
     with pytest.raises(Infeasible):
         lp.check_union_distance_criteria_gf2(polys, s=1, budget=general.alphas_checked)
+
+
+Q_VALUES = pytest.mark.parametrize("q", sorted(TOWERS))
+
+
+@Q_VALUES
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_orbit_rank_verdict_matches_full_scan(q, data):
+    polys = data.draw(criteria_families(q))
+    ok, witness, ranked, orbits, d = lp._rank_verdict(tuple(polys), 1)
+    assert (ok, witness) == rank_verdict_by_full_scan(polys, 1)
+    n_alphas = len(lp._admissible_alphas(polys[0].tower, 3, 1))
+    assert polys[0].tower.m % d == 0 and orbits <= n_alphas
+    assert ranked <= orbits * len(polys) ** 2
+
+
+def test_orbit_rank_verdict_matches_full_scan_on_random_gf2_6_families():
+    # random families over GF(2^6): about a third fail the rank condition,
+    # and coefficients from GF(4) (d = 2) or from all of GF(2^6) (d = 6)
+    tw = build_tower(2, 1, 2, 3)
+    top = tw.top
+    rng = random.Random(9)
+    outcomes = set()
+    for trial in range(60):
+        pool = range(1, 4) if trial % 2 else range(1, top.order)
+        polys = [
+            lp.linpoly(tw, {3: 1, 2: rng.choice(pool), 1: rng.choice(pool), 0: rng.choice(pool)})
+            for _ in range(rng.randint(1, 3))
+        ]
+        ok, witness, _, _, d = lp._rank_verdict(tuple(polys), 1)
+        assert (ok, witness) == rank_verdict_by_full_scan(polys, 1)
+        outcomes.add((ok, d < tw.m))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@Q_VALUES
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rank_is_constant_on_frobenius_orbits(q, data):
+    polys = data.draw(criteria_families(q))
+    tw = polys[0].tower
+    top = tw.top
+    d = lp._rank_verdict(tuple(polys), 1)[4]
+
+    def phi(x):
+        return top.pow(x, tw.q ** d)
+
+    assert all(phi(c) == c for P in polys for _, c in P.coeffs)
+    i = data.draw(st.integers(0, len(polys) - 1))
+    j = data.draw(st.integers(0, len(polys) - 1))
+    alpha = data.draw(st.integers(1, top.order - 1))
+    M = lp.build_rank_matrix(polys[i], polys[j], alpha, 1).entries
+    M_phi = lp.build_rank_matrix(polys[i], polys[j], phi(alpha), 1).entries
+    assert M_phi == tuple(tuple(phi(x) for x in row) for row in M)
+    assert lp.field_matrix_rank(top, M_phi) == lp.field_matrix_rank(top, M)
 
 
 def test_duplicate_polynomials_fail_coefficient_condition():

@@ -155,8 +155,9 @@ def test_subspace_json_roundtrip_and_rref_enforcement():
         sl.subspace_from_json(tw, dict(u.to_json(), dim=2))
 
 
-@pytest.mark.parametrize("row", [[0] * 8 + [1], [1] * 7, [3] + [0] * 7, [-1] + [0] * 7],
-                         ids=["long", "short", "digit-q", "negative"])
+@pytest.mark.parametrize("row", [[0] * 8 + [1], [1] * 7, [3] + [0] * 7, [-1] + [0] * 7,
+                                 [1.0] + [0] * 7, [True] + [0] * 7],
+                         ids=["long", "short", "digit-q", "negative", "float", "bool"])
 def test_subspace_json_rejects_rows_outside_gf_q_m(row):
     # over GF(2^8): a row needs 8 digits in {0, 1}
     tw = build_tower(2, 1, 2, 4)
