@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 
 from . import __version__
 from . import channel_sim as ch
@@ -100,11 +101,15 @@ def cmd_sidon_check(args) -> int:
     t0 = time.perf_counter()
     with open(args.code) as fh:
         code = oc.code_from_json(json.load(fh))
-    failures = [i for i, g in enumerate(code.generators) if not sc.is_sidon(g)]
+    t1 = time.perf_counter()
+    counts = Counter(certified=0, scanned=0, products=0)
+    failures = [i for i, g in enumerate(code.generators) if not sc.is_sidon(g, counts=counts)]
     result = {
         "n_generators": len(code.generators),
         "sidon_failures": failures,
         "all_sidon": not failures,
+        "time_sidon": round(time.perf_counter() - t1, 3),
+        "counters": dict(counts),
     }
     _emit("sidon-check", {"code": args.code}, code.tower.spec_dict(), result, args.out, t0)
     return EXIT_OK if not failures else EXIT_MISMATCH

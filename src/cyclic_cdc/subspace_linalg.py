@@ -13,7 +13,9 @@ All elimination goes through two forward-only kernels, which return a
   and pivots at the lowest set bit;
 - ``_echelon`` works on digit lists over any field: over GF(q) on unpacked
   coordinates, and over GF(q^m) for ``field_matrix_rank``, the rank of the
-  rank-matrix criterion of ``linearized_poly``.
+  rank-matrix criterion of ``linearized_poly``.  Its row operations index the
+  field's dense add and mul tables when the field has them (order <= 2^8,
+  so every GF(q) level), and call the field's arithmetic otherwise.
 
 A rank is the size of the echelon.  The RREF back-substitutes it in
 descending pivot order.  A map's kernel is read off the echelon of the
@@ -62,13 +64,18 @@ def _echelon(F, rows: Iterable[Sequence[int]]) -> dict[int, Sequence[int]]:
     """{pivot column: row scaled to pivot 1} of a forward echelon basis of the
     span of digit-list rows over the field F.  A row's pivot is its first
     nonzero entry, and the row is zero in the pivot columns of the rows
-    inserted before it."""
+    inserted before it.  Row updates index F's dense add and mul tables when
+    F has them."""
+    at, mt = F._add_table, F._mul_table
     sub, mul = F.sub_, F.mul
     piv: dict[int, Sequence[int]] = {}
     for v in rows:
         for pc, pr in piv.items():
             c = v[pc]
-            if c:
+            if c and mt is not None:
+                row = mt[F.neg(c)]
+                v = [at[x][row[y]] for x, y in zip(v, pr)]
+            elif c:
                 v = [sub(x, mul(c, y)) for x, y in zip(v, pr)]
         pc = next((j for j, x in enumerate(v) if x), None)
         if pc is not None:
@@ -88,9 +95,10 @@ def rank_rows(tower: FieldTower, rows: Iterable[int]) -> int:
 
 def rref_rows(tower: FieldTower, rows: Iterable[int]) -> tuple[int, ...]:
     """Canonical RREF of the GF(q)-span of the given element encodings: the
-    forward echelon, back-substituted in descending pivot order."""
-    done: list = []  # (pivot, fully reduced row), descending pivots
+    forward echelon, back-substituted in descending pivot order (for q > 2,
+    a second echelon of its rows in that order)."""
     if tower.q == 2:
+        done: list = []  # (pivot, fully reduced row), descending pivots
         piv = _echelon_q2(rows)
         for b in sorted(piv, reverse=True):
             v = piv[b]
@@ -99,16 +107,9 @@ def rref_rows(tower: FieldTower, rows: Iterable[int]) -> tuple[int, ...]:
                     v ^= r2
             done.append((b, v))
         return tuple(v for _, v in reversed(done))
-    sub, mul = tower.q_level.sub_, tower.q_level.mul
     piv = _echelon(tower.q_level, map(tower.flatten, rows))
-    for pc in sorted(piv, reverse=True):
-        v = piv[pc]
-        for pc2, r2 in done:
-            c = v[pc2]
-            if c:
-                v = [sub(x, mul(c, y)) for x, y in zip(v, r2)]
-        done.append((pc, v))
-    return tuple(tower.unflatten(v) for _, v in reversed(done))
+    piv = _echelon(tower.q_level, [piv[pc] for pc in sorted(piv, reverse=True)])
+    return tuple(tower.unflatten(piv[pc]) for pc in sorted(piv))
 
 
 def field_matrix_rank(F, rows: Iterable[Sequence[int]]) -> int:

@@ -6,7 +6,9 @@ collisions of a union by brute force: one intersection dimension per
 generator pair and per projective shift, from a rank of stacked bases or
 from the degree of an ordinary-polynomial gcd.  ``cross_pair_ok`` is the
 paper's cross-product test of one generator pair, the pairwise half of its
-certificate.  ``field_matrix_rank_division_free`` ranks a matrix over a field
+certificate, and ``sidon_by_products`` is its Sidon test of one generator
+by the same product scan, the check of the package's max-span certificate.
+``field_matrix_rank_division_free`` ranks a matrix over a field
 without inverses.
 
 ``span_by_enumeration``, ``rref_by_enumeration`` and ``kernel_by_enumeration``
@@ -223,6 +225,23 @@ def cross_pair_ok(u, v):
     seen = set()
     for a in u.projective_reps():
         for b in v.projective_reps():
+            p = canon(mul(a, b))
+            if p in seen:
+                return False
+            seen.add(p)
+    return True
+
+
+def sidon_by_products(u):
+    """Sidon test by brute force: products of projective representatives
+    must be pairwise distinct as projective points (unordered pairs)."""
+    tower = u.tower
+    mul = tower.top.mul
+    canon = tower.canon_projective
+    reps = u.projective_reps()
+    seen = set()
+    for i, a in enumerate(reps):
+        for b in reps[i:]:
             p = canon(mul(a, b))
             if p in seen:
                 return False

@@ -37,6 +37,39 @@ def orbit_generators(draw, q, subfield_linear):
     return gens
 
 
+# q -> tower of GF(q^8) over GF(q^4), which hosts V = {u + u^q * gamma : u in
+# GF(q^4)}: 4-dimensional, so never max-span (10 > 8), and Sidon for many
+# gamma at q = 3 and q = 4
+FROBENIUS_TOWERS = {2: (2, 1, 4, 2), 3: (3, 1, 4, 2), 4: (2, 2, 4, 2)}
+
+
+def frobenius_space(tw, gamma):
+    """V = {u + u^q * gamma : u in GF(q^k)}, the span of the images of the
+    GF(q)-basis q^0..q^(k-1) of the middle level."""
+    top, q = tw.top, tw.q
+    return sl.span(tw, [top.add(u, top.mul(tw.mid.pow(u, q), gamma))
+                        for u in (q ** j for j in range(tw.k))])
+
+
+@st.composite
+def sidon_subjects(draw, q):
+    """A subspace to run the Sidon test on: a random one of dimension 1-4 in
+    the tower of ``TOWERS[q]`` (k(k+1)/2 > m for the larger k), a shift of
+    its subfield GF(q^2) (never Sidon), or a space ``frobenius_space`` in
+    the tower of ``FROBENIUS_TOWERS[q]``."""
+    kind = draw(st.sampled_from(("random", "subfield", "frobenius")))
+    if kind == "frobenius":
+        tw = build_tower(*FROBENIUS_TOWERS[q])
+        return frobenius_space(tw, draw(st.integers(1, tw.top.order - 1)))
+    tw = build_tower(*TOWERS[q])
+    top = tw.top
+    element = st.integers(1, top.order - 1)
+    if kind == "subfield":
+        x = draw(element)
+        return sl.span(tw, [top.mul(x, b) for b in range(1, q ** 2)])
+    return sl.span(tw, draw(st.lists(element, min_size=1, max_size=4)))
+
+
 @st.composite
 def criteria_families(draw, q):
     """1-3 monic q-polynomials x^(q^3) + a x^(q^2) + b x^q + c x (k = 3,

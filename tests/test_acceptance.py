@@ -6,6 +6,7 @@ All tolerances are exact unless a line says otherwise (rates carry +/- 0.001).
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from oracles import (
@@ -89,10 +90,13 @@ def test_a03_odd_formula_q3_k3_and_sidon_family():
     )
     tower = build_tower(3, 1, 3, 5)
     gens = [sc.make_subspace(p, tower) for p in sc.enumerate_family(tower)]
+    counts = Counter()
     _report(
         "all (3,3,15) generators are Sidon spaces",
-        len(gens) == 4108 and all(sc.is_sidon(g) for g in gens),
-        f"{len(gens)} generators",
+        len(gens) == 4108
+        and all(sc.is_sidon(g, counts=counts) for g in gens)
+        and counts["certified"] == 4108,
+        f"{len(gens)} generators, {counts['certified']} settled by the max-span certificate",
     )
     rng = random.Random(1234)
     pairs = set()

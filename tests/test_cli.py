@@ -2,8 +2,12 @@ import json
 from pathlib import Path
 
 import pytest
+from oracles import sidon_by_products
+from strategies import FROBENIUS_TOWERS, frobenius_space
 
 from cyclic_cdc import cli
+from cyclic_cdc import orbit_codes as oc
+from cyclic_cdc.field_tower import build_tower
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "polys_gf4_k3.json"
 
@@ -68,6 +72,28 @@ def test_verify_flags_corrupted_generator(even_code_file, tmp_path):
     out2 = tmp_path / "sidon.json"
     assert run(["sidon-check", "--code", bad, "--out", out2]) == cli.EXIT_MISMATCH
     assert json.loads(out2.read_text())["sidon_failures"] == [0]
+    # the subfield is not max-span, so it reaches the product scan
+    counters = json.loads(Path(f"{out2}.manifest.json").read_text())["counters"]
+    assert counters["certified"] == 3 and counters["scanned"] == 1
+
+
+def test_sidon_check_scans_generators_that_are_not_max_span(tmp_path):
+    # frobenius spaces in GF(3^8) have dimension 4, so their 10 basis products
+    # cannot be independent; these three gammas give Sidon spaces
+    tw = build_tower(*FROBENIUS_TOWERS[3])
+    gens = [frobenius_space(tw, gamma) for gamma in (81, 82, 83)]
+    assert all(sidon_by_products(g) for g in gens)
+    code_path = tmp_path / "frobenius.json"
+    code_path.write_text(json.dumps(oc.build_union(tw, gens).to_json()))
+    out = tmp_path / "sidon.json"
+    assert run(["sidon-check", "--code", code_path, "--out", out]) == cli.EXIT_OK
+    result = json.loads(out.read_text())
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    counters = manifest["counters"]
+    assert result["all_sidon"] and result["n_generators"] == 3
+    assert counters["certified"] + counters["scanned"] == result["n_generators"]
+    assert counters == {"certified": 0, "scanned": 3, "products": 3 * 40 * 41 // 2}
+    assert "time_sidon" in manifest["timings"] and "time_sidon" not in result
 
 
 def test_verify_budget_infeasible(even_code_file, tmp_path):

@@ -20,8 +20,9 @@ from cyclic_cdc.field_tower import build_tower
 # 4096 vectors to evaluate per map
 SPAN_TOWERS = [(2, 1, 2, 5), (3, 1, 2, 3), (2, 2, 2, 3)]
 MAP_TOWERS = [(2, 1, 2, 4), (3, 1, 2, 3), (2, 2, 2, 3)]
-# GF(3^6) and GF(4^6)
-MATRIX_FIELDS = [(3, 1, 2, 3), (2, 2, 2, 3)]
+# GF(3^6) and GF(4^6), above 2^8, without dense tables; GF(2^8) and GF(3^4),
+# whose dense tables _echelon indexes
+MATRIX_FIELDS = [(3, 1, 2, 3), (2, 2, 2, 3), (2, 1, 2, 4), (3, 1, 2, 2)]
 
 
 @st.composite
@@ -117,3 +118,8 @@ def test_field_matrix_rank_matches_division_free_on_rank_deficient_matrices(para
     got = lp.field_matrix_rank(top, rows)
     assert got == field_matrix_rank_division_free(top, rows)
     assert got <= rank
+
+
+def test_matrix_fields_reach_both_row_operations():
+    tables = [build_tower(*params).top._mul_table is not None for params in MATRIX_FIELDS]
+    assert tables == [False, False, True, True]

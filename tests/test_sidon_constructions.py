@@ -1,8 +1,12 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
-from oracles import cross_pair_ok, shifted_intersection_dim
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import cross_pair_ok, shifted_intersection_dim, sidon_by_products
+from strategies import FROBENIUS_TOWERS, frobenius_space, sidon_subjects
 
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
@@ -133,6 +137,44 @@ def test_is_sidon_basics():
     assert sc.is_sidon(sl.span(tw, [37]))
     # a subfield of dimension >= 2 is never Sidon
     assert not sc.is_sidon(sl.span(tw, range(1, 4)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_is_sidon_matches_product_scan(q, data):
+    u = data.draw(sidon_subjects(q))
+    assert sc.is_sidon(u) == sidon_by_products(u)
+
+
+def test_is_sidon_takes_both_routes():
+    # seeded random 3-dimensional subspaces of GF(2^6) and GF(3^6), where
+    # k(k+1)/2 = m, and frobenius spaces of GF(3^8) and GF(4^8), which are
+    # never max-span
+    rng = random.Random(20)
+    subjects = []
+    for spec in ((2, 1, 2, 3), (3, 1, 2, 3)):
+        tw = build_tower(*spec)
+        subjects += [sl.span(tw, [rng.randrange(1, tw.top.order) for _ in range(3)])
+                     for _ in range(20)]
+    for q in (3, 4):
+        tw = build_tower(*FROBENIUS_TOWERS[q])
+        subjects += [frobenius_space(tw, rng.randrange(1, tw.top.order)) for _ in range(10)]
+    counts = Counter()
+    scanned_sidon = 0
+    for u in subjects:
+        scanned = counts["scanned"]
+        verdict = sc.is_sidon(u, counts=counts)
+        assert verdict == sidon_by_products(u)
+        scanned_sidon += verdict and counts["scanned"] > scanned
+    assert counts["certified"] + counts["scanned"] == len(subjects)
+    assert counts["certified"] > 0 and scanned_sidon > 0
+
+
+def test_is_sidon_counts_basis_products_only_when_certified(odd_code_2_2_10):
+    counts = Counter()
+    assert all(sc.is_sidon(g, counts=counts) for g in odd_code_2_2_10.generators)
+    assert counts == {"certified": 33, "products": 33 * 3}
 
 
 def test_all_construction_outputs_are_sidon():
