@@ -2,12 +2,12 @@
 dimension erasures and error-dimension insertions, and the receiver decodes
 to a codeword at minimum subspace distance.
 
-The decoder reads the orbit structure, not the codebook.  With L_R and L_i
-the projective logs of the received space R and of generator U_i, the count
-of c in L_R - L_i is the number of points of R ∩ g^c U_i, so one histogram
-per generator gives dim(R ∩ g^c U_i) at every shift c, and the words that
-meet R most are the ones nearest to it.  Sent words are drawn from the
-materialized codebook, sorted by RREF rows.
+The decoder reads the orbit structure, not the codebook.  The count of a
+point ratio canon(r * u^-1), r a point of the received space R and u one of
+generator U_i, is the number of points of R ∩ alpha*U_i at alpha = r/u, so
+one ``shift_dims`` histogram per generator gives dim(R ∩ alpha*U_i) at every
+shift, and the words that meet R most are the ones nearest to it.  Sent
+words are drawn from the materialized codebook, sorted by RREF rows.
 
 Randomness comes from a seeded ``random.Random`` (Mersenne Twister), so
 trial runs are reproducible from the seed alone.
@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BrokenInvariant, DecodingFailure, InfeasibleNoise
+from .field_tower import batch_inverse
 from .orbit_codes import UnionCode
 from .subspace_linalg import (
     Subspace,
-    _projective_logs,
-    _shift_dims,
     cyclic_shift,
     enumerate_orbit,
     rank_rows,
+    shift_dims,
     span,
     subspace_distance,
 )
@@ -96,31 +96,28 @@ def transmit(codeword: Subspace, cfg: ChannelConfig, rng: random.Random) -> Subs
 def md_decode(
     received: Subspace,
     generators: Sequence[Subspace],
-    logs: Sequence[list[int]],
+    inverses: Sequence[list[int]],
     codebook: Sequence[Subspace],
 ) -> tuple[Subspace, int]:
     """A codeword at minimum subspace distance from ``received``, and the
-    number of maximising shifts whose RREF was taken.  ``logs`` holds each
-    generator's projective logs.
+    number of maximising shifts whose RREF was taken.  ``inverses`` holds
+    the inverses of each generator's points.
 
-    All words have dimension k, so the nearest are the g^c U_i that meet R
+    All words have dimension k, so the nearest are the alpha*U_i that meet R
     most; the smallest RREF among them wins, the lowest index of the sorted
     codebook.  Correct whenever 2*(erasures + insertions) is below the
     code's minimum distance."""
     if received.dim == 0:
         # R = {0} meets every word trivially: all sit at distance k
         return codebook[0], 0
-    tower = received.tower
-    lr = _projective_logs(received)
     best, argmax = 0, []
-    for gen, lu in zip(generators, logs):
-        for c, d in _shift_dims(tower, lr, lu, min(received.dim, gen.dim)).items():
+    for gen, inv in zip(generators, inverses):
+        for alpha, d in shift_dims(received, gen, inv).items():
             if d > best:
                 best, argmax = d, []
             if d == best:
-                argmax.append((gen, c))
-    top = tower.top
-    words = (cyclic_shift(gen, top.pow(top.primitive, c)) for gen, c in argmax)
+                argmax.append((gen, alpha))
+    words = (cyclic_shift(gen, alpha) for gen, alpha in argmax)
     return min(words, key=lambda w: w.rows), len(argmax)
 
 
@@ -150,15 +147,15 @@ def run_trials(
     DecodingFailure; otherwise the failure rate is only reported."""
     rng = random.Random(cfg.seed)
     guarantee = 2 * (cfg.erasures + cfg.insertions) < min_distance
-    logs = [_projective_logs(g) for g in generators]
-    points = sum(map(len, logs))
-    q = codebook[0].tower.q
-    successes = differences = candidates = 0
+    top, q = codebook[0].tower.top, codebook[0].tower.q
+    inverses = [batch_inverse(top, g.projective_reps()) for g in generators]
+    points = sum(map(len, inverses))
+    successes = ratios = candidates = 0
     for _ in range(cfg.trials):
         sent = rng.randrange(len(codebook))
         received = transmit(codebook[sent], cfg, rng)
-        decoded, taken = md_decode(received, generators, logs, codebook)
-        differences += (q ** received.dim - 1) // (q - 1) * points
+        decoded, taken = md_decode(received, generators, inverses, codebook)
+        ratios += (q ** received.dim - 1) // (q - 1) * points
         candidates += taken
         if decoded.rows == codebook[sent].rows:
             successes += 1
@@ -174,5 +171,5 @@ def run_trials(
         "insertions": cfg.insertions,
         "seed": cfg.seed,
         "guarantee_active": guarantee,
-        "counters": {"log_differences": differences, "decode_candidates": candidates},
+        "counters": {"point_ratios": ratios, "decode_candidates": candidates},
     }

@@ -25,10 +25,6 @@ class LevelMismatch(CdcError):
     tower level."""
 
 
-class ZeroElement(CdcError):
-    """Operation undefined on the zero element (e.g. the discrete log)."""
-
-
 # -- subspace linear algebra ------------------------------------------------
 
 class AmbientMismatch(CdcError):

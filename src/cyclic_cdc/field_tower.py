@@ -20,21 +20,20 @@ Arithmetic strategy: levels of order <= 2^16 carry discrete log/exp tables
 order <= 2^8 additionally carry dense addition/multiplication tables so that
 schoolbook multiplication in the levels above them runs on plain list
 indexing.  Larger levels multiply by schoolbook polynomial products over the
-level below, and take discrete logs by baby-step giant-step.
+level below and invert by powering, so ``batch_inverse`` inverts many
+elements at the cost of one inversion (Montgomery's trick).
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import (
     DivisionByZero,
     LevelMismatch,
     NotPrime,
     SearchExhausted,
-    ZeroElement,
 )
 
 FULL_TABLE_LIMIT = 1 << 8   # dense add/mul/inv tables
@@ -119,7 +118,6 @@ class ExtensionField:
         # whose write to the instance __dict__ slows every later attribute
         # read of the field (about 30 % on a table mul)
         self._primitive: int | None = None
-        self._bsgs: tuple[dict[int, int], int, int] | None = None
         self._build_tables()
 
     # -- encoding helpers ---------------------------------------------------
@@ -207,35 +205,6 @@ class ExtensionField:
             o1 = self.order - 1
             return self._exp[(self._log[a] * e) % o1]
         return self._pow_sm(a, e % (self.order - 1) if e >= self.order else e)
-
-    def discrete_log(self, x: int) -> int:
-        """The e in [0, order - 1) with g^e = x, g = ``self.primitive``:
-        from the log table, or else by baby-step giant-step."""
-        if x == 0:
-            raise ZeroElement("log of 0 undefined")
-        if self._log is not None:
-            return self._log[x]
-        if self._bsgs is None:
-            self._bsgs = self._baby_steps()
-        baby, step, giant = self._bsgs
-        y = x
-        for i in range(step):
-            j = baby.get(y)
-            if j is not None:
-                return i * step + j
-            y = self.mul(y, giant)
-        raise LevelMismatch(f"{x} is not an element of {self!r}")
-
-    def _baby_steps(self) -> tuple[dict[int, int], int, int]:
-        """({g^j: j for j < s}, s, g^-s) with s = ceil(sqrt(order - 1))."""
-        step = math.isqrt(self.order - 2) + 1
-        g = self.primitive
-        baby = {}
-        y = 1
-        for j in range(step):
-            baby[y] = j
-            y = self.mul(y, g)
-        return baby, step, self.inv(y)
 
     def _pow_sm(self, a, e):
         acc = 1
@@ -348,6 +317,19 @@ class ExtensionField:
 
 
 Field = Union[PrimeField, ExtensionField]
+
+
+def batch_inverse(F: Field, xs: Sequence[int]) -> list[int]:
+    """Inverses of nonzero elements by Montgomery's trick: 3 ``mul`` per
+    element and one ``inv`` in all.  A zero element raises DivisionByZero."""
+    prefix = [1]  # prefix[i] = xs[0] * ... * xs[i - 1]
+    for x in xs:
+        prefix.append(F.mul(prefix[-1], x))
+    inv, out = F.inv(prefix.pop()), []
+    for x, p in zip(reversed(xs), reversed(prefix)):
+        out.append(F.mul(inv, p))
+        inv = F.mul(inv, x)
+    return out[::-1]
 
 
 # -- dense polynomial helpers over an arbitrary level (for searches) ---------

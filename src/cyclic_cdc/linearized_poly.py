@@ -399,7 +399,8 @@ class PolyCodeReport:
     size: int
     orbit_sizes: list[int]
     collisions: list[tuple[int, int]]
-    differences: int  # log differences examined; not part of the result
+    point_ratios: int  # the work of union_distance; not part of the result
+    shared_pairs: int
 
     def to_json(self) -> dict:
         return {
@@ -423,10 +424,10 @@ def poly_code_distance(
                 f"kernel dimension {V.dim} below the q-degree {k}: "
                 "not a subspace polynomial for this field"
             )
-    best, collisions, differences = union_distance(kernels, budget)
+    best, collisions, *work = union_distance(kernels, budget)
     sizes = [orbit_size(V) for V in kernels]
     total = sum(sizes) if not collisions else -1
-    return PolyCodeReport(best, total, sizes, collisions, differences)
+    return PolyCodeReport(best, total, sizes, collisions, *work)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -89,13 +89,14 @@ def verify_code(code: UnionCode, budget: int = DEFAULT_SCAN_BUDGET) -> dict:
     report["time_orbit_sizes"] = round(time.perf_counter() - t0, 3)
 
     t0 = time.perf_counter()
-    d, collisions, differences = union_distance(gens, budget)
+    d, collisions, ratios, shared = union_distance(gens, budget)
     report["verified_min_distance"] = d
     report["orbit_collisions"] = collisions
     report["time_exact_scan"] = round(time.perf_counter() - t0, 3)
     report["counters"] = {
         "pairs": len(gens) * (len(gens) + 1) // 2,
-        "differences": differences,
+        "point_ratios": ratios,
+        "shared_pairs": shared,
         "budget": budget,
     }
 

@@ -20,6 +20,10 @@ All elimination goes through two forward-only kernels, which return a
 A rank is the size of the echelon.  The RREF back-substitutes it in
 descending pivot order.  A map's kernel is read off the echelon of the
 augmented rows (image of e_j | e_j).
+
+Intersections with every cyclic shift at once come from point ratios, with
+no discrete logs: ``shift_dims`` counts canon(a * b^-1) over two subspaces'
+points, and ``union_distance`` runs it only on pairs sharing such a ratio.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import (
     Infeasible,
     ZeroShift,
 )
-from .field_tower import FieldTower
+from .field_tower import FieldTower, batch_inverse
 
 
 # -- the two elimination kernels ------------------------------------------------
@@ -195,26 +199,18 @@ def cyclic_shift(u: Subspace, alpha: int) -> Subspace:
     return Subspace(u.tower, rref_rows(u.tower, [mul(alpha, r) for r in u.rows]))
 
 
-# -- every shift at once: projective log differences ----------------------------
-#
-# With g the top field's first primitive element and N = (q^m - 1)/(q - 1),
-# g^N generates GF(q)*, so log p mod N names the projective point of p, and
-# the point pairs (u, v) of U x V with log u - log v = c (mod N) are one per
-# point of U ∩ g^c V.
+# -- every shift at once: point ratios ------------------------------------------
 
-def _projective_logs(u: Subspace) -> list[int]:
-    n = (u.tower.top.order - 1) // (u.tower.q - 1)
-    return [u.tower.top.discrete_log(p) % n for p in u.projective_reps()]
-
-
-def _shift_dims(tower: FieldTower, lu: list[int], lv: list[int], k: int) -> dict[int, int]:
-    q = tower.q
-    n = (tower.top.order - 1) // (q - 1)
-    dim_of = {(q ** d - 1) // (q - 1): d for d in range(1, k + 1)}
-    hist = Counter((a - b) % n for a in lu for b in lv)
+def shift_dims(u: Subspace, v: Subspace, inv_v: Sequence[int]) -> dict[int, int]:
+    """{canon(alpha): dim(U ∩ alpha*V)} at every shift alpha where it is
+    nonzero, given the inverses ``inv_v`` of V's points: a of U and b of V
+    lie together in U ∩ alpha*V exactly when alpha ≡ a/b modulo GF(q)*."""
+    q, mul, canon = u.tower.q, u.tower.top.mul, u.tower.canon_projective
+    dim_of = {(q ** d - 1) // (q - 1): d for d in range(1, min(u.dim, v.dim) + 1)}
+    hist = Counter(canon(mul(a, b)) for a in u.projective_reps() for b in inv_v)
     if not all(h in dim_of for h in hist.values()):
-        raise BrokenInvariant(f"log-difference counts {sorted(hist.values())} for q={q}")
-    return {c: dim_of[h] for c, h in hist.items()}
+        raise BrokenInvariant(f"point-ratio counts {sorted(hist.values())} for q={q}")
+    return {alpha: dim_of[h] for alpha, h in hist.items()}
 
 
 def common_dim(generators: Sequence[Subspace]) -> int:
@@ -232,31 +228,55 @@ def common_dim(generators: Sequence[Subspace]) -> int:
 
 def union_distance(
     generators: Sequence[Subspace], budget: int
-) -> tuple[int, list[tuple[int, int]], int]:
+) -> tuple[int, list[tuple[int, int]], int, int]:
     """Minimum distance of the union of the generators' cyclic orbits, its
-    orbit collisions (i < j with U_i = alpha*U_j), and the number of log
-    differences examined, which must not exceed ``budget``.
+    orbit collisions (i < j with U_i = alpha*U_j), and the number of internal
+    point ratios and of generator pairs that share one.  The ratios, and then
+    the ratios plus P^2 per shared pair (P points per generator), must not
+    exceed ``budget``.
 
-    One histogram per pair i <= j gives dim(U_i ∩ alpha*U_j) at every shift
-    alpha.  A full intersection is a collision for i < j and a stabilizer
-    element for i = j; any other shift gives distance 2k - 2 dim.
+    Points a, c of U_i and b, d of U_j lie together in U_i ∩ alpha*U_j
+    exactly when c/a ≡ d/b.  So only a pair sharing an internal ratio
+    canon(c * a^-1), a != c (a self pair: repeating one), meets a shift in
+    two points or more; its ``shift_dims`` histogram gives every dimension.
+    Any other pair meets its shifts in at most one point, and in one at some.
     """
     k = common_dim(generators)
+    n = len(generators)
+    if k == 1:  # every two points are shifts of each other
+        return 2, list(itertools.combinations(range(n), 2)), 0, 0
     tower = generators[0].tower
     points = (tower.q ** k - 1) // (tower.q - 1)
-    pairs = len(generators) * (len(generators) + 1) // 2
-    differences = pairs * points * points
-    if differences > budget:
-        raise Infeasible(f"{pairs} pairs x {points}^2 log differences exceeds budget {budget}")
-    logs = [_projective_logs(g) for g in generators]
-    best = 2 * k
+    ratios = n * points * (points - 1)
+    if ratios > budget:
+        raise Infeasible(f"{ratios} point ratios exceeds budget {budget}")
+    reps = [g.projective_reps() for g in generators]
+    flat = batch_inverse(tower.top, [a for pts in reps for a in pts])
+    inverses = [flat[i * points:(i + 1) * points] for i in range(n)]
+    mul, canon = tower.top.mul, tower.canon_projective
+    owner: dict[int, int] = {}
+    repeats: dict[int, list[int]] = {}  # ratio -> every owner, ascending
+    for i, pts in enumerate(reps):
+        for a, inv_a in zip(pts, inverses[i]):
+            for c in pts:
+                if c != a:
+                    key = canon(mul(c, inv_a))
+                    if key in owner:
+                        repeats.setdefault(key, [owner[key]]).append(i)
+                    else:
+                        owner[key] = i
+    shared = sorted({pair for ids in repeats.values() for pair in itertools.combinations(ids, 2)})
+    if ratios + len(shared) * points ** 2 > budget:
+        raise Infeasible(f"{ratios} point ratios + {len(shared)} shared pairs x {points}^2 "
+                         f"exceeds budget {budget}")
+    best = 2 * k - 2 if len(shared) < n * (n + 1) // 2 else 2 * k
     collisions = []
-    for i, j in itertools.combinations_with_replacement(range(len(generators)), 2):
-        dims = _shift_dims(tower, logs[i], logs[j], k).values()
+    for i, j in shared:
+        dims = shift_dims(generators[i], generators[j], inverses[j]).values()
         if i < j and k in dims:
             collisions.append((i, j))
         best = min(best, 2 * k - 2 * max((d for d in dims if d < k), default=0))
-    return best, collisions, differences
+    return best, collisions, ratios, len(shared)
 
 
 # -- map kernels ----------------------------------------------------------------

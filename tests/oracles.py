@@ -4,10 +4,13 @@ as differential oracles for the tests.
 ``rank_scan`` and ``gcd_scan`` find the minimum distance and the orbit
 collisions of a union by brute force: one intersection dimension per
 generator pair and per projective shift, from a rank of stacked bases or
-from the degree of an ordinary-polynomial gcd.  ``cross_pair_ok`` is the
-paper's cross-product test of one generator pair, the pairwise half of its
-certificate, and ``sidon_by_products`` is its Sidon test of one generator
-by the same product scan, the check of the package's max-span certificate.
+from the degree of an ordinary-polynomial gcd.  ``histogram_scan`` finds
+them from the point-ratio histogram of every generator pair, the check of
+the package's filter to the pairs that share an internal ratio.
+``cross_pair_ok`` is the paper's cross-product test of one generator pair,
+the pairwise half of its certificate, and ``sidon_by_products`` is its Sidon
+test of one generator by the same product scan, the check of the package's
+max-span certificate.
 ``field_matrix_rank_division_free`` ranks a matrix over a field
 without inverses.
 
@@ -16,9 +19,10 @@ list every vector of a span, or every vector of GF(q)^m, instead of
 eliminating: they check the package's elimination kernels at small sizes.
 
 ``shifted_intersection_dim`` is dim(U ∩ alpha*V) from one rank, and
-``shift_intersection_dims`` reads it at every shift from the package's own
-log-difference histogram.  ``subspace_polynomial``, ``intersection_dim_via_gcd``
-and ``find_splitting_N`` are the paper's polynomial view of a subspace: its
+``shift_intersection_dims`` reads it at every shift from the histogram of
+the point ratios canon(a * b^-1), with one plain inversion per point.
+``subspace_polynomial``, ``intersection_dim_via_gcd`` and
+``find_splitting_N`` are the paper's polynomial view of a subspace: its
 annihilating q-polynomial, the gcd step of ``gcd_scan``, and the smallest
 field that splits a q-polynomial.  ``element_order`` is the multiplicative
 order by factoring the group order.  ``common_bound_4k`` is the paper's
@@ -35,6 +39,8 @@ package's scan at one shift per Frobenius orbit.
 codeword, the check of the channel simulator's orbit-index decoder.
 """
 
+from collections import Counter
+
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import subspace_linalg as sl
 from cyclic_cdc.field_tower import build_tower, factorize
@@ -49,10 +55,30 @@ def shifted_intersection_dim(u, v, alpha):
 
 
 def shift_intersection_dims(u, v):
-    """{c: dim(U ∩ g^c V)} for every residue c mod (q^m - 1)/(q - 1) at which
-    it is nonzero, g the top field's primitive element."""
-    logs_u, logs_v = sl._projective_logs(u), sl._projective_logs(v)
-    return sl._shift_dims(u.tower, logs_u, logs_v, min(u.dim, v.dim))
+    """{canon(alpha): dim(U ∩ alpha*V)} for every shift alpha at which it is
+    nonzero: the points a of U and b of V with canon(a * b^-1) = canon(alpha)
+    are one per point of U ∩ alpha*V."""
+    tower = u.tower
+    top, q = tower.top, tower.q
+    hist = Counter(tower.canon_projective(top.mul(a, top.inv(b)))
+                   for a in u.projective_reps() for b in v.projective_reps())
+    dim_of = {(q ** d - 1) // (q - 1): d for d in range(1, min(u.dim, v.dim) + 1)}
+    return {alpha: dim_of[h] for alpha, h in hist.items()}
+
+
+def histogram_scan(generators):
+    """(distance, collisions) of the union of the generators' orbits, by one
+    point-ratio histogram per pair i <= j."""
+    k = generators[0].dim
+    best = 2 * k
+    collisions = []
+    for i in range(len(generators)):
+        for j in range(i, len(generators)):
+            dims = shift_intersection_dims(generators[i], generators[j]).values()
+            if i < j and k in dims:
+                collisions.append((i, j))
+            best = min(best, 2 * k - 2 * max((d for d in dims if d < k), default=0))
+    return best, collisions
 
 
 def decode_by_scan(received, codebook):

@@ -108,6 +108,26 @@ def test_a03_odd_formula_q3_k3_and_sidon_family():
     )
 
 
+def test_a03b_odd_q3_k3_exact_verify():
+    """(3,3,15): exact verify under the default budget, 4108 full orbits."""
+    tower = build_tower(3, 1, 3, 5)
+    gens = [sc.make_subspace(p, tower) for p in sc.enumerate_family(tower)]
+    code = oc.build_union(tower, gens)
+    rep = oc.verify_code(code)
+    _report(
+        "odd tower (3,3,15): exact size and distance",
+        len(gens) == 4108
+        and rep["orbit_sizes_distinct"] == [(3 ** 15 - 1) // 2]
+        and rep["verified_size"] == "29472652924" == str(code.claimed_size)
+        and rep["verified_min_distance"] == 4
+        and rep["orbit_collisions"] == []
+        and rep["ok"],
+        f"{len(gens)} orbits of {rep['orbit_sizes_distinct']}, size {rep['verified_size']}, "
+        f"distance {rep['verified_min_distance']}, {rep['counters']['point_ratios']} point "
+        f"ratios and {rep['counters']['shared_pairs']} shared pairs in {rep['time_exact_scan']}s",
+    )
+
+
 def test_a04_even_formula_q5_k3():
     """(5,3,48): closed form identity, rate 0.506, beats the known size."""
     size = oc.construction_size(5, 3, 8, "even")

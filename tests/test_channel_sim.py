@@ -13,7 +13,7 @@ from cyclic_cdc import channel_sim as ch
 from cyclic_cdc import orbit_codes as oc
 from cyclic_cdc import subspace_linalg as sl
 from cyclic_cdc.errors import DecodingFailure, InfeasibleNoise
-from cyclic_cdc.field_tower import build_tower
+from cyclic_cdc.field_tower import batch_inverse, build_tower
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +30,12 @@ def subfield_codebook(subfield_code):
     return book
 
 
+def _inverses(generators):
+    return [batch_inverse(g.tower.top, g.projective_reps()) for g in generators]
+
+
 def _decode(received, generators, codebook):
-    logs = [sl._projective_logs(g) for g in generators]
-    return ch.md_decode(received, generators, logs, codebook)
+    return ch.md_decode(received, generators, _inverses(generators), codebook)
 
 
 def test_noiseless_transmission_is_identity(subfield_codebook):
@@ -72,7 +75,7 @@ def test_decode_identity_and_ties(subfield_code, subfield_codebook):
 
 def test_decode_of_the_zero_space_is_the_first_word(subfield_code, subfield_codebook):
     # rho = k erasures leave R = {0}, at distance k from every word: the
-    # scan keeps index 0, and the decoder takes it without a log difference
+    # scan keeps index 0, and the decoder takes it without a point ratio
     zero = ch.transmit(subfield_codebook[5], ch.ChannelConfig(2, 0, 1, 0), random.Random(0))
     assert zero.dim == 0
     assert decode_by_scan(zero, subfield_codebook) == 0
@@ -150,7 +153,7 @@ def test_orbit_decoder_matches_scan_trial_by_trial(q, subfield_linear, data):
     gens = data.draw(orbit_generators(q, subfield_linear))
     code = oc.build_union(gens[0].tower, gens)
     book = ch.materialize_codebook(code)
-    logs = [sl._projective_logs(g) for g in gens]
+    inverses = _inverses(gens)
     k, m = gens[0].dim, code.tower.m
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     for rho in range(k + 1):
@@ -160,6 +163,6 @@ def test_orbit_decoder_matches_scan_trial_by_trial(q, subfield_linear, data):
             for _ in range(cfg.trials):
                 sent = rng.randrange(len(book))
                 received = ch.transmit(book[sent], cfg, rng)
-                decoded, taken = ch.md_decode(received, gens, logs, book)
+                decoded, taken = ch.md_decode(received, gens, inverses, book)
                 assert decoded == book[decode_by_scan(received, book)], (rho, t)
                 assert (taken == 0) == (received.dim == 0)

@@ -102,15 +102,19 @@ def test_verify_budget_infeasible(even_code_file, tmp_path):
 
 
 def test_verify_criterion_budget_infeasible(tmp_path):
-    # the exact distance of the odd (2,2,10) code examines 561 pairs i <= j
-    # x 3^2 log differences: one less is over budget, exactly that is not
+    # the exact distance of the odd (2,2,10) code examines 33 generators x
+    # 3 x 2 point ratios and shares none: one less is over budget, exactly
+    # that is not
     code_path = tmp_path / "odd2210.json"
     assert run(["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "odd",
                 "--out", code_path]) == cli.EXIT_OK
     assert run(["verify", "--code", code_path, "--mode", "exact",
-                "--budget", 561 * 9 - 1, "--out", tmp_path / "over.json"]) == cli.EXIT_INFEASIBLE
+                "--budget", 33 * 3 * 2 - 1, "--out", tmp_path / "over.json"]) == cli.EXIT_INFEASIBLE
     assert run(["verify", "--code", code_path, "--mode", "exact",
-                "--budget", 561 * 9, "--out", tmp_path / "ok.json"]) == cli.EXIT_OK
+                "--budget", 33 * 3 * 2, "--out", tmp_path / "ok.json"]) == cli.EXIT_OK
+    manifest = json.loads(Path(str(tmp_path / "ok.json") + ".manifest.json").read_text())
+    assert manifest["counters"] == {"pairs": 561, "point_ratios": 198, "shared_pairs": 0,
+                                    "budget": 198}
 
 
 @pytest.mark.parametrize("command", ["verify", "sidon-check", "simulate"])
@@ -224,6 +228,21 @@ def test_poly_command_passes(tmp_path):
     assert counters["rank_matrices"] == len(orbits) * 9 == 21078
 
 
+@pytest.mark.parametrize("n", [16, 18])
+def test_poly_short_kernel_exits_before_the_rank_scan(n, monkeypatch, capsys):
+    # the family's kernels are {0} in GF(2^16) and GF(2^18): poly must say so
+    # before it ranks a single matrix (GF(2^18) has no log tables, so that
+    # scan would take minutes)
+    from cyclic_cdc import linearized_poly as lp
+
+    def no_scan(*args):
+        raise AssertionError("rank scan before the kernel check")
+
+    monkeypatch.setattr(lp, "_rank_verdict", no_scan)
+    assert run(["poly", "--file", DATA, "--N", n]) == cli.EXIT_INPUT
+    assert "BadSupport: kernel dimension 0" in capsys.readouterr().err
+
+
 def test_poly_command_rank_failure(tmp_path):
     bad = {
         "q": 2, "coeff_field_degree": 2, "k": 3, "s": 1,
@@ -287,10 +306,10 @@ def test_simulate_command(even_code_file, tmp_path):
     rep = json.loads(out.read_text())
     assert rep["successes"] == 40 and rep["guarantee_active"] is True
     # each noiseless R is a full-orbit line: 3 points x 4 generators x 3
-    # points of log differences, and one maximising shift, per trial
+    # points of point ratios, and one maximising shift, per trial
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert set(manifest["timings"]) == {"time_codebook", "time_trials"}
-    assert manifest["counters"] == {"log_differences": 40 * 36, "decode_candidates": 40}
+    assert manifest["counters"] == {"point_ratios": 40 * 36, "decode_candidates": 40}
     assert "counters" not in rep and not any(key.startswith("time_") for key in rep)
 
 
@@ -333,14 +352,15 @@ def test_manifest_reproducibility(even_code_file, tmp_path):
         assert a["result_digest"] == b["result_digest"], command
         assert a["tool_version"] == b["tool_version"]
         assert a["counters"] == b["counters"]
-    # 4 generators: 10 pairs i <= j of 3-point projective lines, 9 differences each
+    # 4 generators of 3-point projective lines, 3 x 2 internal ratios each,
+    # none of them shared: the 10 pairs i <= j need no histogram
     verify = json.loads((tmp_path / "verify.a.json.manifest.json").read_text())
     assert set(verify["timings"]) == {"time_orbit_sizes", "time_exact_scan"}
-    assert verify["counters"] == {"pairs": 10, "differences": 90,
+    assert verify["counters"] == {"pairs": 10, "point_ratios": 24, "shared_pairs": 0,
                                   "budget": cli.oc.DEFAULT_SCAN_BUDGET}
     # 10 trials with one erasure: each R is one point, against 4 x 3 points,
     # and lies on 12 of the lines
     simulate = json.loads((tmp_path / "simulate.a.json.manifest.json").read_text())
     assert set(simulate["timings"]) == {"time_codebook", "time_trials"}
-    assert simulate["counters"]["log_differences"] == 10 * 12
+    assert simulate["counters"]["point_ratios"] == 10 * 12
     assert simulate["counters"]["decode_candidates"] == 10 * 12  # 12 lines per point

@@ -1,12 +1,13 @@
-"""Differential tests of the projective log-difference distance against the
-brute-force rank and gcd scans of ``oracles.py``, and of the orbit size against
-listing the orbit, over q in {2, 3, 4}."""
+"""Differential tests of the point-ratio distance against the every-pair
+histogram and the brute-force rank and gcd scans of ``oracles.py``, and of the
+orbit size against listing the orbit, over q in {2, 3, 4}."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     gcd_scan,
+    histogram_scan,
     rank_scan,
     shift_intersection_dims,
     shifted_intersection_dim,
@@ -19,18 +20,29 @@ from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
 from cyclic_cdc.errors import DimensionMismatch, Infeasible
-from cyclic_cdc.field_tower import LOG_TABLE_LIMIT, build_tower
+from cyclic_cdc.field_tower import LOG_TABLE_LIMIT, batch_inverse, build_tower
 
 BUDGET = 1 << 26
 
 
+def _shift_dims(u, v):
+    return sl.shift_dims(u, v, batch_inverse(v.tower.top, v.projective_reps()))
+
+
 def _check_shift_dims(u, v):
-    top = u.tower.top
-    n = (top.order - 1) // (u.tower.q - 1)
-    dims = shift_intersection_dims(u, v)
+    dims = _shift_dims(u, v)
+    assert dims == shift_intersection_dims(u, v)
     for alpha in u.tower.projective_reps("top"):
-        got = dims.get(top.discrete_log(alpha) % n, 0)
-        assert got == shifted_intersection_dim(u, v, alpha), alpha
+        assert dims.get(alpha, 0) == shifted_intersection_dim(u, v, alpha), alpha
+
+
+def _shared_pairs(gens):
+    """Pairs i <= j with a shift of dimension >= 2, the identity of a self
+    pair aside: by the oracle histogram."""
+    return sum(
+        any(d >= 2 and (i != j or alpha != 1)
+            for alpha, d in shift_intersection_dims(gens[i], gens[j]).items())
+        for i in range(len(gens)) for j in range(i, len(gens)))
 
 
 KINDS = pytest.mark.parametrize(
@@ -44,20 +56,87 @@ KINDS = pytest.mark.parametrize(
 def test_union_distance_matches_rank_scan(q, subfield_linear, data):
     gens = data.draw(orbit_generators(q, subfield_linear))
     tw, k = gens[0].tower, gens[0].dim
-    distance, collisions, differences = sl.union_distance(gens, BUDGET)
-    assert (distance, collisions) == rank_scan(gens)
+    distance, collisions, ratios, shared = sl.union_distance(gens, BUDGET)
+    assert (distance, collisions) == rank_scan(gens) == histogram_scan(gens)
     points = (tw.q ** k - 1) // (tw.q - 1)
-    assert differences == len(gens) * (len(gens) + 1) // 2 * points ** 2
+    assert ratios == len(gens) * points * (points - 1)
+    # the filter keeps exactly the pairs that meet some shift in a line
+    assert shared == (_shared_pairs(gens) if k > 1 else 0)
     _check_shift_dims(gens[0], gens[-1])
 
 
 def test_union_distance_matches_rank_scan_on_even_2_2_8(even_code_2_2_8):
     gens = list(even_code_2_2_8.generators)
-    assert sl.union_distance(gens, BUDGET)[:2] == rank_scan(gens) == (2, [])
+    assert sl.union_distance(gens, BUDGET) == (2, [], 4 * 3 * 2, 0)
+    assert rank_scan(gens) == histogram_scan(gens) == (2, [])
     with_copy = gens + [sl.cyclic_shift(gens[2], 77)]
-    assert sl.union_distance(with_copy, BUDGET)[:2] == rank_scan(with_copy) == (2, [(2, 4)])
+    assert sl.union_distance(with_copy, BUDGET) == (2, [(2, 4)], 5 * 3 * 2, 1)
+    assert rank_scan(with_copy) == histogram_scan(with_copy) == (2, [(2, 4)])
     with pytest.raises(Infeasible):
-        sl.union_distance(gens, 10 * 9 - 1)
+        sl.union_distance(gens, 4 * 3 * 2 - 1)
+
+
+# -- one seeded case per branch of union_distance ----------------------------------
+
+def _all_routes(gens):
+    """union_distance, checked against both oracles; returns its 4-tuple."""
+    got = sl.union_distance(gens, BUDGET)
+    assert got[:2] == rank_scan(gens) == histogram_scan(gens)
+    return got
+
+
+def test_union_distance_of_points():
+    # k = 1: no internal ratios, and every two points are shifts of each other
+    tw = build_tower(*TOWERS[3])
+    points = [sl.span(tw, [x]) for x in (1, 5, 17)]
+    assert _all_routes(points) == (2, [(0, 1), (0, 2), (1, 2)], 0, 0)
+    assert _all_routes(points[:1]) == (2, [], 0, 0)
+
+
+def test_union_distance_from_a_pair_that_shares_no_ratio():
+    # GF(4) in GF(2^6) repeats each of its ratios 3 times (its stabilizer is
+    # GF(4)*), so its self pair is the one shared pair, and every non-identity
+    # shift of it meets it in 0 or 2 dimensions; the distance 2 comes from the
+    # unshared pairs with the line span(1, 4), each at depth 1
+    tw = build_tower(*TOWERS[2])
+    gf4, line = sl.span(tw, [1, 2]), sl.span(tw, [1, 4])
+    assert sl.linearity_field(gf4) == 2 and sl.linearity_field(line) == 1
+    assert set(_shift_dims(gf4, gf4).values()) == {2}
+    assert _all_routes([gf4]) == (4, [], 6, 1)
+    assert _all_routes([gf4, line]) == (2, [], 12, 1)
+
+
+def test_union_distance_of_a_shared_pair_meeting_in_a_plane():
+    # two 3-spaces of GF(2^6) through the plane GF(4) = span(1, 2): the shift
+    # 1 meets in 2 dimensions, so the pair shares ratios and sets distance
+    # 6 - 4 = 2; each self pair is shared too, as the shifts by GF(4)* keep
+    # the plane
+    tw = build_tower(*TOWERS[2])
+    u, v = sl.span(tw, [1, 2, 8]), sl.span(tw, [1, 2, 16])
+    assert _shift_dims(u, v)[1] == 2 and _shift_dims(u, u)[2] == 2
+    assert _all_routes([u, v]) == (2, [], 2 * 7 * 6, 3)
+
+
+def test_union_distance_of_a_ratio_repeated_inside_one_generator():
+    # GF(9) in GF(3^4): its 4 points give 12 ordered ratios, each of the 3
+    # non-identity points of the projective line GF(9)*/GF(3)* 4 times
+    tw = build_tower(*TOWERS[3])
+    gf9 = sl.span(tw, [1, 3])
+    assert sl.linearity_field(gf9) == 2
+    assert _all_routes([gf9]) == (4, [], 12, 1)
+
+
+def test_union_distance_budget_checks_ratios_then_histograms(even_code_2_2_8):
+    # a shifted copy of generator 2 shares its ratios: 5 x 3 x 2 = 30 ratios,
+    # then one shared pair of 3^2 point pairs
+    gens = list(even_code_2_2_8.generators)
+    gens.append(sl.cyclic_shift(gens[2], 77))
+    with pytest.raises(Infeasible, match="point ratios exceeds"):
+        sl.union_distance(gens, 29)
+    for budget in (30, 30 + 9 - 1):
+        with pytest.raises(Infeasible, match="shared pairs"):
+            sl.union_distance(gens, budget)
+    assert sl.union_distance(gens, 30 + 9) == (2, [(2, 4)], 30, 1)
 
 
 def test_union_distance_rejects_empty_mixed_and_zero_dimensional_lists():
@@ -128,23 +207,16 @@ def gf3_15_shift_dims():
     assert tw.top.order > LOG_TABLE_LIMIT
     params = sc.enumerate_family(tw)
     u, v = (sc.make_subspace(next(params), tw) for _ in range(2))
-    dims = {(a, b): shift_intersection_dims(a, b) for a, b in ((u, u), (u, v))}
+    dims = {(a, b): _shift_dims(a, b) for a, b in ((u, u), (u, v))}
     return tw.top.primitive, dims
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.integers(1, 3 ** 15 - 1))
-def test_discrete_log_above_table_limit(gf3_15_shift_dims, x):
-    g, _ = gf3_15_shift_dims
-    top = build_tower(3, 1, 3, 5).top
-    assert top.pow(g, top.discrete_log(x)) == x
-
-
 def test_shift_dims_above_table_limit(gf3_15_shift_dims):
-    g, dims_by_pair = gf3_15_shift_dims
+    _, dims_by_pair = gf3_15_shift_dims
     for (a, b), dims in dims_by_pair.items():
-        for c, d in dims.items():
-            assert shifted_intersection_dim(a, b, a.tower.top.pow(g, c)) == d
+        assert len(dims) == 13 * 13 - (12 if a is b else 0)  # Sidon: single points
+        for alpha, d in dims.items():
+            assert shifted_intersection_dim(a, b, alpha) == d
 
 
 @settings(max_examples=20, deadline=None)
@@ -152,4 +224,5 @@ def test_shift_dims_above_table_limit(gf3_15_shift_dims):
 def test_sampled_shift_dims_above_table_limit(gf3_15_shift_dims, c):
     g, dims_by_pair = gf3_15_shift_dims
     for (a, b), dims in dims_by_pair.items():
-        assert dims.get(c, 0) == shifted_intersection_dim(a, b, a.tower.top.pow(g, c))
+        alpha = a.tower.canon_projective(a.tower.top.pow(g, c))
+        assert dims.get(alpha, 0) == shifted_intersection_dim(a, b, alpha)

@@ -10,6 +10,7 @@ from cyclic_cdc.errors import (
     NotPrime,
 )
 from cyclic_cdc.field_tower import (
+    batch_inverse,
     build_tower,
     enc_from_nested,
     nested_from_enc,
@@ -202,6 +203,18 @@ def test_first_primitive_matches_order_scan():
     assert element_order(tw.top, g) == tw.top.order - 1
 
 
+@pytest.mark.parametrize("spec", TOWERS)
+def test_batch_inverse_matches_inv(spec):
+    # GF(3^15) inverts by powering, the other top fields by table lookups
+    top = build_tower(*spec).top
+    rng = random.Random(7)
+    xs = [rng.randrange(1, top.order) for _ in range(20)] + [1, top.order - 1]
+    assert batch_inverse(top, xs) == [top.inv(x) for x in xs]
+    assert batch_inverse(top, []) == []
+    with pytest.raises(DivisionByZero):
+        batch_inverse(top, xs[:3] + [0] + xs[3:])
+
+
 def test_primitive_is_searched_once(monkeypatch):
     from cyclic_cdc import field_tower as ft
 
@@ -213,9 +226,8 @@ def test_primitive_is_searched_once(monkeypatch):
     assert calls == []
     assert F.primitive == 30
     assert calls == [F.order - 1]
-    # the second read and the baby-step table of discrete_log reuse it
+    # the second read reuses it
     assert F.primitive == 30
-    assert F.discrete_log(30) == 1
     assert calls == [F.order - 1]
     assert element_order(F, 30) == F.order - 1
 

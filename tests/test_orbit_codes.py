@@ -89,12 +89,15 @@ def test_exact_distance_even(even_code_2_2_8):
 
 
 def test_exact_scan_budget():
-    # one pair of 3-point projective planes: 9 log differences
+    # GF(4) in GF(2^10): 3 x 2 point ratios, each repeated (the stabilizer
+    # is GF(4)*), so the self pair is shared and its histogram takes 3^2
     tw = build_tower(2, 1, 2, 5)
     code = oc.build_union(tw, [sl.span(tw, range(1, 4))])
     with pytest.raises(Infeasible):
-        oc.verify_code(code, budget=8)
-    assert oc.verify_code(code, budget=9)["verified_min_distance"] == 4
+        oc.verify_code(code, budget=6 + 9 - 1)
+    rep = oc.verify_code(code, budget=6 + 9)
+    assert rep["verified_min_distance"] == 4
+    assert rep["counters"] == {"pairs": 1, "point_ratios": 6, "shared_pairs": 1, "budget": 15}
 
 
 def test_verify_code_report(even_code_2_2_8):
