@@ -102,7 +102,7 @@ def cmd_sidon_check(args) -> int:
     with open(args.code) as fh:
         code = oc.code_from_json(json.load(fh))
     t1 = time.perf_counter()
-    counts = Counter(certified=0, scanned=0, products=0)
+    counts = Counter(certified=0, scanned=0, products=0, point_ratios=0)
     failures = [i for i, g in enumerate(code.generators) if not sc.is_sidon(g, counts=counts)]
     result = {
         "n_generators": len(code.generators),

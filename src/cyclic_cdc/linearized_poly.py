@@ -8,14 +8,17 @@ pairs; coefficients are encodings valid in the tower's top field (elements of
 the middle field embed with unchanged encodings, so middle-level coefficients
 can be used directly).
 
-The rank-matrix criterion is checked at one shift per orbit of a Frobenius
-map that fixes the family's coefficients, on which the rank is constant; a
-failure's witness is still the smallest failing shift (``_rank_verdict``).
+Both union-distance criteria share one family check (``_check_family``) and
+one skeleton (``_criteria``): the rank-matrix condition, ranked at one shift
+per orbit of a Frobenius map fixing the family's coefficients (the rank is
+constant there; a failure's witness is still the smallest failing shift),
+then each criterion's own coefficient condition on every unordered pair.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -161,6 +164,21 @@ def validate_support(P: LinearizedPolynomial, s: int) -> None:
             raise BadSupport(f"coefficient at exponent {e} must be nonzero")
 
 
+def _check_family(polys: list[LinearizedPolynomial], s: int) -> int:
+    """The q-degree k of a nonempty family whose supports all pass
+    ``validate_support``, with k > 2 and 1 <= s < k - 1 shared by every member."""
+    if not polys:
+        raise InvalidParams("the family has no polynomials")
+    k = polys[0].q_degree
+    if not (k > 2 and 1 <= s < k - 1):
+        raise BadSupport("need k > 2 and 1 <= s < k - 1")
+    for P in polys:
+        validate_support(P, s)
+        if P.q_degree != k:
+            raise BadSupport("polynomials must share the q-degree")
+    return k
+
+
 @dataclass(frozen=True)
 class RankMatrix:
     """The (k+1) x (k-s+1) matrix whose full column rank at every admissible
@@ -190,16 +208,10 @@ def build_rank_matrix(
     r_t = gamma_(t,i) - gamma_(t,j) * alpha^(q^k - q^t) on a descending
     diagonal band; the last column is the coefficient vector of Pi by
     descending q-degree."""
-    validate_support(Pi, s)
-    validate_support(Pj, s)
+    k = _check_family([Pi, Pj], s)
     if alpha == 0:
         raise ZeroShift("alpha must be nonzero")
-    tower = Pi.tower
-    top = tower.top
-    q = tower.q
-    k = Pi.q_degree
-    if Pj.q_degree != k:
-        raise BadSupport("polynomials must share the q-degree")
+    top, q = Pi.tower.top, Pi.tower.q
     r = [
         top.sub_(Pi.coeff(t), top.mul(Pj.coeff(t), top.pow(alpha, q ** k - q ** t)))
         for t in range(s + 2)
@@ -245,15 +257,6 @@ def _admissible_alphas(tower: FieldTower, k: int, s: int) -> tuple[int, ...]:
     top = tower.top
     e1, e2 = tower.q ** math.gcd(k - s - 1, tower.m), tower.q ** math.gcd(k, tower.m)
     return tuple(a for a in range(1, top.order) if top.pow(a, e1) != a and top.pow(a, e2) != a)
-
-
-def _rank_condition(polys: list[LinearizedPolynomial], s: int, budget: int) -> tuple:
-    """Condition (1): the budget is checked per call, the scan once per family.
-    Returns ``_rank_verdict``'s tuple, then the number of admissible alphas."""
-    n_alphas = len(_admissible_alphas(polys[0].tower, polys[0].q_degree, s))
-    if n_alphas * len(polys) ** 2 > budget:
-        raise Infeasible("rank scan exceeds budget")
-    return (*_rank_verdict(tuple(polys), s), n_alphas)
 
 
 @functools.lru_cache(maxsize=1)
@@ -305,6 +308,20 @@ def _rank_verdict(
     return True, None, ranked, orbits, d
 
 
+def _criteria(polys: list[LinearizedPolynomial], s: int, budget: int, separated) -> CriteriaVerdict:
+    """Both criteria: the family check, condition (1) from ``_rank_verdict``
+    (the budget is checked per call, the scan runs once per family), and
+    condition (2) as ``separated(Pi, Pj)`` on every unordered pair i < j."""
+    k = _check_family(polys, s)
+    n_alphas = len(_admissible_alphas(polys[0].tower, k, s))
+    if n_alphas * len(polys) ** 2 > budget:
+        raise Infeasible("rank scan exceeds budget")
+    rank_ok, witness, *work = _rank_verdict(tuple(polys), s)
+    failures = [(i, j) for (i, Pi), (j, Pj) in itertools.combinations(enumerate(polys), 2)
+                if not separated(Pi, Pj)]
+    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas, *work)
+
+
 def check_union_distance_criteria(
     polys: list[LinearizedPolynomial], s: int, budget: int = DEFAULT_SCAN_BUDGET
 ) -> CriteriaVerdict:
@@ -317,41 +334,20 @@ def check_union_distance_criteria(
         the coefficient-field degree separates the twisted coefficient
         ratios (h is only eligible where both h-coefficients are nonzero).
     """
-    tower = polys[0].tower
-    k = polys[0].q_degree
-    if not (k > 2 and 1 <= s < k - 1):
-        raise BadSupport("need k > 2 and 1 <= s < k - 1")
-    for P in polys:
-        validate_support(P, s)
-        if P.q_degree != k:
-            raise BadSupport("polynomials must share the q-degree")
-    rank_ok, witness, *work, n_alphas = _rank_condition(polys, s, budget)
-
-    top = tower.top
-    q = tower.q
-    n_coeff = tower.k  # degree of the coefficient field over GF(q)
-    e_k = (q ** k - 1) // (q - 1)
-    failures = []
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            found = False
-            g0 = top.mul(polys[i].coeff(0), top.inv(polys[j].coeff(0)))
-            for h in range(1, s + 2):
-                if math.gcd(h, n_coeff) != 1:
-                    continue
-                chi, chj = polys[i].coeff(h), polys[j].coeff(h)
-                if chi == 0 or chj == 0:
-                    continue
-                e_h = (q ** h - 1) // (q - 1)
+    def separated(Pi: LinearizedPolynomial, Pj: LinearizedPolynomial) -> bool:
+        tower = Pi.tower
+        top, q = tower.top, tower.q
+        e_k = (q ** Pi.q_degree - 1) // (q - 1)
+        g0 = top.mul(Pi.coeff(0), top.inv(Pj.coeff(0)))
+        for h in range(1, s + 2):
+            chi, chj = Pi.coeff(h), Pj.coeff(h)
+            if math.gcd(h, tower.k) == 1 and chi and chj:  # tower.k: coefficient degree
                 gh = top.mul(chi, top.inv(chj))
-                lhs = top.pow(g0, e_h)
-                rhs = top.pow(top.mul(g0, top.inv(gh)), e_k)
-                if lhs != rhs:
-                    found = True
-                    break
-            if not found:
-                failures.append((i, j))
-    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas, *work)
+                if top.pow(g0, (q ** h - 1) // (q - 1)) != top.pow(top.mul(g0, top.inv(gh)), e_k):
+                    return True
+        return False
+
+    return _criteria(polys, s, budget, separated)
 
 
 def check_union_distance_criteria_gf2(
@@ -361,34 +357,17 @@ def check_union_distance_criteria_gf2(
     coefficients pairwise distinct, and some h coprime to the coefficient
     degree has the h-coefficient equal to the constant one in both
     polynomials"."""
-    tower = polys[0].tower
-    if tower.q != 2:
+    if polys and polys[0].tower.q != 2:
         raise WrongCharacteristic("this criterion requires q = 2")
-    k = polys[0].q_degree
-    if not (k > 2 and 1 <= s < k - 1):
-        raise BadSupport("need k > 2 and 1 <= s < k - 1")
-    for P in polys:
-        validate_support(P, s)
-    rank_ok, witness, *work, n_alphas = _rank_condition(polys, s, budget)
-    n_coeff = tower.k
-    mid_order = tower.mid.order
-    failures = []
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            g0i, g0j = polys[i].coeff(0), polys[j].coeff(0)
-            ok = g0i != g0j
-            if ok:
-                ok = any(
-                    math.gcd(h, n_coeff) == 1
-                    and polys[i].coeff(h) == g0i
-                    and polys[j].coeff(h) == g0j
-                    and 0 < g0i < mid_order
-                    and 0 < g0j < mid_order
-                    for h in range(1, s + 2)
-                )
-            if not ok:
-                failures.append((i, j))
-    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas, *work)
+
+    def separated(Pi: LinearizedPolynomial, Pj: LinearizedPolynomial) -> bool:
+        g0i, g0j = Pi.coeff(0), Pj.coeff(0)
+        mid_order = Pi.tower.mid.order
+        return g0i != g0j and 0 < g0i < mid_order and 0 < g0j < mid_order and any(
+            math.gcd(h, Pi.tower.k) == 1 and Pi.coeff(h) == g0i and Pj.coeff(h) == g0j
+            for h in range(1, s + 2))
+
+    return _criteria(polys, s, budget, separated)
 
 
 # -- exact distance and size of polynomial-kernel unions -------------------------
@@ -416,6 +395,8 @@ def poly_code_distance(
 ) -> PolyCodeReport:
     """Exact minimum distance and size of the union of kernel orbits, by
     ``union_distance`` on the kernels."""
+    if not polys:
+        raise InvalidParams("the family has no polynomials")
     k = polys[0].q_degree
     kernels = [kernel_subspace(P) for P in polys]
     for V in kernels:
@@ -460,9 +441,7 @@ def poly_family_from_json(obj: dict, N: int) -> tuple[FieldTower, list[Linearize
                 enc = tower.mid.pow(tower.xi, int(val))
             mapping[int(e)] = enc
         polys.append(linpoly(tower, mapping))
-    for P in polys:
-        validate_support(P, s)
-        if P.q_degree != k:
-            raise BadSupport("polynomial q-degree disagrees with the declared k")
+    if _check_family(polys, s) != k:
+        raise BadSupport("polynomial q-degree disagrees with the declared k")
     return tower, polys, k, s
 

@@ -35,7 +35,7 @@ from typing import Iterator
 
 from .errors import BadShape, GreedyFellShort, InvalidParams
 from .field_tower import FieldTower
-from .subspace_linalg import Subspace, rank_rows, span
+from .subspace_linalg import Subspace, rank_rows, span, union_distance
 
 U_ODD = "u-odd"
 V_ODD = "v-odd"
@@ -270,9 +270,13 @@ def is_sidon(u: Subspace, *, counts: Counter | None = None) -> bool:
 
     True at once when U is max-span (the module docstring's lemma, Roth,
     Raviv and Tamo 2018); the basis products are not formed when
-    k(k+1)/2 > m.  Any other U, every non-Sidon one included, takes the
-    scan of products of pairs of projective representatives.  ``counts``
-    gains 1 at "certified" or "scanned" and the products formed at "products".
+    k(k+1)/2 > m.  Any other U is Sidon exactly when no internal point ratio
+    repeats: ab = mu*cd with {a, b} != {c, d} is a/c = d/b up to scalars for
+    two distinct ordered pairs of distinct points, so ``union_distance`` of U
+    alone shares its self pair.  Its work, P(P-1) ratios plus P^2 for that
+    pair (P points), fits the budget 2P^2.  ``counts`` gains 1 at "certified"
+    or "scanned", the basis products at "products" and the ratios of a
+    scanned U at "point_ratios".
     """
     tally = Counter() if counts is None else counts
     rows, mul = u.rows, u.tower.top.mul
@@ -283,15 +287,7 @@ def is_sidon(u: Subspace, *, counts: Counter | None = None) -> bool:
             tally["certified"] += 1
             return True
     tally["scanned"] += 1
-    canon = u.tower.canon_projective
-    reps = u.projective_reps()
-    seen: set[int] = set()
-    for i, a in enumerate(reps):
-        for b in reps[i:]:
-            p = canon(mul(a, b))
-            if p in seen:
-                tally["products"] += len(seen) + 1
-                return False
-            seen.add(p)
-    tally["products"] += len(seen)
-    return True
+    points = (u.tower.q ** u.dim - 1) // (u.tower.q - 1)
+    _, _, ratios, shared = union_distance([u], 2 * points ** 2)
+    tally["point_ratios"] += ratios
+    return not shared

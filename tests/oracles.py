@@ -9,8 +9,9 @@ them from the point-ratio histogram of every generator pair, the check of
 the package's filter to the pairs that share an internal ratio.
 ``cross_pair_ok`` is the paper's cross-product test of one generator pair,
 the pairwise half of its certificate, and ``sidon_by_products`` is its Sidon
-test of one generator by the same product scan, the check of the package's
-max-span certificate.
+test of one generator by the same product scan, the check of both routes of
+the package's ``is_sidon``: the max-span certificate and the point-ratio
+filter that decides every other subspace.
 ``field_matrix_rank_division_free`` ranks a matrix over a field
 without inverses.
 

@@ -72,7 +72,7 @@ def test_verify_flags_corrupted_generator(even_code_file, tmp_path):
     out2 = tmp_path / "sidon.json"
     assert run(["sidon-check", "--code", bad, "--out", out2]) == cli.EXIT_MISMATCH
     assert json.loads(out2.read_text())["sidon_failures"] == [0]
-    # the subfield is not max-span, so it reaches the product scan
+    # the subfield is not max-span, so it reaches the point-ratio filter
     counters = json.loads(Path(f"{out2}.manifest.json").read_text())["counters"]
     assert counters["certified"] == 3 and counters["scanned"] == 1
 
@@ -92,7 +92,10 @@ def test_sidon_check_scans_generators_that_are_not_max_span(tmp_path):
     counters = manifest["counters"]
     assert result["all_sidon"] and result["n_generators"] == 3
     assert counters["certified"] + counters["scanned"] == result["n_generators"]
-    assert counters == {"certified": 0, "scanned": 3, "products": 3 * 40 * 41 // 2}
+    # 10 basis products exceed m = 8, so none is formed; each generator has
+    # 40 points and 40 * 39 ordered ratios
+    assert counters == {"certified": 0, "scanned": 3, "products": 0,
+                        "point_ratios": 3 * 40 * 39}
     assert "time_sidon" in manifest["timings"] and "time_sidon" not in result
 
 

@@ -21,6 +21,7 @@ from cyclic_cdc import subspace_linalg as sl
 from cyclic_cdc.errors import (
     BadSupport,
     Infeasible,
+    InvalidParams,
     WrongCharacteristic,
     ZeroShift,
 )
@@ -340,6 +341,29 @@ def test_support_validation():
         lp.validate_support(lp.linpoly(tw, {3: tw.xi, 2: 1, 1: 1, 0: 1}), 1)
     with pytest.raises(BadSupport):  # s outside [1, k-2]
         lp.check_union_distance_criteria([lp.linpoly(tw, {3: 1, 2: 1, 1: 1, 0: 1})], s=2)
+
+
+@pytest.mark.parametrize("check", [
+    lp.check_union_distance_criteria,
+    lp.check_union_distance_criteria_gf2,
+    lambda polys, s: lp.build_rank_matrix(*polys, 1, s),
+], ids=["criteria", "criteria_gf2", "build_rank_matrix"])
+def test_family_check_is_shared(check):
+    tw = build_tower(2, 1, 2, 4)
+    A = lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2})
+    B = lp.linpoly(tw, {4: 1, 2: 1, 1: 3, 0: 3})  # a valid support at s = 1, but k = 4
+    no_s = lp.linpoly(tw, {3: 1, 2: 1, 0: 1})  # zero coefficient at exponent s = 1
+    for polys, s in (([A, B], 1), ([B, A], 1), ([A, A], 0), ([A, A], 2), ([A, no_s], 1)):
+        with pytest.raises(BadSupport):
+            check(polys, s)
+
+
+def test_empty_family_is_invalid():
+    for check in (lp.check_union_distance_criteria, lp.check_union_distance_criteria_gf2):
+        with pytest.raises(InvalidParams):
+            check([], 1)
+    with pytest.raises(InvalidParams):
+        lp.poly_code_distance([])
 
 
 def test_subfield_orbit_distance():

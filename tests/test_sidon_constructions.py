@@ -171,6 +171,20 @@ def test_is_sidon_takes_both_routes():
     assert counts["certified"] > 0 and scanned_sidon > 0
 
 
+@pytest.mark.parametrize("spec", [(2, 1, 2, 4), (3, 1, 2, 3)])
+def test_is_sidon_rejects_a_subspace_that_is_not_max_span(spec):
+    # four seeded random elements of GF(2^8) or GF(3^6): 10 basis products
+    # exceed m, so the point-ratio filter decides, and a repeated ratio rejects
+    tw = build_tower(*spec)
+    rng = random.Random(12)
+    u = sl.span(tw, [rng.randrange(1, tw.top.order) for _ in range(4)])
+    points = (tw.q ** 4 - 1) // (tw.q - 1)
+    assert u.dim == 4 and not sidon_by_products(u)
+    counts = Counter()
+    assert not sc.is_sidon(u, counts=counts)
+    assert counts == {"scanned": 1, "point_ratios": points * (points - 1)}
+
+
 def test_is_sidon_counts_basis_products_only_when_certified(odd_code_2_2_10):
     counts = Counter()
     assert all(sc.is_sidon(g, counts=counts) for g in odd_code_2_2_10.generators)
