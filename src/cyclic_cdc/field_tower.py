@@ -30,6 +30,7 @@ import functools
 from typing import Iterator, Sequence, Union
 
 from .errors import (
+    BadShape,
     DivisionByZero,
     LevelMismatch,
     NotPrime,
@@ -581,8 +582,15 @@ def nested_from_enc(F: Field, enc: int):
 
 
 def enc_from_nested(F: Field, node) -> int:
+    """Inverse of ``nested_from_enc`` on input-file arrays: BadShape unless
+    each level lists its degree's coordinates and each digit is an integer
+    in range(p)."""
     if isinstance(F, PrimeField):
-        return int(node)
+        if type(node) is not int or not 0 <= node < F.order:
+            raise BadShape(f"coordinate {node!r} is not an integer in range({F.order})")
+        return node
+    if not isinstance(node, list) or len(node) != F.degree:
+        raise BadShape(f"{node!r} is not a list of {F.degree} coordinates over {F.sub!r}")
     return F.from_digits(enc_from_nested(F.sub, c) for c in node)
 
 
@@ -593,9 +601,18 @@ def build_tower(p: int, a: int, k: int, t: int) -> FieldTower:
     return FieldTower(p, a, k, t)
 
 
+def int_field(obj: dict, key: str) -> int:
+    """``obj[key]`` of an input file, which must be a JSON integer: a float
+    or a bool there raises BadShape rather than being truncated."""
+    value = obj[key]
+    if type(value) is not int:
+        raise BadShape(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def tower_from_spec(spec: dict) -> FieldTower:
     """Rebuild a tower from its spec dict, validating determinism."""
-    tw = build_tower(spec["p"], spec["a"], spec["k"], spec["t"])
+    tw = build_tower(*(int_field(spec, key) for key in ("p", "a", "k", "t")))
     if tw.spec_dict() != spec:
         raise ValueError("tower spec does not match deterministic construction")
     return tw

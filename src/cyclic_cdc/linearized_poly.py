@@ -31,7 +31,7 @@ from .errors import (
     WrongCharacteristic,
     ZeroShift,
 )
-from .field_tower import FieldTower, build_tower, enc_from_nested, poly_gcd, prime_power
+from .field_tower import FieldTower, build_tower, enc_from_nested, int_field, poly_gcd, prime_power
 from .orbit_codes import DEFAULT_SCAN_BUDGET
 from .subspace_linalg import (
     Subspace,
@@ -421,10 +421,7 @@ def poly_family_from_json(obj: dict, N: int) -> tuple[FieldTower, list[Linearize
     Elements are xi-exponents (integers) or coordinate vectors (nested
     arrays over the coefficient field, low degree first).
     """
-    q = int(obj["q"])
-    n_coeff = int(obj["coeff_field_degree"])
-    k = int(obj["k"])
-    s = int(obj["s"])
+    q, n_coeff, k, s = (int_field(obj, key) for key in ("q", "coeff_field_degree", "k", "s"))
     if N % n_coeff:
         raise BadSupport(f"N={N} is not a multiple of the coefficient degree {n_coeff}")
     if not obj["polys"]:
@@ -438,7 +435,7 @@ def poly_family_from_json(obj: dict, N: int) -> tuple[FieldTower, list[Linearize
             if isinstance(val, list):
                 enc = enc_from_nested(tower.mid, val)
             else:
-                enc = tower.mid.pow(tower.xi, int(val))
+                enc = tower.mid.pow(tower.xi, int_field(raw, e))
             mapping[int(e)] = enc
         polys.append(linpoly(tower, mapping))
     if _check_family(polys, s) != k:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InexactDivision, InvalidParams
-from .field_tower import FieldTower, prime_power, tower_from_spec
+from .field_tower import FieldTower, int_field, prime_power, tower_from_spec
 from .sidon_constructions import max_rep_index
 from .subspace_linalg import (
     Subspace,
@@ -55,11 +55,14 @@ def code_from_json(obj: dict) -> UnionCode:
     tower = tower_from_spec(obj["tower"])
     gens = tuple(subspace_from_json(tower, g) for g in obj["generators"])
     common_dim(gens)
+    size = obj["claimed_size"]  # to_json writes a decimal string
+    if not (type(size) is str and size.isdecimal()):
+        size = int_field(obj, "claimed_size")
     return UnionCode(
         tower=tower,
         generators=gens,
-        claimed_size=int(obj["claimed_size"]),
-        claimed_min_distance=int(obj["claimed_min_distance"]),
+        claimed_size=int(size),
+        claimed_min_distance=int_field(obj, "claimed_min_distance"),
         provenance=obj.get("provenance", ""),
     )
 

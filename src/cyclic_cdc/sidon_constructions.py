@@ -28,6 +28,7 @@ irreducible linear forms gives {a, b} = {c, d} up to GF(q)-scalars.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -36,13 +37,6 @@ from typing import Iterator
 from .errors import BadShape, GreedyFellShort, InvalidParams
 from .field_tower import FieldTower
 from .subspace_linalg import Subspace, rank_rows, span, union_distance
-
-U_ODD = "u-odd"
-V_ODD = "v-odd"
-U_EVEN = "u-even"
-V_EVEN = "v-even"
-FAMILIES = (U_ODD, V_ODD, U_EVEN, V_EVEN)
-
 
 @dataclass(frozen=True)
 class ConstructionParams:
@@ -100,15 +94,6 @@ def max_rep_index(r: int, parity: str) -> int:
     raise InvalidParams(f"unknown parity {parity!r}")
 
 
-def l_range(parity: str, r: int, rep: int) -> range:
-    """Admissible l values for a u-family at the given repetition index."""
-    if rep == 1:
-        return range(1, r + 1) if parity == "odd" else range(1, r)
-    lo = r // (rep + 1) + 1
-    hi = r // rep if parity == "odd" else -(-r // rep) - 1
-    return range(lo, hi + 1)
-
-
 def build_avoiding_set(tower: FieldTower) -> tuple[int, ...]:
     """Exponent set A with f0 * xi^i * xi^j != 1 for all i, j in A (i = j
     included), where f0 is the constant term of the top defining polynomial.
@@ -153,42 +138,47 @@ def avoiding_exponents(o1: int, forbidden: int, target: int) -> list[int]:
     return chosen
 
 
-def validate_params(params: ConstructionParams, tower: FieldTower) -> None:
-    """Raise InvalidParams naming the violated constraint."""
+@functools.lru_cache(maxsize=None)
+def _parameter_space(tower: FieldTower) -> tuple:
+    """The admissible parameter space of the tower, one row per (family, rep,
+    l): (family, rep, l, theta exponents, one exponent pool per delta
+    position), u-families first (rep ascending, then l), then v-families.
+
+    A u-family takes rep in [1, p0]; l runs from 1 at rep = 1, else from
+    floor(r/(rep+1)) + 1, up to floor(r/rep) (odd) or ceil(r/rep) - 1 (even).
+    A v-family has rep 1, no theta and its Frobenius slot l pinned to
+    exponent 0.  On even towers the last pool is the avoiding set.
+    """
     parity, r = tower_shape(tower)
-    fam = params.family
-    if fam not in FAMILIES:
-        raise InvalidParams(f"unknown family {fam!r}")
-    if (parity == "odd") != fam.endswith("odd"):
-        raise InvalidParams(f"family {fam} does not match tower parity {parity}")
-    if params.r != r:
-        raise InvalidParams(f"r={params.r} but tower has r={r}")
-    if len(params.delta_exps) != r:
-        raise InvalidParams(f"need {r} delta exponents, got {len(params.delta_exps)}")
-    o1 = tower.mid.order - 1
-    if not all(0 <= e < o1 for e in params.delta_exps):
-        raise InvalidParams("delta exponents must lie in [0, q^k - 2]")
-    if parity == "even":
-        pool = build_avoiding_set(tower)
-        if params.delta_exps[r - 1] not in pool:
-            raise InvalidParams("last delta exponent must come from the avoiding set")
-    if fam.startswith("v"):
-        if params.rep != 1:
-            raise InvalidParams("v-families have rep fixed at 1")
-        if params.theta_exp is not None:
-            raise InvalidParams("v-families take no theta")
-        hi = r if parity == "odd" else r - 1
-        if not 1 <= params.l <= hi:
-            raise InvalidParams(f"l={params.l} outside [1, {hi}]")
-        return
-    # u-families
-    if params.theta_exp is None or not 0 <= params.theta_exp <= tower.q - 2:
-        raise InvalidParams("theta exponent must lie in [0, q - 2]")
-    p0 = max_rep_index(r, parity)
-    if not 1 <= params.rep <= p0:
-        raise InvalidParams(f"rep={params.rep} outside [1, {p0}]")
-    if params.l not in l_range(parity, r, params.rep):
-        raise InvalidParams(f"l={params.l} outside the range for rep={params.rep}")
+    every = range(tower.mid.order - 1)
+    last = build_avoiding_set(tower) if parity == "even" else every
+    rows = []
+    for rep in range(1, max_rep_index(r, parity) + 1):
+        lo = 1 if rep == 1 else r // (rep + 1) + 1
+        hi = r // rep if parity == "odd" else -(-r // rep) - 1
+        for l in range(lo, hi + 1):
+            rows.append((f"u-{parity}", rep, l, range(tower.q - 1), (every,) * (r - 1) + (last,)))
+    for l in range(1, r + 1 if parity == "odd" else r):
+        pools = [every] * (r - 1) + [last]
+        pools[l - 1] = (0,)
+        rows.append((f"v-{parity}", 1, l, (None,), tuple(pools)))
+    return tuple(rows)
+
+
+def validate_params(params: ConstructionParams, tower: FieldTower) -> None:
+    """Raise InvalidParams unless ``enumerate_family`` yields the tuple,
+    naming the part that fails: family/r/rep/l, theta or the delta pools."""
+    key = (params.family, params.r, params.rep, params.l)
+    for family, rep, l, thetas, pools in _parameter_space(tower):
+        if (family, len(pools), rep, l) == key:
+            break
+    else:
+        raise InvalidParams(f"no admissible tuple has family/r/rep/l = {key} on {tower}")
+    if params.theta_exp not in thetas:
+        raise InvalidParams(f"theta exponent {params.theta_exp} outside {thetas} for {key}")
+    deltas = params.delta_exps
+    if len(deltas) != len(pools) or not all(e in pool for e, pool in zip(deltas, pools)):
+        raise InvalidParams(f"delta exponents {deltas} outside their pools for {key}")
 
 
 def make_subspace(params: ConstructionParams, tower: FieldTower) -> Subspace:
@@ -225,41 +215,14 @@ def make_subspace(params: ConstructionParams, tower: FieldTower) -> Subspace:
 def enumerate_family(tower: FieldTower) -> Iterator[ConstructionParams]:
     """Every admissible parameter tuple exactly once, deterministically.
 
-    u-families first (rep ascending, then l, theta, deltas in lexicographic
-    exponent order), then v-families.  Unused delta slots are pinned to
-    exponent 0 so distinct tuples always give distinct subspaces.
+    The rows of the parameter space in order, each with theta, then the
+    deltas in lexicographic exponent order.  Unused delta slots are pinned
+    to exponent 0 so distinct tuples always give distinct subspaces.
     """
-    parity, r = tower_shape(tower)
-    q = tower.q
-    o1 = tower.mid.order - 1
-    u_fam = U_ODD if parity == "odd" else U_EVEN
-    v_fam = V_ODD if parity == "odd" else V_EVEN
-    if parity == "even":
-        last_pool: tuple[int, ...] = build_avoiding_set(tower)
-    else:
-        last_pool = tuple(range(o1))
-    p0 = max_rep_index(r, parity)
-
-    def delta_tuples(skip: int | None):
-        ranges = []
-        for pos in range(1, r + 1):
-            if pos == skip:
-                ranges.append((0,))
-            elif pos == r:
-                ranges.append(last_pool)
-            else:
-                ranges.append(tuple(range(o1)))
-        return itertools.product(*ranges)
-
-    for rep in range(1, p0 + 1):
-        for l in l_range(parity, r, rep):
-            for theta_exp in range(q - 1):
-                for deltas in delta_tuples(None):
-                    yield ConstructionParams(u_fam, r, rep, l, deltas, theta_exp)
-    v_hi = r if parity == "odd" else r - 1
-    for l in range(1, v_hi + 1):
-        for deltas in delta_tuples(l):
-            yield ConstructionParams(v_fam, r, 1, l, deltas, None)
+    for family, rep, l, thetas, pools in _parameter_space(tower):
+        for theta_exp in thetas:
+            for deltas in itertools.product(*pools):
+                yield ConstructionParams(family, len(pools), rep, l, deltas, theta_exp)
 
 
 # -- Sidon test ----------------------------------------------------------------

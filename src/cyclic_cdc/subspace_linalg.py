@@ -43,7 +43,7 @@ from .errors import (
     Infeasible,
     ZeroShift,
 )
-from .field_tower import FieldTower, batch_inverse
+from .field_tower import FieldTower, batch_inverse, int_field
 
 
 # -- the two elimination kernels ------------------------------------------------
@@ -165,7 +165,7 @@ class Subspace:
 def subspace_from_json(tower: FieldTower, obj: dict) -> Subspace:
     """Load a subspace, enforcing that each basis row has m integer digits
     in range(q) and that the stored basis is the canonical RREF."""
-    if obj["ambient_dim"] != tower.m:
+    if int_field(obj, "ambient_dim") != tower.m:
         raise AmbientMismatch("ambient dimension does not match tower")
     for r in obj["basis"]:
         if len(r) != tower.m or not all(type(d) is int and 0 <= d < tower.q for d in r):
@@ -174,7 +174,7 @@ def subspace_from_json(tower: FieldTower, obj: dict) -> Subspace:
     canon = rref_rows(tower, rows)
     if canon != rows:
         raise BadShape("basis is not in canonical reduced row-echelon form")
-    if len(canon) != obj["dim"]:
+    if len(canon) != int_field(obj, "dim"):
         raise BadShape("stored dim disagrees with basis rank")
     return Subspace(tower, canon)
 

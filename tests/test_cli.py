@@ -158,15 +158,58 @@ def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, com
     (["bounds", "--q", 2, "--n", 8, "--k", 2, "--d", 3], cli.EXIT_INPUT, "InvalidParams"),
     (["bounds", "--q", 2, "--n", 1, "--k", 3, "--d", 2], cli.EXIT_INPUT, "InvalidParams"),
     (["table", "--q", 2, "--k", 2, "--r", 1, "--parity", "odd"], cli.EXIT_INPUT, "InvalidParams"),
-    (["poly", "--file", "EMPTY", "--N", 14], cli.EXIT_INPUT, "InvalidParams"),
+    (["poly", "--file", ("poly", "polys", []), "--N", 14], cli.EXIT_INPUT, "InvalidParams"),
     # beyond d = 2k a code holds one word: both bounds are 1
     (["bounds", "--q", 2, "--n", 8, "--k", 2, "--d", 8], cli.EXIT_OK, '"sphere_packing": "1"'),
+    # integer fields of input files take JSON integers only: a float or a
+    # bool is neither truncated nor read as 1
+    (["verify", "--code", ("code", "tower.p", 2.0)], cli.EXIT_INPUT, "BadShape: p must"),
+    (["verify", "--code", ("code", "claimed_min_distance", 2.9)], cli.EXIT_INPUT,
+     "BadShape: claimed_min_distance must"),
+    (["verify", "--code", ("code", "claimed_min_distance", True)], cli.EXIT_INPUT,
+     "BadShape: claimed_min_distance must"),
+    (["verify", "--code", ("code", "claimed_size", 1020.7)], cli.EXIT_INPUT,
+     "BadShape: claimed_size must"),
+    (["verify", "--code", ("code", "claimed_size", 1020)], cli.EXIT_OK, '"ok": true'),
+    (["verify", "--code", ("code", "generators.0.dim", 2.0)], cli.EXIT_INPUT,
+     "BadShape: dim must"),
+    (["poly", "--file", ("poly", "s", 1.5), "--N", 14], cli.EXIT_INPUT, "BadShape: s must"),
+    (["poly", "--file", ("poly", "k", 3.0), "--N", 14], cli.EXIT_INPUT, "BadShape: k must"),
+    (["poly", "--file", ("poly", "q", 2.0), "--N", 14], cli.EXIT_INPUT, "BadShape: q must"),
+    (["poly", "--file", ("poly", "polys.0.2", 1.5), "--N", 14], cli.EXIT_INPUT,
+     "BadShape: 2 must"),
+    # a coordinate array lists one integer digit per level: [[1], [0]] is 1
+    # in GF(4) over GF(2); 1.9 is not truncated, and a missing level is no
+    # TypeError (exit 1)
+    (["poly", "--file", ("poly", "polys.0.2", [[1.9], [0]]), "--N", 14], cli.EXIT_INPUT,
+     "BadShape: coordinate 1.9"),
+    (["poly", "--file", ("poly", "polys.0.2", [1, 0]), "--N", 14], cli.EXIT_INPUT,
+     "BadShape: 1 is not a list"),
 ], ids=["bounds-q1", "bounds-q6", "table-q1", "bounds-odd-d", "bounds-n-below-k",
-        "table-r1", "poly-empty-family", "bounds-d-above-2k"])
-def test_out_of_range_parameters(argv, exit_code, text, tmp_path, capsys):
-    empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps(dict(json.loads(DATA.read_text()), polys=[])))
-    assert run([empty if a == "EMPTY" else a for a in argv]) == exit_code
+        "table-r1", "poly-empty-family", "bounds-d-above-2k", "verify-float-p",
+        "verify-float-distance", "verify-bool-distance", "verify-float-size",
+        "verify-int-size", "verify-float-dim", "poly-float-s", "poly-float-k", "poly-float-q",
+        "poly-float-exponent", "poly-float-coordinate", "poly-missing-level"])
+def test_out_of_range_parameters(argv, exit_code, text, even_code_file, tmp_path, capsys):
+    # an argument (source, dotted path, value) is a copy of the bundled poly
+    # family or the even (2,2,8) code file with that one field set
+    sources = {"poly": DATA, "code": even_code_file}
+
+    def written(arg):
+        if not isinstance(arg, tuple):
+            return arg
+        source, dotted, value = arg
+        obj = json.loads(Path(sources[source]).read_text())
+        *path, key = dotted.split(".")
+        node = obj
+        for part in path:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[key] = value
+        out = tmp_path / f"{source}.json"
+        out.write_text(json.dumps(obj))
+        return out
+
+    assert run([written(a) for a in argv]) == exit_code
     captured = capsys.readouterr()
     assert text in captured.out + captured.err
 

@@ -132,6 +132,35 @@ def test_validate_params_errors():
         sc.validate_params(sc.ConstructionParams("u-even", 2, 1, 1, (0, bad), 0), twE)
 
 
+@pytest.mark.parametrize("q, k, t", [(2, 2, 5), (2, 2, 4), (3, 2, 5), (3, 2, 4)])
+def test_validate_params_accepts_exactly_the_enumerated_tuples(q, k, t):
+    # a box around the parameter space: every family name, r - 1..r + 1,
+    # rep 0..p0 + 1, l 0..r + 1, theta None or -1..q - 1 and r delta
+    # entries in -1..q^k - 1 (a v-family's Frobenius slot among them)
+    tw = build_tower(q, 1, k, t)
+    parity, r = sc.tower_shape(tw)
+    p0 = sc.max_rep_index(r, parity)
+    accepted = set()
+    for family, rr, rep, l, theta in itertools.product(
+            ("u-odd", "v-odd", "u-even", "v-even"), range(r - 1, r + 2),
+            range(p0 + 2), range(r + 2), (None, *range(-1, q))):
+        for deltas in itertools.product(range(-1, q ** k), repeat=r):
+            params = sc.ConstructionParams(family, rr, rep, l, deltas, theta)
+            try:
+                sc.validate_params(params, tw)
+            except InvalidParams:
+                continue
+            accepted.add(params)
+    family = set(sc.enumerate_family(tw))
+    assert accepted == family
+    # a delta tuple of the wrong length is rejected too
+    for p in family:
+        for deltas in (p.delta_exps[:-1], p.delta_exps + (0,)):
+            with pytest.raises(InvalidParams):
+                sc.validate_params(sc.ConstructionParams(
+                    p.family, p.r, p.rep, p.l, deltas, p.theta_exp), tw)
+
+
 def test_is_sidon_basics():
     tw = build_tower(2, 1, 2, 5)
     assert sc.is_sidon(sl.span(tw, [37]))

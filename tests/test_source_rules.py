@@ -1,9 +1,11 @@
 """Rules that the package source keeps."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cyclic_cdc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cyclic_cdc"
 
 
 def test_package_has_no_assert_statements():
@@ -23,7 +25,7 @@ def test_package_has_no_assert_statements():
 KEPT_WITHOUT_CALLER = {
     "build_rank_matrix": "perfbench/probe.py builds the field_matrix_rank_us operands",
     "densify": "perfbench/probe.py builds the dense_gcd_us operands",
-    "dense_gcd": "perfbench times dense_gcd_us and counts gcd_calls through it",
+    "dense_gcd": "perfbench/probe.py times it (dense_gcd_us), perfbench/tracer.py counts its calls",
     "shift_transform": "perfbench/probe.py builds the dense_gcd_us operands",
     "ratio_to_bound": "scripts/size_comparison.py prints the n = 4k ratio",
 }
@@ -48,7 +50,8 @@ def _definitions_and_references():
 def test_every_src_definition_has_a_caller():
     # a function, method or class that nothing in src/ refers to belongs in
     # tests/oracles.py (if a test compares against it) or nowhere; an import
-    # is not a reference, so the package's exports are allowed by name.
+    # is not a reference, and the package root exports nothing but
+    # __version__, so only KEPT_WITHOUT_CALLER is allowed.
     #
     # Names are matched, not classes: a method stays invisible here while
     # another class defines or calls the same name (PrimeField.pow hid behind
@@ -56,19 +59,27 @@ def test_every_src_definition_has_a_caller():
     # the CLI under sys.setprofile, record (co_filename, co_firstlineno) of
     # every call into src/, and list the definitions (first decorator or def
     # line) that never appear.
-    import cyclic_cdc
-
-    allowed = set(KEPT_WITHOUT_CALLER) | set(cyclic_cdc.__all__)
     defined, referenced = _definitions_and_references()
     dead = sorted(
         f"{where} {name}"
         for name, places in defined.items()
-        if name not in referenced and name not in allowed
+        if name not in referenced and name not in KEPT_WITHOUT_CALLER
         for where in places
     )
     assert dead == []
     # every allowance still names a definition
     assert set(KEPT_WITHOUT_CALLER) <= set(defined)
+
+
+def test_every_allowance_names_a_file_that_uses_it():
+    # a reason names the repo files that keep the name alive; once one of
+    # them no longer mentions it, the reason is stale
+    for name, reason in KEPT_WITHOUT_CALLER.items():
+        files = re.findall(r"[\w/]+\.py", reason)
+        assert files, name
+        for rel in files:
+            assert (ROOT / rel).is_file(), (name, rel)
+            assert re.search(rf"\b{name}\b", (ROOT / rel).read_text()), (name, rel)
 
 
 def test_every_stored_attribute_is_read():
