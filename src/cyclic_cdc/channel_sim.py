@@ -7,7 +7,10 @@ point ratio canon(r * u^-1), r a point of the received space R and u one of
 generator U_i, is the number of points of R ∩ alpha*U_i at alpha = r/u, so
 one ``shift_dims`` histogram per generator gives dim(R ∩ alpha*U_i) at every
 shift, and the words that meet R most are the ones nearest to it.  Sent
-words are drawn from the materialized codebook, sorted by RREF rows.
+words are drawn from the materialized codebook: the union of the walked
+orbits, sorted by RREF rows.  Two orbits are equal or disjoint, so each new
+orbit is sized before it is walked, and one that would take the count of
+distinct words past the cap is refused unwalked.
 
 Randomness comes from a seeded ``random.Random`` (Mersenne Twister), so
 trial runs are reproducible from the seed alone.
@@ -26,6 +29,7 @@ from .subspace_linalg import (
     Subspace,
     cyclic_shift,
     enumerate_orbit,
+    orbit_size,
     rank_rows,
     shift_dims,
     span,
@@ -122,13 +126,14 @@ def md_decode(
 
 
 def materialize_codebook(code: UnionCode, cap: int = CODEBOOK_CAP) -> list[Subspace]:
-    """All distinct codewords of the union, in a deterministic order."""
+    """All distinct codewords of the union, sorted by RREF rows; InfeasibleNoise
+    before an orbit is walked whose size would take the count past ``cap``."""
     words: dict[tuple[int, ...], None] = {}
     for g in code.generators:
-        for w in enumerate_orbit(g):
-            words[w.rows] = None
-        if len(words) > cap:
-            raise InfeasibleNoise(f"codebook larger than cap {cap}")
+        if g.rows not in words:  # two orbits are equal or disjoint: walk each once
+            if (size := len(words) + orbit_size(g)) > cap:
+                raise InfeasibleNoise(f"{size} codewords exceed the codebook cap {cap}")
+            words.update(dict.fromkeys(w.rows for w in enumerate_orbit(g)))
     return [Subspace(code.tower, rows) for rows in sorted(words)]
 
 

@@ -2,10 +2,10 @@
 
 Subcommands: construct, verify, sidon-check, bounds, table, poly, simulate.
 
-Every run emits a manifest (command, parameters, tower, tool version, wall
-time, phase timings, work counters, sha256 digest of the result JSON); the
-timings and counters stay outside the hashed result, so identical inputs give
-identical result digests.  Big integers are serialized as decimal strings.
+Every run emits a manifest (command, the parsed arguments but ``--out``, tower,
+tool version, wall time, phase timings, work counters, sha256 digest of the
+result JSON); timings and counters stay outside the hashed result, so identical
+inputs give identical result digests.  Big integers are decimal strings.
 Exit codes: 0 verified/ok, 2 claim mismatch or failed check, 3 infeasible
 under the scan budget, 4 input error.
 """
@@ -66,43 +66,39 @@ def _emit(command: str, params: dict, tower_spec, result: dict, out: str | None,
         print(_dumps(manifest), file=sys.stderr)
 
 
+def _load_code(path: str) -> oc.UnionCode:
+    with open(path) as fh:
+        return oc.code_from_json(json.load(fh))
+
+
 def _tower_for(q: int, k: int, r: int, parity: str):
     p, a = prime_power(q)
     t = 2 * r + 1 if parity == "odd" else 2 * r
     return build_tower(p, a, k, t)
 
 
-# -- subcommands -----------------------------------------------------------------
+# -- subcommands: each returns (tower spec, result, exit code) ---------------------
 
 
-def cmd_construct(args) -> int:
-    t0 = time.perf_counter()
+def cmd_construct(args):
     tower = _tower_for(args.q, args.k, args.r, args.parity)
     gens = [sc.make_subspace(p, tower) for p in sc.enumerate_family(tower)]
     code = oc.build_union(
         tower, gens, provenance=f"{args.parity}(q={args.q},k={args.k},r={args.r})"
     )
-    params = {"q": args.q, "k": args.k, "r": args.r, "parity": args.parity}
-    _emit("construct", params, tower.spec_dict(), code.to_json(), args.out, t0)
-    return EXIT_OK
+    return tower.spec_dict(), code.to_json(), EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    with open(args.code) as fh:
-        code = oc.code_from_json(json.load(fh))
+def cmd_verify(args):
+    code = _load_code(args.code)
     report = oc.verify_code(code, budget=args.budget)
     report["claimed_size"] = str(code.claimed_size)
     report["claimed_min_distance"] = code.claimed_min_distance
-    params = {"code": args.code, "mode": args.mode, "budget": args.budget}
-    _emit("verify", params, code.tower.spec_dict(), report, args.out, t0)
-    return EXIT_OK if report["ok"] else EXIT_MISMATCH
+    return code.tower.spec_dict(), report, EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 
-def cmd_sidon_check(args) -> int:
-    t0 = time.perf_counter()
-    with open(args.code) as fh:
-        code = oc.code_from_json(json.load(fh))
+def cmd_sidon_check(args):
+    code = _load_code(args.code)
     t1 = time.perf_counter()
     counts = Counter(certified=0, scanned=0, products=0, point_ratios=0)
     failures = [i for i, g in enumerate(code.generators) if not sc.is_sidon(g, counts=counts)]
@@ -113,12 +109,10 @@ def cmd_sidon_check(args) -> int:
         "time_sidon": round(time.perf_counter() - t1, 3),
         "counters": dict(counts),
     }
-    _emit("sidon-check", {"code": args.code}, code.tower.spec_dict(), result, args.out, t0)
-    return EXIT_OK if not failures else EXIT_MISMATCH
+    return code.tower.spec_dict(), result, EXIT_OK if not failures else EXIT_MISMATCH
 
 
-def cmd_bounds(args) -> int:
-    t0 = time.perf_counter()
+def cmd_bounds(args):
     sp = oc.sphere_packing_bound(args.q, args.n, args.k, args.d)
     jo = oc.johnson_bound(args.q, args.n, args.k, args.d)
     result = {
@@ -130,13 +124,10 @@ def cmd_bounds(args) -> int:
         "johnson": str(jo),
         "equal": sp == jo,
     }
-    params = {"q": args.q, "n": args.n, "k": args.k, "d": args.d}
-    _emit("bounds", params, None, result, args.out, t0)
-    return EXIT_OK
+    return None, result, EXIT_OK
 
 
-def cmd_table(args) -> int:
-    t0 = time.perf_counter()
+def cmd_table(args):
     parities = ["odd", "even"] if args.parity == "both" else [args.parity]
     rows = []
     for q in args.q:
@@ -149,10 +140,7 @@ def cmd_table(args) -> int:
                     row["distance"] = 2 * k - 2
                     row["johnson"] = str(jo)
                     row["ratio_to_johnson"] = round(row["ours"] / jo, 6)
-                    row["ours"] = str(row["ours"])
-                    row["best_known"] = str(row["best_known"])
-                    row["difference"] = str(row["difference"])
-                    for key in ("known_5k", "difference_5k"):
+                    for key in ("ours", "best_known", "difference", "known_5k", "difference_5k"):
                         if key in row:
                             row[key] = str(row[key])
                     rows.append(row)
@@ -170,14 +158,10 @@ def cmd_table(args) -> int:
             f"ours={row['ours']}  known={row['best_known']}  "
             f"rate={row['rate_ours']:.3f} (known {row['rate_best_known']:.3f})"
         )
-    result = {"rows": rows}
-    _emit("table", {"q": args.q, "k": args.k, "r": args.r, "parity": args.parity},
-          None, result, args.out, t0)
-    return EXIT_OK
+    return None, {"rows": rows}, EXIT_OK
 
 
-def cmd_poly(args) -> int:
-    t0 = time.perf_counter()
+def cmd_poly(args):
     with open(args.file) as fh:
         obj = json.load(fh)
     tower, polys, k, s = lp.poly_family_from_json(obj, args.N)
@@ -204,15 +188,11 @@ def cmd_poly(args) -> int:
         "shared_pairs": rep.shared_pairs,
         "budget": args.budget,
     }
-    params = {"file": args.file, "N": args.N, "s": s}
-    _emit("poly", params, tower.spec_dict(), result, args.out, t0)
-    return EXIT_OK if verdict.passed else EXIT_MISMATCH
+    return tower.spec_dict(), result, EXIT_OK if verdict.passed else EXIT_MISMATCH
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
-    with open(args.code) as fh:
-        code = oc.code_from_json(json.load(fh))
+def cmd_simulate(args):
+    code = _load_code(args.code)
     cfg = ch.ChannelConfig(
         erasures=args.erasures, insertions=args.insertions,
         trials=args.trials, seed=args.seed,
@@ -224,12 +204,7 @@ def cmd_simulate(args) -> int:
     report["codebook_size"] = len(codebook)
     report["time_codebook"] = round(t2 - t1, 3)
     report["time_trials"] = round(time.perf_counter() - t2, 3)
-    params = {
-        "code": args.code, "erasures": args.erasures,
-        "insertions": args.insertions, "trials": args.trials, "seed": args.seed,
-    }
-    _emit("simulate", params, code.tower.spec_dict(), report, args.out, t0)
-    return EXIT_OK
+    return code.tower.spec_dict(), report, EXIT_OK
 
 
 def _int_list(text: str) -> list[int]:
@@ -300,8 +275,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    t0 = time.perf_counter()
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "out")}
     try:
-        return args.fn(args)
+        tower_spec, result, exit_code = args.fn(args)
+        _emit(args.command, params, tower_spec, result, args.out, t0)
+        return exit_code
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

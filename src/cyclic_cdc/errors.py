@@ -11,11 +11,6 @@ class NotPrime(CdcError):
     """The claimed characteristic is not a prime."""
 
 
-class SearchExhausted(CdcError):
-    """A deterministic search (irreducible polynomial, primitive element)
-    ran past its bound; indicates an implementation bug, not bad input."""
-
-
 class DivisionByZero(CdcError):
     """Multiplicative inverse of zero requested."""
 
@@ -47,18 +42,10 @@ class BadShape(CdcError):
     integer field of an input file holds a float or a bool."""
 
 
-class GreedyFellShort(CdcError):
-    """The avoiding-set search produced fewer elements than guaranteed."""
-
-
 # -- codes, formulas, scans -------------------------------------------------
 
 class DimensionMismatch(CdcError):
     """Union generators do not share a common dimension."""
-
-
-class InexactDivision(CdcError):
-    """A closed-form evaluation left a remainder; transcription bug."""
 
 
 class Infeasible(CdcError):
@@ -66,8 +53,10 @@ class Infeasible(CdcError):
 
 
 class BrokenInvariant(CdcError):
-    """A computed quantity contradicts the theory it rests on; indicates an
-    implementation bug, not bad input."""
+    """A computed quantity contradicts the theory it rests on: a
+    deterministic search (irreducible polynomial, primitive element) ran past
+    its bound, the avoiding set fails its defining property, or a closed form
+    left a remainder.  Indicates an implementation bug, not bad input."""
 
 
 # -- linearized polynomials -------------------------------------------------

@@ -31,13 +31,13 @@ from typing import Iterator, Sequence, Union
 
 from .errors import (
     BadShape,
+    BrokenInvariant,
     DivisionByZero,
     LevelMismatch,
     NotPrime,
-    SearchExhausted,
 )
 
-FULL_TABLE_LIMIT = 1 << 8   # dense add/mul/inv tables
+FULL_TABLE_LIMIT = 1 << 8   # dense add/mul tables
 LOG_TABLE_LIMIT = 1 << 16   # discrete log/exp tables
 
 
@@ -114,7 +114,6 @@ class ExtensionField:
         self._log: dict[int, int] | list | None = None
         self._add_table = None
         self._mul_table = None
-        self._inv_table = None
         # filled on first use; plain attributes, not functools.cached_property,
         # whose write to the instance __dict__ slows every later attribute
         # read of the field (about 30 % on a table mul)
@@ -189,8 +188,6 @@ class ExtensionField:
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        if self._inv_table is not None:
-            return self._inv_table[a]
         if self._exp is not None:
             o1 = self.order - 1
             return self._exp[(o1 - self._log[a]) % o1]
@@ -290,9 +287,6 @@ class ExtensionField:
                 self._add_table = [[i ^ j for j in range(n)] for i in range(n)]
             else:
                 self._add_table = [[self.add(i, j) for j in range(n)] for i in range(n)]
-            self._inv_table = [0] * n
-            for i in range(1, n):
-                self._inv_table[i] = exp[(o1 - log[i]) % o1]
 
     @property
     def primitive(self) -> int:
@@ -311,7 +305,7 @@ class ExtensionField:
         for g in range(2, self.order):
             if all(self._pow_sm(g, o1 // prime) != 1 for prime in facs):
                 return g
-        raise SearchExhausted("no primitive element found")
+        raise BrokenInvariant("no primitive element found")
 
     def __repr__(self):
         return f"GF({self.sub.order}^{self.degree})"
@@ -437,7 +431,7 @@ def first_irreducible(F: Field, degree: int) -> tuple[int, ...]:
         poly = coeffs + [1]
         if poly_is_irreducible(F, poly):
             return tuple(poly)
-    raise SearchExhausted(f"no irreducible of degree {degree} over {F!r}")
+    raise BrokenInvariant(f"no irreducible of degree {degree} over {F!r}")
 
 
 # -- the tower ----------------------------------------------------------------

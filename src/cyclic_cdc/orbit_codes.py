@@ -4,7 +4,7 @@ constructions and their best known competitors, sphere-packing and Johnson
 bounds, rates, and the n = 4k ratio to the common bound value.
 
 All formula evaluation is exact big-integer arithmetic.  Size formulas and
-Gaussian binomials divide exactly (a remainder raises InexactDivision); a
+Gaussian binomials divide exactly (a remainder raises BrokenInvariant); a
 bound is the floor of its rational product, since a code size is an integer
 no larger than the product.  Floating point appears only in rate reporting.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InexactDivision, InvalidParams
+from .errors import BrokenInvariant, InvalidParams
 from .field_tower import FieldTower, int_field, prime_power, tower_from_spec
 from .sidon_constructions import max_rep_index
 from .subspace_linalg import (
@@ -117,7 +117,7 @@ def verify_code(code: UnionCode, budget: int = DEFAULT_SCAN_BUDGET) -> dict:
 
 def _exact_div(num: int, den: int) -> int:
     if num % den:
-        raise InexactDivision(f"{num} not divisible by {den}")
+        raise BrokenInvariant(f"{num} not divisible by {den}")
     return num // den
 
 

@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import BadShape, GreedyFellShort, InvalidParams
+from .errors import BadShape, BrokenInvariant, InvalidParams
 from .field_tower import FieldTower
 from .subspace_linalg import Subspace, rank_rows, span, union_distance
 
@@ -114,7 +114,7 @@ def build_avoiding_set(tower: FieldTower) -> tuple[int, ...]:
     for i in chosen:
         for j in chosen:
             if mid.mul(f0, mid.pow(tower.xi, i + j)) == 1:
-                raise GreedyFellShort("avoiding set verification failed")
+                raise BrokenInvariant("avoiding set verification failed")
     return tuple(chosen)
 
 

@@ -340,10 +340,12 @@ def orbit_size(u: Subspace) -> int:
 
 
 def enumerate_orbit(u: Subspace) -> list[Subspace]:
-    """All distinct cyclic shifts of U, by direct scan over projective
-    representatives of the ambient unit group."""
-    mul = u.tower.top.mul
-    seen: dict[tuple[int, ...], None] = {}
-    for alpha in u.tower.projective_reps("top"):
-        seen[rref_rows(u.tower, [mul(alpha, r) for r in u.rows])] = None
-    return [Subspace(u.tower, rows) for rows in seen]
+    """The distinct cyclic shifts g^i * U, 0 <= i < orbit_size(U), with g the
+    top field's primitive element: U's stabilizer GF(q^d)* is generated by
+    g^orbit_size(U), so no two of them are equal."""
+    tower, mul, g = u.tower, u.tower.top.mul, u.tower.top.primitive
+    words, alpha = [], 1
+    for _ in range(orbit_size(u)):
+        words.append(Subspace(tower, rref_rows(tower, [mul(alpha, r) for r in u.rows])))
+        alpha = mul(alpha, g)
+    return words

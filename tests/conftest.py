@@ -22,6 +22,15 @@ def even_code_2_2_8():
 
 
 @pytest.fixture(scope="session")
+def one_orbit_code_3_3_15():
+    """The first generator of the odd (3,3,15) code alone: one full orbit of
+    (3^15 - 1)/2 = 7,174,453 words, far above the simulator's codebook cap."""
+    tower = build_tower(3, 1, 3, 5)
+    gen = sc.make_subspace(next(iter(sc.enumerate_family(tower))), tower)
+    return oc.build_union(tower, [gen], provenance="first generator of odd(q=3,k=3,r=2)")
+
+
+@pytest.fixture(scope="session")
 def gf4_poly_family():
     """The three GF(4)-coefficient quadrinomials hosted in GF(2^14)."""
     from cyclic_cdc import linearized_poly as lp

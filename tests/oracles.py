@@ -38,6 +38,10 @@ package's scan at one shift per Frobenius orbit.
 
 ``decode_by_scan`` is minimum-distance decoding by one subspace distance per
 codeword, the check of the channel simulator's orbit-index decoder.
+
+``orbit_by_scan`` lists an orbit by the RREF of the shift by every projective
+point of the ambient field, the check of the package's walk over the first
+orbit_size powers of the primitive element.
 """
 
 from collections import Counter
@@ -92,6 +96,14 @@ def decode_by_scan(received, codebook):
         if d < best:
             best, best_idx = d, idx
     return best_idx
+
+
+def orbit_by_scan(u):
+    """The set of distinct cyclic shifts of U, as RREF row tuples, from one
+    shift per projective representative of the ambient unit group."""
+    mul = u.tower.top.mul
+    return {sl.rref_rows(u.tower, [mul(alpha, r) for r in u.rows])
+            for alpha in u.tower.projective_reps("top")}
 
 
 def element_order(F, x):

@@ -12,6 +12,7 @@ from fractions import Fraction
 from oracles import (
     cross_pair_ok,
     intersection_dim_via_gcd,
+    orbit_by_scan,
     shifted_intersection_dim,
     size_difference,
     size_difference_5k,
@@ -174,7 +175,7 @@ def test_a05_quadrinomial_family_full_reproduction(gf4_poly_family):
 
 def test_a06_oracle_equivalences(odd_code_2_2_10, gf4_poly_family):
     """Dual routes must agree: cross test vs shift scan, gcd vs rank,
-    orbit formula vs direct enumeration."""
+    orbit formula vs the walked orbit vs the projective scan."""
     gens = odd_code_2_2_10.generators
     tower = odd_code_2_2_10.tower
     alphas = list(tower.projective_reps("top"))
@@ -206,9 +207,14 @@ def test_a06_oracle_equivalences(odd_code_2_2_10, gf4_poly_family):
     etower = build_tower(2, 1, 2, 4)
     egens = [sc.make_subspace(p, etower) for p in sc.enumerate_family(etower)]
     subjects = list(gens) + egens + [sl.span(tower, range(1, 4))] + kernels
-    ok = all(sl.orbit_size(s) == len(sl.enumerate_orbit(s)) for s in subjects)
+    def orbit_ok(s):
+        orbit, scan = sl.enumerate_orbit(s), orbit_by_scan(s)
+        rows = {w.rows for w in orbit}
+        return sl.orbit_size(s) == len(scan) == len(rows) == len(orbit) and rows == scan
+
+    ok = all(orbit_ok(s) for s in subjects)
     _report(
-        "orbit-size formula matches direct orbit enumeration",
+        "orbit-size formula matches the projective scan, and the walk lists that orbit once",
         ok,
         f"{len(subjects)} generators checked",
     )

@@ -141,6 +141,28 @@ def test_codebook_cap():
         ch.materialize_codebook(code, cap=10)
 
 
+def test_codebook_counts_a_repeated_orbit_once():
+    # two generators of one orbit: the codebook is that orbit, and a cap
+    # of its size admits it
+    tw = build_tower(2, 1, 2, 4)
+    u = sl.span(tw, range(1, 3))
+    code = oc.build_union(tw, [u, sl.cyclic_shift(u, tw.top.primitive)])
+    words = ch.materialize_codebook(code, cap=sl.orbit_size(u))
+    assert [w.rows for w in words] == sorted(w.rows for w in sl.enumerate_orbit(u))
+    assert len(words) == sl.orbit_size(u) == 85
+
+
+def test_codebook_is_sized_before_any_orbit_is_walked(one_orbit_code_3_3_15, monkeypatch):
+    # the orbit sizes alone put the code over the cap: walking its
+    # 7,174,453-word orbit first would take minutes
+    def no_walk(u):
+        raise AssertionError("orbit walked before the codebook was sized")
+
+    monkeypatch.setattr(ch, "enumerate_orbit", no_walk)
+    with pytest.raises(InfeasibleNoise, match="7174453 codewords exceed"):
+        ch.materialize_codebook(one_orbit_code_3_3_15)
+
+
 @pytest.mark.parametrize(
     "q, subfield_linear", [(q, sub) for q in sorted(TOWERS) for sub in (False, True)]
 )

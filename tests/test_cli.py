@@ -359,6 +359,23 @@ def test_simulate_command(even_code_file, tmp_path):
     assert "counters" not in rep and not any(key.startswith("time_") for key in rep)
 
 
+def test_simulate_over_the_codebook_cap_exits_4(one_orbit_code_3_3_15, tmp_path,
+                                                monkeypatch, capsys):
+    # one orbit of 7,174,453 words: simulate must refuse it from the orbit
+    # size, before it walks the orbit
+    def no_walk(u):
+        raise AssertionError("orbit walked before the codebook was sized")
+
+    monkeypatch.setattr(cli.ch, "enumerate_orbit", no_walk)
+    src = tmp_path / "one_orbit_3_3_15.json"
+    src.write_text(json.dumps(one_orbit_code_3_3_15.to_json()))
+    out = tmp_path / "sim.json"
+    assert run(["simulate", "--code", src, "--erasures", 1, "--trials", 2,
+                "--out", out]) == cli.EXIT_INPUT
+    assert "InfeasibleNoise: 7174453 codewords exceed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_flags_false_distance_claim(tmp_path):
     # the GF(4) orbit in GF(2^8) has distance 4; claiming 6 puts one erasure
     # plus one insertion under a guarantee the code cannot keep
@@ -372,6 +389,37 @@ def test_simulate_flags_false_distance_claim(tmp_path):
     src.write_text(json.dumps(code.to_json()))
     assert run(["simulate", "--code", src, "--erasures", 1, "--insertions", 1,
                 "--trials", 40, "--seed", 0]) == cli.EXIT_MISMATCH
+
+
+@pytest.mark.parametrize("argv, parameters", [
+    (["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "even"],
+     {"q": 2, "k": 2, "r": 2, "parity": "even"}),
+    (["verify", "--code", "CODE", "--budget", 500],
+     {"code": "CODE", "mode": "exact", "budget": 500}),
+    (["sidon-check", "--code", "CODE"], {"code": "CODE"}),
+    (["bounds", "--q", 2, "--n", 8, "--k", 2, "--d", 2], {"q": 2, "n": 8, "k": 2, "d": 2}),
+    (["table", "--q", "2,3", "--k", 3, "--r", 2, "--parity", "odd", "--csv", "TMP/t.csv"],
+     {"q": [2, 3], "k": [3], "r": [2], "parity": "odd", "csv": "TMP/t.csv"}),
+    (["poly", "--file", DATA, "--N", 14, "--budget", 1 << 20],
+     {"file": str(DATA), "N": 14, "budget": 1 << 20}),
+    (["simulate", "--code", "CODE", "--insertions", 1, "--trials", 3],
+     {"code": "CODE", "erasures": 0, "insertions": 1, "trials": 3, "seed": 0}),
+], ids=["construct", "verify", "sidon-check", "bounds", "table", "poly", "simulate"])
+def test_manifest_parameters_are_the_parsed_arguments(argv, parameters, even_code_file, tmp_path):
+    # every option the run was given or defaulted to, --out aside, and
+    # nothing read from an input file
+    def fill(value):
+        if value == "CODE":
+            return str(even_code_file)
+        if isinstance(value, str) and value.startswith("TMP/"):
+            return str(tmp_path / value[4:])
+        return value
+
+    out = tmp_path / "result.json"
+    assert run([fill(a) for a in argv] + ["--out", out]) in (cli.EXIT_OK, cli.EXIT_MISMATCH)
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["parameters"] == {key: fill(value) for key, value in parameters.items()}
 
 
 def test_manifest_reproducibility(even_code_file, tmp_path):

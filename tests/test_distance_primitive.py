@@ -1,6 +1,7 @@
 """Differential tests of the point-ratio distance against the every-pair
 histogram and the brute-force rank and gcd scans of ``oracles.py``, and of the
-orbit size against listing the orbit, over q in {2, 3, 4}."""
+orbit size and the walked orbit against the projective scan of the orbit, over
+q in {2, 3, 4}."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     gcd_scan,
     histogram_scan,
+    orbit_by_scan,
     rank_scan,
     shift_intersection_dims,
     shifted_intersection_dim,
@@ -177,7 +179,9 @@ def test_poly_code_distance_matches_gcd_scan(q, subfield_linear, data):
 @given(data=st.data())
 def test_orbit_size_matches_enumeration(q, subfield_linear, data):
     for u in data.draw(orbit_generators(q, subfield_linear)):
-        assert sl.orbit_size(u) == len(sl.enumerate_orbit(u))
+        orbit, scan = sl.enumerate_orbit(u), orbit_by_scan(u)
+        assert sl.orbit_size(u) == len(scan) == len({w.rows for w in orbit}) == len(orbit)
+        assert {w.rows for w in orbit} == scan
 
 
 @pytest.mark.parametrize("spec, d", [((2, 1, 2, 3), 3), ((2, 1, 2, 4), 4)])
@@ -194,7 +198,10 @@ def test_orbit_size_of_a_subfield_shift(spec, d, data):
     u = sl.span(tw, [top.mul(x, y) for y in subfield])
     assert u.dim == d and len(subfield) == 2 ** d - 1
     assert sl.linearity_field(u) == d
-    assert sl.orbit_size(u) == len(sl.enumerate_orbit(u)) == (top.order - 1) // len(subfield)
+    orbit, scan = sl.enumerate_orbit(u), orbit_by_scan(u)
+    assert sl.orbit_size(u) == len(scan) == (top.order - 1) // len(subfield)
+    assert len({w.rows for w in orbit}) == len(orbit) == len(scan)
+    assert {w.rows for w in orbit} == scan
 
 
 # -- a field without log tables ---------------------------------------------------

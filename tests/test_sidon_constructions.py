@@ -301,7 +301,7 @@ def test_avoiding_greedy_reaches_target_for_every_forbidden_residue(order):
 @pytest.mark.parametrize("spec", [(2, 1, 2, 4), (2, 1, 3, 4), (2, 1, 4, 4), (2, 1, 5, 4),
                                   (3, 1, 2, 4), (3, 1, 3, 4), (5, 1, 2, 4)])
 def test_avoiding_set_size_on_even_towers(spec):
-    # build_avoiding_set raises GreedyFellShort if its own check fails
+    # build_avoiding_set raises BrokenInvariant if its own check fails
     tw = build_tower(*spec)
     pool = sc.build_avoiding_set(tw)
     assert len(pool) == (tw.mid.order - 2) // 2

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import shifted_intersection_dim, span_by_enumeration
+from oracles import orbit_by_scan, shifted_intersection_dim, span_by_enumeration
 
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
@@ -129,7 +129,9 @@ def test_linearity_field_and_orbit_size():
 def test_orbit_size_matches_direct_enumeration():
     tw = build_tower(2, 1, 2, 5)
     for s in (subfield_subspace(tw), first_generator(tw)):
-        assert sl.orbit_size(s) == len(sl.enumerate_orbit(s))
+        orbit, scan = sl.enumerate_orbit(s), orbit_by_scan(s)
+        assert sl.orbit_size(s) == len(scan) == len({w.rows for w in orbit}) == len(orbit)
+        assert {w.rows for w in orbit} == scan
 
 
 def test_projective_reps_counts():
