@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BrokenInvariant, DecodingFailure, InfeasibleNoise
+from .errors import BrokenInvariant, DecodingFailure, InfeasibleNoise, InvalidParams
 from .field_tower import batch_inverse
 from .orbit_codes import UnionCode
 from .subspace_linalg import (
@@ -47,6 +47,16 @@ class ChannelConfig:
     trials: int
     seed: int
 
+    def check(self, k: int, n: int) -> None:
+        """InvalidParams for negative trials; InfeasibleNoise unless erasures
+        lie in [0, k] and insertions in [0, n - k] (k = dim, n = ambient)."""
+        if self.trials < 0:
+            raise InvalidParams(f"trials must be >= 0, got {self.trials}")
+        if not 0 <= self.erasures <= k:
+            raise InfeasibleNoise(f"erasures must lie in [0, {k}]")
+        if not 0 <= self.insertions <= n - k:
+            raise InfeasibleNoise(f"insertions must lie in [0, {n - k}]")
+
 
 def transmit(codeword: Subspace, cfg: ChannelConfig, rng: random.Random) -> Subspace:
     """One channel use: keep a uniformly random (k - erasures)-dimensional
@@ -56,11 +66,8 @@ def transmit(codeword: Subspace, cfg: ChannelConfig, rng: random.Random) -> Subs
     tower = codeword.tower
     k = codeword.dim
     n = codeword.ambient_dim
+    cfg.check(k, n)
     rho, t = cfg.erasures, cfg.insertions
-    if not 0 <= rho <= k:
-        raise InfeasibleNoise(f"erasures must lie in [0, {k}]")
-    if not 0 <= t <= n - k:
-        raise InfeasibleNoise(f"insertions must lie in [0, {n - k}]")
     q = tower.q
     top = tower.top
 
@@ -127,13 +134,14 @@ def md_decode(
 
 def materialize_codebook(code: UnionCode, cap: int = CODEBOOK_CAP) -> list[Subspace]:
     """All distinct codewords of the union, sorted by RREF rows; InfeasibleNoise
-    before an orbit is walked whose size would take the count past ``cap``."""
-    words: dict[tuple[int, ...], None] = {}
+    before an orbit is walked whose size would take the count past ``cap``.
+    Rows go into one set, sorted once; each ``Subspace`` is built after that."""
+    words: set[tuple[int, ...]] = set()
     for g in code.generators:
         if g.rows not in words:  # two orbits are equal or disjoint: walk each once
             if (size := len(words) + orbit_size(g)) > cap:
                 raise InfeasibleNoise(f"{size} codewords exceed the codebook cap {cap}")
-            words.update(dict.fromkeys(w.rows for w in enumerate_orbit(g)))
+            words.update(enumerate_orbit(g))
     return [Subspace(code.tower, rows) for rows in sorted(words)]
 
 

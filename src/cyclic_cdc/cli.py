@@ -197,6 +197,7 @@ def cmd_simulate(args):
         erasures=args.erasures, insertions=args.insertions,
         trials=args.trials, seed=args.seed,
     )
+    cfg.check(code.generators[0].dim, code.tower.m)  # before the codebook is built
     t1 = time.perf_counter()
     codebook = ch.materialize_codebook(code)
     t2 = time.perf_counter()

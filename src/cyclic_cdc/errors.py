@@ -37,9 +37,9 @@ class InvalidParams(CdcError):
 
 
 class BadShape(CdcError):
-    """Tower shape does not match the requested construction family, a
-    stored basis is not a canonical basis of digit rows in GF(q)^m, or an
-    integer field of an input file holds a float or a bool."""
+    """A tower (spec, defining polynomial) does not match its deterministic
+    construction or the requested family, a stored basis is not canonical
+    digit rows in GF(q)^m, or an integer input field is a float or a bool."""
 
 
 # -- codes, formulas, scans -------------------------------------------------

@@ -16,23 +16,27 @@ encoding order) with full multiplicative order.  Identical parameters always
 produce identical towers.
 
 Arithmetic strategy: levels of order <= 2^16 carry discrete log/exp tables
-(multiplication, inversion and powering become table lookups); levels of
-order <= 2^8 additionally carry dense addition/multiplication tables so that
-schoolbook multiplication in the levels above them runs on plain list
-indexing.  Larger levels multiply by schoolbook polynomial products over the
-level below and invert by powering, so ``batch_inverse`` inverts many
-elements at the cost of one inversion (Montgomery's trick).
+(multiplication, inversion and powering become table lookups), walked from 1
+by x -> x*g with g primitive: x*g is the sum of the products of x's low and
+high halves of digits, each read from a table of about sqrt(order) entries,
+and g must not return to 1 early (else BrokenInvariant).  Levels of order
+<= 2^8 also carry dense add/mul tables, so schoolbook multiplication in the
+levels above them indexes lists.  Larger levels multiply by schoolbook
+products over the level below and invert by powering, so ``batch_inverse``
+inverts many elements at the cost of one inversion (Montgomery's trick).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Iterator, Sequence, Union
 
 from .errors import (
     BadShape,
     BrokenInvariant,
     DivisionByZero,
+    InvalidParams,
     LevelMismatch,
     NotPrime,
 )
@@ -103,7 +107,7 @@ class ExtensionField:
 
     def __init__(self, sub: "Field", def_poly: tuple[int, ...]):
         if len(def_poly) < 2 or def_poly[-1] != 1:
-            raise ValueError("defining polynomial must be monic of degree >= 1")
+            raise BadShape("defining polynomial must be monic of degree >= 1")
         self.sub = sub
         self.degree = len(def_poly) - 1
         self.order = sub.order ** self.degree
@@ -204,6 +208,18 @@ class ExtensionField:
             return self._exp[(self._log[a] * e) % o1]
         return self._pow_sm(a, e % (self.order - 1) if e >= self.order else e)
 
+    def geometric(self, x: int, n: int) -> list[int]:
+        """[x * g^i for 0 <= i < n], g the primitive element and n < order: a
+        rotation of the exp table, or repeated multiplication without one."""
+        if x and self._exp is not None:
+            head = self._exp[self._log[x]:self._log[x] + n]
+            return head + self._exp[:n - len(head)]
+        out, g = [], self.primitive
+        for _ in range(n):
+            out.append(x)
+            x = self.mul(x, g)
+        return out
+
     def _pow_sm(self, a, e):
         acc = 1
         while e:
@@ -264,29 +280,36 @@ class ExtensionField:
     def _build_tables(self):
         if self.order > LOG_TABLE_LIMIT:
             return
+        n, o1 = self.order, self.order - 1
+        if n <= FULL_TABLE_LIMIT:  # first, so that add below reads it
+            if self.char == 2:
+                self._add_table = [[i ^ j for j in range(n)] for i in range(n)]
+            else:
+                self._add_table = [[self.add(i, j) for j in range(n)] for i in range(n)]
         gen = self.primitive
-        o1 = self.order - 1
+        # x -> x*gen is additive: x split at digit ceil(d/2), halves tabulated
+        split = self.sub.order ** ((self.degree + 1) // 2)
+        low = [self._mul_poly(c, gen) for c in range(split)]
+        high = [self._mul_poly(c * split, gen) for c in range(-(-n // split))]
+        add = operator.xor if self.char == 2 else self.add
         exp = [1] * o1
-        log: list[int] = [0] * self.order
+        log: list[int] = [0] * n
         x = 1
         for i in range(o1):
             exp[i] = x
             log[x] = i
-            x = self._mul_poly(x, gen)
+            x = add(low[x % split], high[x // split])
+        if log[1]:  # gen returned to 1 before o1 steps
+            raise BrokenInvariant(f"generator {gen} of {self!r} is not primitive")
         self._exp = exp
         self._log = log
-        if self.order <= FULL_TABLE_LIMIT:
-            n = self.order
+        if n <= FULL_TABLE_LIMIT:
             self._mul_table = [[0] * n for _ in range(n)]
             for i in range(1, n):
                 row = self._mul_table[i]
                 li = log[i]
                 for j in range(1, n):
                     row[j] = exp[(li + log[j]) % o1]
-            if self.char == 2:
-                self._add_table = [[i ^ j for j in range(n)] for i in range(n)]
-            else:
-                self._add_table = [[self.add(i, j) for j in range(n)] for i in range(n)]
 
     @property
     def primitive(self) -> int:
@@ -450,7 +473,7 @@ class FieldTower:
 
     def __init__(self, p: int, a: int, k: int, t: int):
         if a < 1 or k < 1 or t < 1:
-            raise ValueError("a, k, t must be >= 1")
+            raise InvalidParams(f"a, k, t must be >= 1, got {a}, {k}, {t}")
         self.p, self.a, self.k, self.t = p, a, k, t
         self.prime = PrimeField(p)
         self.def_poly_q = first_irreducible(self.prime, a)
@@ -608,5 +631,5 @@ def tower_from_spec(spec: dict) -> FieldTower:
     """Rebuild a tower from its spec dict, validating determinism."""
     tw = build_tower(*(int_field(spec, key) for key in ("p", "a", "k", "t")))
     if tw.spec_dict() != spec:
-        raise ValueError("tower spec does not match deterministic construction")
+        raise BadShape("tower spec does not match the deterministic construction")
     return tw

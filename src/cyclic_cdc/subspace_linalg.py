@@ -339,13 +339,10 @@ def orbit_size(u: Subspace) -> int:
     return num // den
 
 
-def enumerate_orbit(u: Subspace) -> list[Subspace]:
-    """The distinct cyclic shifts g^i * U, 0 <= i < orbit_size(U), with g the
-    top field's primitive element: U's stabilizer GF(q^d)* is generated by
-    g^orbit_size(U), so no two of them are equal."""
-    tower, mul, g = u.tower, u.tower.top.mul, u.tower.top.primitive
-    words, alpha = [], 1
-    for _ in range(orbit_size(u)):
-        words.append(Subspace(tower, rref_rows(tower, [mul(alpha, r) for r in u.rows])))
-        alpha = mul(alpha, g)
-    return words
+def enumerate_orbit(u: Subspace) -> list[tuple[int, ...]]:
+    """RREF rows of the distinct shifts g^i * U, 0 <= i < orbit_size(U), g
+    the top field's primitive element (U's stabilizer GF(q^d)* is generated
+    by g^orbit_size(U)): one RREF per row of the zipped columns r * g^i."""
+    tower, n = u.tower, orbit_size(u)
+    columns = [tower.top.geometric(r, n) for r in u.rows]
+    return [rref_rows(tower, word) for word in zip(*columns)]

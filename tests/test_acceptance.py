@@ -209,7 +209,7 @@ def test_a06_oracle_equivalences(odd_code_2_2_10, gf4_poly_family):
     subjects = list(gens) + egens + [sl.span(tower, range(1, 4))] + kernels
     def orbit_ok(s):
         orbit, scan = sl.enumerate_orbit(s), orbit_by_scan(s)
-        rows = {w.rows for w in orbit}
+        rows = set(orbit)
         return sl.orbit_size(s) == len(scan) == len(rows) == len(orbit) and rows == scan
 
     ok = all(orbit_ok(s) for s in subjects)

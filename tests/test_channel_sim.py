@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import decode_by_scan
+from oracles import decode_by_scan, orbit_by_scan
 from strategies import TOWERS, orbit_generators
 
 from cyclic_cdc import channel_sim as ch
@@ -148,8 +148,21 @@ def test_codebook_counts_a_repeated_orbit_once():
     u = sl.span(tw, range(1, 3))
     code = oc.build_union(tw, [u, sl.cyclic_shift(u, tw.top.primitive)])
     words = ch.materialize_codebook(code, cap=sl.orbit_size(u))
-    assert [w.rows for w in words] == sorted(w.rows for w in sl.enumerate_orbit(u))
+    assert [w.rows for w in words] == sorted(sl.enumerate_orbit(u))
     assert len(words) == sl.orbit_size(u) == 85
+
+
+@pytest.mark.parametrize(
+    "q, subfield_linear", [(q, sub) for q in sorted(TOWERS) for sub in (False, True)]
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_codebook_is_the_union_of_the_scanned_orbits(q, subfield_linear, data):
+    # the walk over geometric columns gives the words of the scan over every
+    # projective point, repeated orbits (a shifted generator) counted once
+    gens = data.draw(orbit_generators(q, subfield_linear))
+    book = ch.materialize_codebook(oc.build_union(gens[0].tower, gens))
+    assert [w.rows for w in book] == sorted(set().union(*(orbit_by_scan(g) for g in gens)))
 
 
 def test_codebook_is_sized_before_any_orbit_is_walked(one_orbit_code_3_3_15, monkeypatch):

@@ -185,11 +185,19 @@ def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, com
      "BadShape: coordinate 1.9"),
     (["poly", "--file", ("poly", "polys.0.2", [1, 0]), "--N", 14], cli.EXIT_INPUT,
      "BadShape: 1 is not a list"),
+    # the tower spec must be the deterministic construction: x^4 + 1 is not
+    # its defining polynomial, and k = 0 is no tower
+    (["verify", "--code", ("code", "tower.def_poly_top", [[[1], [0]]] + [[[0], [0]]] * 3
+                           + [[[1], [0]]])], cli.EXIT_INPUT,
+     "BadShape: tower spec does not match"),
+    (["verify", "--code", ("code", "tower.k", 0)], cli.EXIT_INPUT,
+     "InvalidParams: a, k, t must be >= 1"),
 ], ids=["bounds-q1", "bounds-q6", "table-q1", "bounds-odd-d", "bounds-n-below-k",
         "table-r1", "poly-empty-family", "bounds-d-above-2k", "verify-float-p",
         "verify-float-distance", "verify-bool-distance", "verify-float-size",
         "verify-int-size", "verify-float-dim", "poly-float-s", "poly-float-k", "poly-float-q",
-        "poly-float-exponent", "poly-float-coordinate", "poly-missing-level"])
+        "poly-float-exponent", "poly-float-coordinate", "poly-missing-level",
+        "verify-changed-def-poly-top", "verify-k-zero"])
 def test_out_of_range_parameters(argv, exit_code, text, even_code_file, tmp_path, capsys):
     # an argument (source, dotted path, value) is a copy of the bundled poly
     # family or the even (2,2,8) code file with that one field set
@@ -373,6 +381,24 @@ def test_simulate_over_the_codebook_cap_exits_4(one_orbit_code_3_3_15, tmp_path,
     assert run(["simulate", "--code", src, "--erasures", 1, "--trials", 2,
                 "--out", out]) == cli.EXIT_INPUT
     assert "InfeasibleNoise: 7174453 codewords exceed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--trials", -3], "InvalidParams: trials must be >= 0"),
+    (["--erasures", 3, "--trials", 0], "InfeasibleNoise: erasures must lie in [0, 2]"),
+    (["--insertions", 7, "--trials", 2], "InfeasibleNoise: insertions must lie in [0, 6]"),
+], ids=["negative-trials", "erasures-above-k", "insertions-above-m-minus-k"])
+def test_simulate_checks_its_arguments_before_the_codebook(argv, text, even_code_file,
+                                                          tmp_path, monkeypatch, capsys):
+    # k = 2 and m = 8: each argument is refused before any orbit is walked
+    def no_walk(u):
+        raise AssertionError("orbit walked before the arguments were checked")
+
+    monkeypatch.setattr(cli.ch, "enumerate_orbit", no_walk)
+    out = tmp_path / "sim.json"
+    assert run(["simulate", "--code", even_code_file, *argv, "--out", out]) == cli.EXIT_INPUT
+    assert text in capsys.readouterr().err
     assert not out.exists()
 
 

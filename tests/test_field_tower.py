@@ -6,10 +6,16 @@ from hypothesis import strategies as st
 from oracles import element_order
 
 from cyclic_cdc.errors import (
+    BadShape,
+    BrokenInvariant,
     DivisionByZero,
+    InvalidParams,
     NotPrime,
 )
 from cyclic_cdc.field_tower import (
+    LOG_TABLE_LIMIT,
+    ExtensionField,
+    FieldTower,
     batch_inverse,
     build_tower,
     enc_from_nested,
@@ -83,6 +89,60 @@ def test_gamma_satisfies_defining_relation():
             acc = top.add(acc, top.mul(c, power))
             power = top.mul(power, tw.mid.order)  # gamma: every tower has t > 1
         assert acc == 0
+
+
+# q in {2, 3, 4, 5}; degree-1 levels (GF(q) over GF(p) for prime q, and the
+# middle of (5, 1, 1, 3)) and the order-2^16 top of (2, 1, 2, 8)
+@pytest.mark.parametrize("params", [(2, 1, 2, 8), (3, 1, 2, 4), (2, 2, 2, 3), (5, 1, 1, 3)])
+def test_log_tables_follow_the_primitive(params):
+    # the split-table walk gives what schoolbook products by the primitive
+    # element give, and log inverts exp
+    tw = build_tower(*params)
+    levels = [F for F in (tw.q_level, tw.mid, tw.top) if F._exp is not None]
+    assert tw.top in levels
+    for F in levels:
+        exp, log, g, o1 = F._exp, F._log, F.primitive, F.order - 1
+        assert len(exp) == o1
+        for i, x in enumerate(exp):
+            assert log[x] == i
+            assert exp[(i + 1) % o1] == F._mul_poly(x, g)
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2, 4), (3, 1, 2, 4)])
+def test_tables_refuse_a_generator_that_is_not_primitive(params, monkeypatch):
+    # xi generates the middle level only: in the top it returns to 1 early
+    tw = build_tower(*params)
+    monkeypatch.setattr(ExtensionField, "_search_primitive", lambda self: tw.xi)
+    with pytest.raises(BrokenInvariant, match="not primitive"):
+        ExtensionField(tw.mid, tw.def_poly_top)
+
+
+def test_field_layer_errors_are_typed():
+    tw = build_tower(2, 1, 2, 4)
+    with pytest.raises(BadShape, match="monic"):
+        ExtensionField(tw.mid, tw.def_poly_top[:-1] + (2,))
+    with pytest.raises(InvalidParams, match="a, k, t must be >= 1"):
+        FieldTower(2, 1, 2, 0)
+    with pytest.raises(BadShape, match="tower spec does not match"):
+        tower_from_spec(dict(tw.spec_dict(), xi=[[1], [1]]))
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2, 5), (3, 1, 3, 5)], ids=["tables", "no-tables"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_geometric_run_matches_powers(params, data):
+    # a rotation of the exp table (wrapping past its end included), or
+    # repeated multiplication above LOG_TABLE_LIMIT
+    top = build_tower(*params).top
+    assert (top._exp is None) == (top.order > LOG_TABLE_LIMIT)
+    limit = top.order - 1 if top._exp is not None else 30
+    if top._exp is not None and data.draw(st.booleans()):
+        x = top._exp[data.draw(st.integers(top.order - 40, top.order - 2))]
+    else:
+        x = data.draw(st.integers(0, top.order - 1))
+    n = data.draw(st.integers(0, limit))
+    g = top.primitive
+    assert top.geometric(x, n) == [top.mul(x, top.pow(g, i)) for i in range(n)]
 
 
 @pytest.mark.parametrize("params", TOWERS)
