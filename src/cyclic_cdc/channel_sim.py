@@ -19,8 +19,7 @@ trial runs are reproducible from the seed alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BrokenInvariant, DecodingFailure, InfeasibleNoise, InvalidParams
 from .field_tower import batch_inverse
@@ -40,8 +39,7 @@ CODEBOOK_CAP = 1 << 16
 _RETRY_CAP = 200
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(NamedTuple):
     erasures: int
     insertions: int
     trials: int

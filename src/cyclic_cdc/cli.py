@@ -13,14 +13,19 @@ under the scan budget, 4 input error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 from collections import Counter
 
-# the field layer first: with channel_sim first, a construct, verify or
-# sidon-check run peaked about 0.25 MB higher (CPython 3.11, no bytecode cache)
+try:  # CPython's built-in sha256: hashlib would load OpenSSL for one digest
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
+
 from .errors import CdcError, DecodingFailure, Infeasible
 from .field_tower import build_tower, prime_power
 from . import __version__
@@ -53,7 +58,7 @@ def _emit(command: str, params: dict, tower_spec, result: dict, out: str | None,
         "wall_time_s": round(time.perf_counter() - t0, 3),
         "timings": timings,
         "counters": counters,
-        "result_digest": hashlib.sha256(payload.encode()).hexdigest(),
+        "result_digest": sha256(payload.encode()).hexdigest(),
     }
     if out:
         with open(out, "w") as fh:

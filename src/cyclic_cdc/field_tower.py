@@ -618,18 +618,26 @@ def build_tower(p: int, a: int, k: int, t: int) -> FieldTower:
     return FieldTower(p, a, k, t)
 
 
-def int_field(obj: dict, key: str) -> int:
-    """``obj[key]`` of an input file, which must be a JSON integer: a float
-    or a bool there raises BadShape rather than being truncated."""
-    value = obj[key]
-    if type(value) is not int:
-        raise BadShape(f"{key} must be an integer, got {value!r}")
+def json_object(obj) -> dict:
+    """An input file's JSON object: BadShape for an array, a string or a number."""
+    if type(obj) is not dict:
+        raise BadShape(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def json_field(obj, key: str, kind: type = int):
+    """``obj[key]`` of an input file's JSON object, which must have exactly the
+    JSON type ``kind``: a float or a bool is no integer and raises BadShape
+    rather than being truncated, and a number is no list."""
+    value = json_object(obj)[key]
+    if type(value) is not kind:
+        raise BadShape(f"{key} must be of type {kind.__name__}, got {value!r:.60}")
     return value
 
 
 def tower_from_spec(spec: dict) -> FieldTower:
     """Rebuild a tower from its spec dict, validating determinism."""
-    tw = build_tower(*(int_field(spec, key) for key in ("p", "a", "k", "t")))
+    tw = build_tower(*(json_field(spec, key) for key in ("p", "a", "k", "t")))
     if tw.spec_dict() != spec:
         raise BadShape("tower spec does not match the deterministic construction")
     return tw

@@ -20,8 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     BadSupport,
@@ -31,7 +30,9 @@ from .errors import (
     WrongCharacteristic,
     ZeroShift,
 )
-from .field_tower import FieldTower, build_tower, enc_from_nested, int_field, poly_gcd, prime_power
+from .field_tower import (
+    FieldTower, build_tower, enc_from_nested, json_field, json_object, poly_gcd, prime_power,
+)
 from .orbit_codes import DEFAULT_SCAN_BUDGET
 from .subspace_linalg import (
     Subspace,
@@ -42,11 +43,10 @@ from .subspace_linalg import (
 )
 
 
-@dataclass(frozen=True)
-class LinearizedPolynomial:
+class LinearizedPolynomial(NamedTuple):
     """sum of coeff * x^(q^exp) with coefficients in the tower's top field."""
 
-    tower: FieldTower = field(repr=False)
+    tower: FieldTower
     coeffs: tuple[tuple[int, int], ...]  # (q-exponent, encoding), ascending, nonzero
 
     @property
@@ -179,8 +179,7 @@ def _check_family(polys: list[LinearizedPolynomial], s: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class RankMatrix:
+class RankMatrix(NamedTuple):
     """The (k+1) x (k-s+1) matrix whose full column rank at every admissible
     shift certifies small intersections between shifted kernels."""
 
@@ -221,8 +220,7 @@ def build_rank_matrix(
     return RankMatrix(tuple(tuple(row) for row in rows))
 
 
-@dataclass
-class CriteriaVerdict:
+class CriteriaVerdict(NamedTuple):
     """Outcome of the two union-distance conditions, with witnesses."""
 
     rank_ok: bool
@@ -372,8 +370,7 @@ def check_union_distance_criteria_gf2(
 
 # -- exact distance and size of polynomial-kernel unions -------------------------
 
-@dataclass
-class PolyCodeReport:
+class PolyCodeReport(NamedTuple):
     distance: int
     size: int
     orbit_sizes: list[int]
@@ -421,21 +418,21 @@ def poly_family_from_json(obj: dict, N: int) -> tuple[FieldTower, list[Linearize
     Elements are xi-exponents (integers) or coordinate vectors (nested
     arrays over the coefficient field, low degree first).
     """
-    q, n_coeff, k, s = (int_field(obj, key) for key in ("q", "coeff_field_degree", "k", "s"))
+    q, n_coeff, k, s = (json_field(obj, key) for key in ("q", "coeff_field_degree", "k", "s"))
     if N % n_coeff:
         raise BadSupport(f"N={N} is not a multiple of the coefficient degree {n_coeff}")
-    if not obj["polys"]:
+    if not json_field(obj, "polys", list):
         raise InvalidParams("the family has no polynomials")
     p, a = prime_power(q)
     tower = build_tower(p, a, n_coeff, N // n_coeff)
     polys = []
     for raw in obj["polys"]:
         mapping = {}
-        for e, val in raw.items():
+        for e, val in json_object(raw).items():
             if isinstance(val, list):
                 enc = enc_from_nested(tower.mid, val)
             else:
-                enc = tower.mid.pow(tower.xi, int_field(raw, e))
+                enc = tower.mid.pow(tower.xi, json_field(raw, e))
             mapping[int(e)] = enc
         polys.append(linpoly(tower, mapping))
     if _check_family(polys, s) != k:

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import BrokenInvariant, InvalidParams
-from .field_tower import FieldTower, int_field, prime_power, tower_from_spec
+from .field_tower import FieldTower, json_field, prime_power, tower_from_spec
 from .sidon_constructions import max_rep_index
 from .subspace_linalg import (
     Subspace,
@@ -31,11 +29,10 @@ from .subspace_linalg import (
 DEFAULT_SCAN_BUDGET = 1 << 26
 
 
-@dataclass(frozen=True)
-class UnionCode:
+class UnionCode(NamedTuple):
     """A union of cyclic orbit codes, given by one generator per orbit."""
 
-    tower: FieldTower = field(repr=False)
+    tower: FieldTower
     generators: tuple[Subspace, ...]
     claimed_size: int
     claimed_min_distance: int
@@ -52,17 +49,17 @@ class UnionCode:
 
 
 def code_from_json(obj: dict) -> UnionCode:
-    tower = tower_from_spec(obj["tower"])
-    gens = tuple(subspace_from_json(tower, g) for g in obj["generators"])
+    tower = tower_from_spec(json_field(obj, "tower", dict))
+    gens = tuple(subspace_from_json(tower, g) for g in json_field(obj, "generators", list))
     common_dim(gens)
     size = obj["claimed_size"]  # to_json writes a decimal string
     if not (type(size) is str and size.isdecimal()):
-        size = int_field(obj, "claimed_size")
+        size = json_field(obj, "claimed_size")
     return UnionCode(
         tower=tower,
         generators=gens,
         claimed_size=int(size),
-        claimed_min_distance=int_field(obj, "claimed_min_distance"),
+        claimed_min_distance=json_field(obj, "claimed_min_distance"),
         provenance=obj.get("provenance", ""),
     )
 
@@ -238,7 +235,7 @@ def johnson_bound(q: int, n: int, k: int, d: int) -> int:
 def rate(code_size: int, q: int, n: int, k: int) -> float:
     """log_q(size) / (n*k), in double precision."""
     if code_size < 1:
-        raise ValueError("size must be >= 1")
+        raise InvalidParams("size must be >= 1")
     return math.log2(code_size) / math.log2(q) / (n * k)
 
 
@@ -253,7 +250,8 @@ def ratio_to_bound(q: int, k: int) -> Fraction:
     approach to 1/2, and its entry into (0.45, 0.5) at k = 6, is therefore
     measured against the rational product, not the floor."""
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise InvalidParams("k must be >= 2")
+    from fractions import Fraction  # imported here: it loads decimal
     n = 4 * k
     bound = Fraction((q ** n - 1) * (q ** (n - 1) - 1), (q ** k - 1) * (q ** (k - 1) - 1))
     return construction_size(q, k, 2, "even") / bound

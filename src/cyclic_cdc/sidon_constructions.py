@@ -31,15 +31,13 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BadShape, BrokenInvariant, InvalidParams
 from .field_tower import FieldTower
 from .subspace_linalg import Subspace, rank_rows, span, union_distance
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(NamedTuple):
     """One admissible parameter tuple; deltas and theta are xi-exponents.
 
     For v-families ``rep`` is fixed at 1, ``theta_exp`` is None and the

@@ -32,8 +32,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -43,7 +42,7 @@ from .errors import (
     Infeasible,
     ZeroShift,
 )
-from .field_tower import FieldTower, batch_inverse, int_field
+from .field_tower import FieldTower, batch_inverse, json_field
 
 
 # -- the two elimination kernels ------------------------------------------------
@@ -123,11 +122,10 @@ def field_matrix_rank(F, rows: Iterable[Sequence[int]]) -> int:
 
 # -- subspace type -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A GF(q)-subspace of GF(q^m), held as its canonical RREF basis."""
 
-    tower: FieldTower = field(repr=False)
+    tower: FieldTower
     rows: tuple[int, ...]
 
     @property
@@ -165,16 +163,17 @@ class Subspace:
 def subspace_from_json(tower: FieldTower, obj: dict) -> Subspace:
     """Load a subspace, enforcing that each basis row has m integer digits
     in range(q) and that the stored basis is the canonical RREF."""
-    if int_field(obj, "ambient_dim") != tower.m:
+    if json_field(obj, "ambient_dim") != tower.m:
         raise AmbientMismatch("ambient dimension does not match tower")
-    for r in obj["basis"]:
-        if len(r) != tower.m or not all(type(d) is int and 0 <= d < tower.q for d in r):
+    for r in json_field(obj, "basis", list):
+        if not (type(r) is list and len(r) == tower.m
+                and all(type(d) is int and 0 <= d < tower.q for d in r)):
             raise BadShape(f"basis row {r} is not {tower.m} digits in range({tower.q})")
     rows = tuple(tower.unflatten(r) for r in obj["basis"])
     canon = rref_rows(tower, rows)
     if canon != rows:
         raise BadShape("basis is not in canonical reduced row-echelon form")
-    if len(canon) != int_field(obj, "dim"):
+    if len(canon) != json_field(obj, "dim"):
         raise BadShape("stored dim disagrees with basis rank")
     return Subspace(tower, canon)
 

@@ -1,4 +1,9 @@
+import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +14,8 @@ from cyclic_cdc import cli
 from cyclic_cdc import orbit_codes as oc
 from cyclic_cdc.field_tower import build_tower
 
-DATA = Path(__file__).resolve().parent.parent / "data" / "polys_gf4_k3.json"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data" / "polys_gf4_k3.json"
 
 
 def run(argv):
@@ -192,34 +198,66 @@ def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, com
      "BadShape: tower spec does not match"),
     (["verify", "--code", ("code", "tower.k", 0)], cli.EXIT_INPUT,
      "InvalidParams: a, k, t must be >= 1"),
+    # a container of the wrong JSON type is BadShape, not a TypeError or
+    # AttributeError (exit 1 with a traceback)
+    (["poly", "--file", ("poly", "polys", 5), "--N", 14], cli.EXIT_INPUT,
+     "BadShape: polys must be of type list"),
+    (["poly", "--file", ("poly", "polys", [[1, 2]]), "--N", 14], cli.EXIT_INPUT,
+     "BadShape: expected a JSON object, got list"),
+    (["poly", "--file", ("poly", "", [1, 2]), "--N", 14], cli.EXIT_INPUT,
+     "BadShape: expected a JSON object, got list"),
 ], ids=["bounds-q1", "bounds-q6", "table-q1", "bounds-odd-d", "bounds-n-below-k",
         "table-r1", "poly-empty-family", "bounds-d-above-2k", "verify-float-p",
         "verify-float-distance", "verify-bool-distance", "verify-float-size",
         "verify-int-size", "verify-float-dim", "poly-float-s", "poly-float-k", "poly-float-q",
         "poly-float-exponent", "poly-float-coordinate", "poly-missing-level",
-        "verify-changed-def-poly-top", "verify-k-zero"])
+        "verify-changed-def-poly-top", "verify-k-zero", "poly-polys-number",
+        "poly-poly-array", "poly-top-level-array"])
 def test_out_of_range_parameters(argv, exit_code, text, even_code_file, tmp_path, capsys):
     # an argument (source, dotted path, value) is a copy of the bundled poly
     # family or the even (2,2,8) code file with that one field set
     sources = {"poly": DATA, "code": even_code_file}
 
     def written(arg):
-        if not isinstance(arg, tuple):
-            return arg
-        source, dotted, value = arg
-        obj = json.loads(Path(sources[source]).read_text())
-        *path, key = dotted.split(".")
-        node = obj
-        for part in path:
-            node = node[int(part)] if isinstance(node, list) else node[part]
-        node[key] = value
-        out = tmp_path / f"{source}.json"
-        out.write_text(json.dumps(obj))
-        return out
+        return _edited(sources[arg[0]], *arg[1:], tmp_path) if isinstance(arg, tuple) else arg
 
     assert run([written(a) for a in argv]) == exit_code
     captured = capsys.readouterr()
     assert text in captured.out + captured.err
+
+
+def _edited(source, dotted, value, tmp_path):
+    """A copy of the JSON file ``source`` with the field at the dotted path
+    (list indices as integers) set to ``value``; the empty path replaces the
+    whole document."""
+    obj = json.loads(Path(source).read_text())
+    if dotted:
+        *path, key = dotted.split(".")
+        node = obj
+        for part in path:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[int(key) if isinstance(node, list) else key] = value
+    else:
+        obj = value
+    out = tmp_path / f"edited-{Path(source).name}"
+    out.write_text(json.dumps(obj))
+    return out
+
+
+@pytest.mark.parametrize("command", ["verify", "sidon-check", "simulate"])
+@pytest.mark.parametrize("dotted, value", [
+    ("generators", 5), ("generators.0", "x"), ("generators.0.basis", 7),
+    ("generators.0.basis.0", 3), ("tower", []), ("", [1, 2]),
+], ids=["generators-number", "generator-string", "basis-number", "basis-row-number",
+        "tower-array", "top-level-array"])
+def test_malformed_code_files_are_input_errors(command, dotted, value, even_code_file, tmp_path,
+                                               capsys):
+    # a container of the wrong JSON type is BadShape, not a TypeError (exit 1
+    # with a traceback)
+    src = _edited(even_code_file, dotted, value, tmp_path)
+    assert run([command, "--code", src, "--out", tmp_path / "out.json"]) == cli.EXIT_INPUT
+    assert "BadShape" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_missing_file_is_input_error(tmp_path):
@@ -484,3 +522,81 @@ def test_manifest_reproducibility(even_code_file, tmp_path):
     assert set(simulate["timings"]) == {"time_codebook", "time_trials"}
     assert simulate["counters"]["point_ratios"] == 10 * 12
     assert simulate["counters"]["decode_candidates"] == 10 * 12  # 12 lines per point
+
+
+# the result digests of nine runs; a change to the package may change their
+# timings and counters, never these
+PINNED_DIGESTS = {
+    "construct-odd-2-2-10": "4625dc64e4aa6bfa04f4aa416ff0a9214e38e37bef8478de49d4d12e3f5b5478",
+    "construct-even-2-2-8": "1017f3b8fede6cf4c6f2ae022ba341114701811171753162c51a8f49559963db",
+    "construct-odd-3-3-15": "9bded6fd45aaba329dd8844c9109d842f8e5262a7b4a3a088d5010bb98c27216",
+    "verify-odd-2-2-10": "137b5bbe80f4e581758fb0c1a811b34c78845c085499a7ba6d6d2e4c0804cc41",
+    "sidon-check-odd-3-3-15": "7bde5800fd38b28e97ccf231f3d6d4801d3e026231bd5cd606ec247ce887ee55",
+    "poly-gf4-N14": "1a6cf3b5732e433ff45625383ec04a446e6b2347d703473717ba2621d328e50a",
+    "simulate-even-2-2-8": "b8557afd23ed01ea5cfcadd198f7581f810fe99fa2f372d9e1b82a21d1a3d4c4",
+    "table-q23-k23-r2": "325280a36d9423337bc0053a7058daea1229ecb8a7a2505c66aa83eace048b54",
+    "bounds-2-8-2-2": "eec073dbd31fe54a2ba344c6e67206e396b324c0046e48224d8a8c7a85ff1cf3",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_runs(tmp_path_factory):
+    """name -> (manifest digest, bytes of the result file) for the runs of
+    PINNED_DIGESTS, in order: each code a later run reads is built first."""
+    tmp = tmp_path_factory.mktemp("pinned")
+    argvs = {
+        "construct-odd-2-2-10": ["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "odd"],
+        "construct-even-2-2-8": ["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "even"],
+        "construct-odd-3-3-15": ["construct", "--q", 3, "--k", 3, "--r", 2, "--parity", "odd"],
+        "verify-odd-2-2-10": ["verify", "--code", tmp / "construct-odd-2-2-10.json"],
+        "sidon-check-odd-3-3-15": ["sidon-check", "--code", tmp / "construct-odd-3-3-15.json"],
+        "poly-gf4-N14": ["poly", "--file", DATA, "--N", 14],
+        "simulate-even-2-2-8": ["simulate", "--code", tmp / "construct-even-2-2-8.json",
+                                "--erasures", 1, "--trials", 50, "--seed", 5],
+        "table-q23-k23-r2": ["table", "--q", "2,3", "--k", "2,3", "--r", 2],
+        "bounds-2-8-2-2": ["bounds", "--q", 2, "--n", 8, "--k", 2, "--d", 2],
+    }
+    runs = {}
+    for name, argv in argvs.items():
+        out = tmp / f"{name}.json"
+        assert run(argv + ["--out", out]) == cli.EXIT_OK, name
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        runs[name] = manifest["result_digest"], out.read_bytes()
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_result_digests_are_pinned(name, pinned_runs):
+    digest, written = pinned_runs[name]
+    assert digest == PINNED_DIGESTS[name]
+    # the digest is the sha256 of the result file without its final newline
+    assert written.endswith(b"\n")
+    assert hashlib.sha256(written[:-1]).hexdigest() == digest
+
+
+def test_digest_comes_from_the_builtin_sha256():
+    # CPython's own module, not hashlib's OpenSSL binding; 3.12 renamed it
+    builtin = importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    assert cli.sha256 is builtin.sha256
+    for payload in (b"", b'{"q": 2}', "GF(q^m) \u2287 \u03b1U, d = 2k \u2212 2".encode()):
+        assert cli.sha256(payload).hexdigest() == hashlib.sha256(payload).hexdigest()
+
+
+def test_cli_import_loads_every_traced_layer_and_nothing_heavy():
+    # a fresh interpreter without site: what ``import cyclic_cdc.cli`` loads
+    # itself.  hashlib brings OpenSSL, dataclasses brings inspect, ast and
+    # tokenize, fractions brings decimal; the CLI needs none of them.  Every
+    # layer that perfbench/tracer.py wraps must be loaded by the import.
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, cyclic_cdc.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    forbidden = {"hashlib", "_hashlib", "dataclasses", "inspect", "fractions", "decimal"}
+    assert loaded & forbidden == set()
+    assert len(tracer.SPANNED) == 6
+    assert {f"cyclic_cdc.{layer}" for layer in tracer.SPANNED} <= loaded

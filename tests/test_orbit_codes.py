@@ -215,3 +215,11 @@ def test_ratio_to_bound_increases_toward_half():
     assert all(v < Fraction(1, 2) for v in vals)
     # approaches 1/2: by k = 8 the gap is already below 2 percent
     assert Fraction(1, 2) - vals[-1] < Fraction(1, 50)
+
+
+def test_rate_and_ratio_refuse_out_of_range_arguments():
+    # typed, so the CLI maps them to exit 4 like every other input error
+    with pytest.raises(InvalidParams):
+        oc.rate(0, 2, 8, 2)
+    with pytest.raises(InvalidParams):
+        oc.ratio_to_bound(2, 1)
