@@ -7,10 +7,11 @@ point ratio canon(r * u^-1), r a point of the received space R and u one of
 generator U_i, is the number of points of R ∩ alpha*U_i at alpha = r/u, so
 one ``shift_dims`` histogram per generator gives dim(R ∩ alpha*U_i) at every
 shift, and the words that meet R most are the ones nearest to it.  Sent
-words are drawn from the materialized codebook: the union of the walked
-orbits, sorted by RREF rows.  Two orbits are equal or disjoint, so each new
-orbit is sized before it is walked, and one that would take the count of
-distinct words past the cap is refused unwalked.
+words are drawn from the materialized ``Codebook``, the union of the walked
+orbits held as one sorted list of packed RREF keys.  Two orbits are equal or
+disjoint, so a generator whose RREF is already a word is neither walked nor
+decoded against; each new orbit is sized before it is walked, and one that
+would take the count of distinct words past the cap is refused unwalked.
 
 Randomness comes from a seeded ``random.Random`` (Mersenne Twister), so
 trial runs are reproducible from the seed alone.
@@ -19,10 +20,13 @@ trial runs are reproducible from the seed alone.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Sequence
+from bisect import bisect_left
+from collections.abc import Sequence
+from itertools import chain
+from typing import NamedTuple
 
 from .errors import BrokenInvariant, DecodingFailure, InfeasibleNoise, InvalidParams
-from .field_tower import batch_inverse
+from .field_tower import FieldTower, batch_inverse
 from .orbit_codes import UnionCode
 from .subspace_linalg import (
     Subspace,
@@ -110,12 +114,12 @@ def md_decode(
 ) -> tuple[Subspace, int]:
     """A codeword at minimum subspace distance from ``received``, and the
     number of maximising shifts whose RREF was taken.  ``inverses`` holds
-    the inverses of each generator's points.
+    the inverses of the points of each generator, one per orbit.
 
     All words have dimension k, so the nearest are the alpha*U_i that meet R
     most; the smallest RREF among them wins, the lowest index of the sorted
-    codebook.  Correct whenever 2*(erasures + insertions) is below the
-    code's minimum distance."""
+    codebook, which is read only for R = {0}.  Correct whenever
+    2*(erasures + insertions) is below the code's minimum distance."""
     if received.dim == 0:
         # R = {0} meets every word trivially: all sit at distance k
         return codebook[0], 0
@@ -130,27 +134,70 @@ def md_decode(
     return min(words, key=lambda w: w.rows), len(argmax)
 
 
-def materialize_codebook(code: UnionCode, cap: int = CODEBOOK_CAP) -> list[Subspace]:
-    """All distinct codewords of the union, sorted by RREF rows; InfeasibleNoise
+def _pack(rows: Sequence[int], base: int) -> int:
+    key = 0
+    for r in rows:
+        key = key * base + r
+    return key
+
+
+def _position(keys: list[int], key: int) -> int:
+    """Index of ``key`` in the sorted ``keys``, or -1."""
+    i = bisect_left(keys, key)
+    return i if i < len(keys) and keys[i] == key else -1
+
+
+class Codebook(Sequence):
+    """The distinct words of a union code in RREF order, one ``Subspace``
+    built per access, and one generator per orbit.  Each sorted key is a
+    word's k RREF rows read as base-q^m digits, most significant first."""
+
+    def __init__(self, tower: FieldTower, k: int, keys: list[int],
+                 generators: tuple[Subspace, ...]) -> None:
+        self.tower, self.k, self.keys, self.generators = tower, k, keys, generators
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> Subspace:
+        key, rows, base = self.keys[i], [], self.tower.top.order
+        for _ in range(self.k):
+            key, row = divmod(key, base)
+            rows.append(row)
+        return Subspace(self.tower, tuple(reversed(rows)))
+
+    def index(self, word: Subspace) -> int:
+        """The position of ``word``; ValueError if it is not a codeword."""
+        if (i := _position(self.keys, _pack(word.rows, self.tower.top.order))) < 0:
+            raise ValueError("not a codeword")
+        return i
+
+
+def materialize_codebook(code: UnionCode, cap: int = CODEBOOK_CAP) -> Codebook:
+    """All distinct codewords of the union, in RREF order; InfeasibleNoise
     before an orbit is walked whose size would take the count past ``cap``.
-    Rows go into one set, sorted once; each ``Subspace`` is built after that."""
-    words: set[tuple[int, ...]] = set()
+    Each orbit's keys are sorted once, and one sort merges the runs."""
+    base, runs, walked = code.tower.top.order, [], []
     for g in code.generators:
-        if g.rows not in words:  # two orbits are equal or disjoint: walk each once
-            if (size := len(words) + orbit_size(g)) > cap:
-                raise InfeasibleNoise(f"{size} codewords exceed the codebook cap {cap}")
-            words.update(enumerate_orbit(g))
-    return [Subspace(code.tower, rows) for rows in sorted(words)]
+        key = _pack(g.rows, base)
+        if any(_position(run, key) >= 0 for run in runs):
+            continue  # two orbits are equal or disjoint: walk each once
+        if (size := sum(map(len, runs)) + orbit_size(g)) > cap:
+            raise InfeasibleNoise(f"{size} codewords exceed the codebook cap {cap}")
+        runs.append(sorted([_pack(rows, base) for rows in enumerate_orbit(g)]))
+        walked.append(g)
+    keys = sorted(chain.from_iterable(runs))
+    return Codebook(code.tower, code.generators[0].dim, keys, tuple(walked))
 
 
 def run_trials(
     generators: Sequence[Subspace],
-    codebook: list[Subspace],
+    codebook: Sequence[Subspace],
     min_distance: int,
     cfg: ChannelConfig,
 ) -> dict:
-    """Seeded decoding trials on the code with these generators, whose
-    materialized codebook the sent words are drawn from; returns a
+    """Seeded decoding trials on the code with these generators (one per
+    orbit), whose codebook the sent words are drawn from; returns a
     JSON-ready report whose ``counters`` say what decoding examined.
 
     When the guarantee 2*(erasures+insertions) < min_distance is active,
@@ -158,17 +205,18 @@ def run_trials(
     DecodingFailure; otherwise the failure rate is only reported."""
     rng = random.Random(cfg.seed)
     guarantee = 2 * (cfg.erasures + cfg.insertions) < min_distance
-    top, q = codebook[0].tower.top, codebook[0].tower.q
+    top, q = generators[0].tower.top, generators[0].tower.q
     inverses = [batch_inverse(top, g.projective_reps()) for g in generators]
     points = sum(map(len, inverses))
     successes = ratios = candidates = 0
     for _ in range(cfg.trials):
         sent = rng.randrange(len(codebook))
-        received = transmit(codebook[sent], cfg, rng)
+        word = codebook[sent]
+        received = transmit(word, cfg, rng)
         decoded, taken = md_decode(received, generators, inverses, codebook)
         ratios += (q ** received.dim - 1) // (q - 1) * points
         candidates += taken
-        if decoded.rows == codebook[sent].rows:
+        if decoded.rows == word.rows:
             successes += 1
         elif guarantee:
             raise DecodingFailure(

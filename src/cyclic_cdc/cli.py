@@ -206,8 +206,10 @@ def cmd_simulate(args):
     t1 = time.perf_counter()
     codebook = ch.materialize_codebook(code)
     t2 = time.perf_counter()
-    report = ch.run_trials(code.generators, codebook, code.claimed_min_distance, cfg)
+    report = ch.run_trials(codebook.generators, codebook, code.claimed_min_distance, cfg)
     report["codebook_size"] = len(codebook)
+    skipped = len(code.generators) - len(codebook.generators)
+    report["counters"].update(orbits_walked=len(codebook.generators), generators_skipped=skipped)
     report["time_codebook"] = round(t2 - t1, 3)
     report["time_trials"] = round(time.perf_counter() - t2, 3)
     return code.tower.spec_dict(), report, EXIT_OK

@@ -101,15 +101,16 @@ def rref_rows(tower: FieldTower, rows: Iterable[int]) -> tuple[int, ...]:
     forward echelon, back-substituted in descending pivot order (for q > 2,
     a second echelon of its rows in that order)."""
     if tower.q == 2:
-        done: list = []  # (pivot, fully reduced row), descending pivots
+        done: list[int] = []  # fully reduced rows, descending pivots r & -r
         piv = _echelon_q2(rows)
         for b in sorted(piv, reverse=True):
             v = piv[b]
-            for b2, r2 in done:
-                if v & b2:
-                    v ^= r2
-            done.append((b, v))
-        return tuple(v for _, v in reversed(done))
+            for r in done:
+                if v & r & -r:
+                    v ^= r
+            done.append(v)
+        done.reverse()
+        return tuple(done)
     piv = _echelon(tower.q_level, map(tower.flatten, rows))
     piv = _echelon(tower.q_level, [piv[pc] for pc in sorted(piv, reverse=True)])
     return tuple(tower.unflatten(piv[pc]) for pc in sorted(piv))

@@ -1,6 +1,7 @@
 """The operator channel, and the orbit-index decoder against decoding by a
 scan of the whole codebook."""
 
+import itertools
 import random
 
 import pytest
@@ -159,10 +160,39 @@ def test_codebook_counts_a_repeated_orbit_once():
 @given(data=st.data())
 def test_codebook_is_the_union_of_the_scanned_orbits(q, subfield_linear, data):
     # the walk over geometric columns gives the words of the scan over every
-    # projective point, repeated orbits (a shifted generator) counted once
+    # projective point, repeated orbits (a shifted generator) counted once,
+    # and the packed keys give them back in RREF order, each at its index
     gens = data.draw(orbit_generators(q, subfield_linear))
-    book = ch.materialize_codebook(oc.build_union(gens[0].tower, gens))
-    assert [w.rows for w in book] == sorted(set().union(*(orbit_by_scan(g) for g in gens)))
+    tw = gens[0].tower
+    book = ch.materialize_codebook(oc.build_union(tw, gens))
+    words = sorted(set().union(*(orbit_by_scan(g) for g in gens)))
+    assert list(book) == [sl.Subspace(tw, rows) for rows in words]
+    assert all(book.index(book[i]) == i for i in range(len(book)))
+    assert book[-1].rows == words[-1]
+    # one generator per orbit: none of them a shift of another
+    assert len(book) == sum(map(sl.orbit_size, book.generators))
+    vectors = data.draw(st.lists(st.integers(1, tw.top.order - 1), min_size=1, max_size=3))
+    for w in (sl.span(tw, vectors), sl.Subspace(tw, ())):
+        if w.rows in words:
+            assert book.index(w) == words.index(w.rows)
+        else:
+            with pytest.raises(ValueError):
+                book.index(w)
+
+
+@pytest.mark.parametrize("q", sorted(TOWERS))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_codebook_keys_follow_row_tuple_order_at_the_digit_edges(q, k):
+    # rows at 0, 1, q^m - 2 and q^m - 1: a key that carried between digits
+    # or dropped the top one would reorder or alias these tuples
+    tw = build_tower(*TOWERS[q])
+    top = tw.top.order - 1
+    tuples = sorted(itertools.product((0, 1, top - 1, top), repeat=k))
+    keys = [sum(r * (top + 1) ** (k - 1 - j) for j, r in enumerate(t)) for t in tuples]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    book = ch.Codebook(tw, k, keys, ())
+    assert [w.rows for w in book] == tuples
+    assert [book.index(sl.Subspace(tw, t)) for t in tuples] == list(range(len(tuples)))
 
 
 def test_codebook_is_sized_before_any_orbit_is_walked(one_orbit_code_3_3_15, monkeypatch):

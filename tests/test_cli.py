@@ -12,6 +12,7 @@ from strategies import FROBENIUS_TOWERS, frobenius_space
 
 from cyclic_cdc import cli
 from cyclic_cdc import orbit_codes as oc
+from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc.field_tower import build_tower
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -401,8 +402,29 @@ def test_simulate_command(even_code_file, tmp_path):
     # points of point ratios, and one maximising shift, per trial
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert set(manifest["timings"]) == {"time_codebook", "time_trials"}
-    assert manifest["counters"] == {"point_ratios": 40 * 36, "decode_candidates": 40}
+    assert manifest["counters"] == {"point_ratios": 40 * 36, "decode_candidates": 40,
+                                    "orbits_walked": 4, "generators_skipped": 0}
     assert "counters" not in rep and not any(key.startswith("time_") for key in rep)
+
+
+def test_simulate_decodes_one_generator_per_orbit(tmp_path):
+    # two generators of one 85-word GF(2^8) orbit: the shifted copy is
+    # neither walked nor decoded against, so each noiseless trial takes the
+    # 3 x 3 point ratios and 3 shifts of one generator, not twice as many
+    from cyclic_cdc import subspace_linalg as sl
+
+    tw = build_tower(2, 1, 2, 4)
+    u = sl.span(tw, range(1, 3))
+    code = oc.build_union(tw, [u, sl.cyclic_shift(u, tw.top.primitive)])
+    src, out = tmp_path / "repeated.json", tmp_path / "sim.json"
+    src.write_text(json.dumps(code.to_json()))
+    assert run(["simulate", "--code", src, "--trials", 30, "--seed", 2,
+                "--out", out]) == cli.EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["successes"] == 30 and rep["codebook_size"] == 85
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["counters"] == {"point_ratios": 270, "decode_candidates": 90,
+                                    "orbits_walked": 1, "generators_skipped": 1}
 
 
 def test_simulate_over_the_codebook_cap_exits_4(one_orbit_code_3_3_15, tmp_path,
@@ -534,6 +556,8 @@ PINNED_DIGESTS = {
     "sidon-check-odd-3-3-15": "7bde5800fd38b28e97ccf231f3d6d4801d3e026231bd5cd606ec247ce887ee55",
     "poly-gf4-N14": "1a6cf3b5732e433ff45625383ec04a446e6b2347d703473717ba2621d328e50a",
     "simulate-even-2-2-8": "b8557afd23ed01ea5cfcadd198f7581f810fe99fa2f372d9e1b82a21d1a3d4c4",
+    "simulate-even-3-2-8-first-3": (
+        "aaa21312b38b9a4347129fcea815a03ca01fcc5d7b928a8f63fc6106ef05e45f"),
     "table-q23-k23-r2": "325280a36d9423337bc0053a7058daea1229ecb8a7a2505c66aa83eace048b54",
     "bounds-2-8-2-2": "eec073dbd31fe54a2ba344c6e67206e396b324c0046e48224d8a8c7a85ff1cf3",
 }
@@ -542,8 +566,15 @@ PINNED_DIGESTS = {
 @pytest.fixture(scope="module")
 def pinned_runs(tmp_path_factory):
     """name -> (manifest digest, bytes of the result file) for the runs of
-    PINNED_DIGESTS, in order: each code a later run reads is built first."""
+    PINNED_DIGESTS, in order: each code a later run reads is built first.
+    The first three generators of even (3,2,8), 9,840 words, are written
+    here: one erasure plus one insertion is beyond their distance 2, so the
+    sorted codebook order decides which words are sent and how many decode."""
     tmp = tmp_path_factory.mktemp("pinned")
+    tower = build_tower(3, 1, 2, 4)
+    gens = [sc.make_subspace(p, tower) for p in sc.enumerate_family(tower)][:3]
+    first_3 = oc.build_union(tower, gens, provenance="first 3 generators of even(q=3,k=2,r=2)")
+    (tmp / "even-3-2-8-first-3.json").write_text(json.dumps(first_3.to_json()))
     argvs = {
         "construct-odd-2-2-10": ["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "odd"],
         "construct-even-2-2-8": ["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "even"],
@@ -553,6 +584,9 @@ def pinned_runs(tmp_path_factory):
         "poly-gf4-N14": ["poly", "--file", DATA, "--N", 14],
         "simulate-even-2-2-8": ["simulate", "--code", tmp / "construct-even-2-2-8.json",
                                 "--erasures", 1, "--trials", 50, "--seed", 5],
+        "simulate-even-3-2-8-first-3": ["simulate", "--code", tmp / "even-3-2-8-first-3.json",
+                                        "--erasures", 1, "--insertions", 1,
+                                        "--trials", 50, "--seed", 5],
         "table-q23-k23-r2": ["table", "--q", "2,3", "--k", "2,3", "--r", 2],
         "bounds-2-8-2-2": ["bounds", "--q", 2, "--n", 8, "--k", 2, "--d", 2],
     }
