@@ -9,15 +9,15 @@ the middle field embed with unchanged encodings, so middle-level coefficients
 can be used directly).
 
 Both union-distance criteria share one family check (``_check_family``) and
-one skeleton (``_criteria``): the rank-matrix condition, ranked at one shift
-per orbit of a Frobenius map fixing the family's coefficients (the rank is
-constant there; a failure's witness is still the smallest failing shift),
-then each criterion's own coefficient condition on every unordered pair.
+one skeleton (``_criteria``): the rank-matrix condition, read off the
+point-ratio histograms of the split kernels (a matrix loses rank exactly at
+the shifts where two kernels meet in more than s dimensions, so only a
+failure's witness is ranked), then each criterion's own coefficient
+condition on every unordered pair.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Mapping, NamedTuple
@@ -31,7 +31,8 @@ from .errors import (
     ZeroShift,
 )
 from .field_tower import (
-    FieldTower, build_tower, enc_from_nested, json_field, json_object, poly_gcd, prime_power,
+    FieldTower, batch_inverse, build_tower, enc_from_nested, json_field, json_object, poly_gcd,
+    prime_power,
 )
 from .orbit_codes import DEFAULT_SCAN_BUDGET
 from .subspace_linalg import (
@@ -39,6 +40,7 @@ from .subspace_linalg import (
     field_matrix_rank,
     map_kernel,
     orbit_size,
+    shift_dims,
     union_distance,
 )
 
@@ -105,6 +107,20 @@ def kernel_subspace(P: LinearizedPolynomial) -> Subspace:
     m = tower.m
     images = [P.evaluate(tower.unflatten([1 if i == j else 0 for i in range(m)])) for j in range(m)]
     return map_kernel(tower, images)
+
+
+def _split_kernels(polys: list[LinearizedPolynomial]) -> list[Subspace]:
+    """The kernels of a nonempty family, each of dimension the q-degree k of
+    its first member: every member splits in the working field."""
+    k = polys[0].q_degree
+    kernels = [kernel_subspace(P) for P in polys]
+    for V in kernels:
+        if V.dim != k:
+            raise BadSupport(
+                f"kernel dimension {V.dim} below the q-degree {k}: "
+                "not a subspace polynomial for this field"
+            )
+    return kernels
 
 
 def shift_transform(P: LinearizedPolynomial, alpha: int) -> LinearizedPolynomial:
@@ -228,10 +244,7 @@ class CriteriaVerdict(NamedTuple):
     coeff_ok: bool
     coeff_witnesses: list
     alphas_checked: int
-    # the work of the rank verdict; not part of the result
-    rank_matrices: int
-    alpha_orbits: int
-    frobenius_degree: int
+    point_ratios: int  # the work of the rank verdict; not part of the result
 
     @property
     def passed(self) -> bool:
@@ -248,76 +261,62 @@ class CriteriaVerdict(NamedTuple):
         }
 
 
-@functools.lru_cache(maxsize=1)
-def _admissible_alphas(tower: FieldTower, k: int, s: int) -> tuple[int, ...]:
-    """All nonzero alpha excluding the subfields GF(q^(k-s-1)) and GF(q^k)
-    intersected with the working field, ascending; built once per family."""
-    top = tower.top
-    e1, e2 = tower.q ** math.gcd(k - s - 1, tower.m), tower.q ** math.gcd(k, tower.m)
-    return tuple(a for a in range(1, top.order) if top.pow(a, e1) != a and top.pow(a, e2) != a)
+def _rank_verdict(polys: list[LinearizedPolynomial], s: int) -> tuple[bool, tuple | None]:
+    """The rank-matrix condition, read off one ``shift_dims`` per ordered pair
+    of the family's split kernels.
+
+    The columns of M_ij(alpha) are x^(q^a) o D for a < k - s, and P_i, with
+    D = P_i - shift_transform(P_j, alpha) of q-degree <= s + 1.  A column
+    relation is L o D = mu * P_i with q-deg L <= k - s - 1: if mu = 0 then
+    D = 0; otherwise q-deg D = s + 1 and D right-divides P_i.  P_i splits with
+    simple roots in the working field (its kernel V_i has dimension k), so its
+    right divisors are the subspace polynomials of subspaces of V_i.  D
+    vanishes on V_i ∩ alpha*V_j, so a nonzero D right-divides P_i exactly
+    when that intersection has dimension s + 1, and D = 0 exactly when
+    V_i = alpha*V_j.  So M_ij(alpha) loses rank exactly when
+    dim(V_i ∩ alpha*V_j) > s: its rank is then 1 where D = 0, and k - s
+    otherwise.  Both sides, and admissibility, are constant on GF(q)*-classes
+    of alpha, so the witness (i, j, alpha, rank) is at the smallest failing
+    (alpha, i, j), as in a scan of every alpha.  Returns (ok, witness)."""
+    kernels = _split_kernels(polys)
+    tower, k = kernels[0].tower, kernels[0].dim
+    top, q = tower.top, tower.q
+    subfields = (q ** math.gcd(k - s - 1, tower.m), q ** math.gcd(k, tower.m))
+    inverses = [batch_inverse(top, V.projective_reps()) for V in kernels]
+    failing = sorted(  # (smallest member of the class, i, j)
+        (min(tower.scalar_mul(c, rep) for c in range(1, q)), i, j)
+        for (i, Vi), (j, Vj) in itertools.product(enumerate(kernels), repeat=2)
+        for rep, dim in shift_dims(Vi, Vj, inverses[j]).items() if dim > s)
+    for alpha, i, j in failing:
+        if all(top.pow(alpha, e) != alpha for e in subfields):
+            rank = field_matrix_rank(top, build_rank_matrix(polys[i], polys[j], alpha, s).entries)
+            return False, (i, j, alpha, rank)
+    return True, None
 
 
-@functools.lru_cache(maxsize=1)
-def _rank_verdict(
-    polys: tuple[LinearizedPolynomial, ...], s: int
-) -> tuple[bool, tuple | None, int, int, int]:
-    """One rank per ordered pair at one shift per Frobenius orbit.
-
-    phi: x -> x^(q^d), d the smallest divisor of m for which phi fixes every
-    coefficient of the family, gives M_ij(phi(alpha)) = phi(M_ij(alpha)) entry
-    by entry, so the rank is constant on each orbit, and the excluded subfields
-    are unions of orbits.  Ranking at the smallest member of each orbit, in
-    ascending order, meets the smallest failing alpha with the pairs in the
-    same order: the witness (i, j, alpha, rank) is that of a scan of every alpha.
-    Returns (ok, witness, matrices ranked, orbits ranked, d)."""
-    tower = polys[0].tower
-    top = tower.top
-    q = tower.q
-    k = polys[0].q_degree
-    coeffs = {c for P in polys for _, c in P.coeffs}
-    d = next(d for d in range(1, tower.m + 1)
-             if tower.m % d == 0 and all(top.pow(c, q ** d) == c for c in coeffs))
-    frob = q ** d
-    want = k - s + 1
-    gammas = [[P.coeff(t) for t in range(s + 2)] for P in polys]
-    exps = [q ** k - q ** t for t in range(s + 2)]
-    last_cols = [[P.coeff(k - rho) for rho in range(k + 1)] for P in polys]
-    seen = bytearray(top.order)
-    ranked = orbits = 0
-    for alpha in _admissible_alphas(tower, k, s):
-        if seen[alpha]:
-            continue
-        x = alpha
-        while not seen[x]:
-            seen[x] = 1
-            x = top.pow(x, frob)
-        orbits += 1
-        apow = [top.pow(alpha, e) for e in exps]
-        for i in range(len(polys)):
-            gi = gammas[i]
-            for j in range(len(polys)):
-                gj = gammas[j]
-                r = [top.sub_(gi[t], top.mul(gj[t], apow[t])) for t in range(s + 2)]
-                rows = _matrix_rows(top, q, k, s, r, last_cols[i])
-                rank = field_matrix_rank(top, rows)
-                ranked += 1
-                if rank != want:
-                    return False, (i, j, alpha, rank), ranked, orbits, d
-    return True, None, ranked, orbits, d
+def _admissible_count(q: int, m: int, k: int, s: int) -> int:
+    """The number of admissible alpha: the nonzero elements of GF(q^m) outside
+    GF(q^a) and GF(q^b), a = gcd(k-s-1, m) and b = gcd(k, m), which meet in
+    GF(q^gcd(a, b))."""
+    a, b = math.gcd(k - s - 1, m), math.gcd(k, m)
+    return q ** m - q ** a - q ** b + q ** math.gcd(a, b)
 
 
 def _criteria(polys: list[LinearizedPolynomial], s: int, budget: int, separated) -> CriteriaVerdict:
     """Both criteria: the family check, condition (1) from ``_rank_verdict``
-    (the budget is checked per call, the scan runs once per family), and
+    once its n^2 * P^2 point ratios (P points per kernel) fit the budget, and
     condition (2) as ``separated(Pi, Pj)`` on every unordered pair i < j."""
     k = _check_family(polys, s)
-    n_alphas = len(_admissible_alphas(polys[0].tower, k, s))
-    if n_alphas * len(polys) ** 2 > budget:
-        raise Infeasible("rank scan exceeds budget")
-    rank_ok, witness, *work = _rank_verdict(tuple(polys), s)
+    tower = polys[0].tower
+    q = tower.q
+    ratios = (len(polys) * (q ** k - 1) // (q - 1)) ** 2
+    if ratios > budget:
+        raise Infeasible(f"{ratios} point ratios exceeds budget {budget}")
+    rank_ok, witness = _rank_verdict(polys, s)
     failures = [(i, j) for (i, Pi), (j, Pj) in itertools.combinations(enumerate(polys), 2)
                 if not separated(Pi, Pj)]
-    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas, *work)
+    n_alphas = _admissible_count(q, tower.m, k, s)
+    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas, ratios)
 
 
 def check_union_distance_criteria(
@@ -394,14 +393,7 @@ def poly_code_distance(
     ``union_distance`` on the kernels."""
     if not polys:
         raise InvalidParams("the family has no polynomials")
-    k = polys[0].q_degree
-    kernels = [kernel_subspace(P) for P in polys]
-    for V in kernels:
-        if V.dim != k:
-            raise BadSupport(
-                f"kernel dimension {V.dim} below the q-degree {k}: "
-                "not a subspace polynomial for this field"
-            )
+    kernels = _split_kernels(polys)
     best, collisions, *work = union_distance(kernels, budget)
     sizes = [orbit_size(V) for V in kernels]
     total = sum(sizes) if not collisions else -1

@@ -33,8 +33,9 @@ the gap between the construction's size and a competitor's, which the package
 gets by subtraction.
 
 ``rank_verdict_by_full_scan`` is the rank-matrix condition of a
-q-polynomial family checked at every admissible shift, the check of the
-package's scan at one shift per Frobenius orbit.
+q-polynomial family checked by one rank per ordered pair at every shift of
+``admissible_alphas``, the check of the package's reading of the condition
+off the kernels' point-ratio histograms and of its closed-form shift count.
 
 ``decode_by_scan`` is minimum-distance decoding by one subspace distance per
 codeword, the check of the channel simulator's orbit-index decoder.
@@ -45,6 +46,7 @@ orbit_size powers of the primitive element.
 """
 
 from collections import Counter
+from math import gcd
 
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import subspace_linalg as sl
@@ -227,6 +229,14 @@ def rank_scan(generators):
     return best, collisions
 
 
+def admissible_alphas(tower, k, s):
+    """All nonzero alpha outside the subfields GF(q^(k-s-1)) and GF(q^k)
+    intersected with the working field, ascending."""
+    top = tower.top
+    e1, e2 = tower.q ** gcd(k - s - 1, tower.m), tower.q ** gcd(k, tower.m)
+    return [a for a in range(1, top.order) if top.pow(a, e1) != a and top.pow(a, e2) != a]
+
+
 def rank_verdict_by_full_scan(polys, s):
     """(rank_ok, rank_witness) of the rank-matrix condition, by one rank per
     admissible alpha (ascending) and per ordered pair; the witness
@@ -239,7 +249,7 @@ def rank_verdict_by_full_scan(polys, s):
     gammas = [[P.coeff(t) for t in range(s + 2)] for P in polys]
     exps = [q ** k - q ** t for t in range(s + 2)]
     last_cols = [[P.coeff(k - rho) for rho in range(k + 1)] for P in polys]
-    for alpha in lp._admissible_alphas(tower, k, s):
+    for alpha in admissible_alphas(tower, k, s):
         apow = [top.pow(alpha, e) for e in exps]
         for i in range(len(polys)):
             for j in range(len(polys)):

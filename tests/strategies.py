@@ -2,9 +2,11 @@
 
 from hypothesis import assume
 from hypothesis import strategies as st
+from oracles import subspace_polynomial
 
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import subspace_linalg as sl
+from cyclic_cdc.errors import BadSupport
 from cyclic_cdc.field_tower import build_tower
 
 # q -> tower (p, a, k, t) of GF(q^4) or GF(q^6), both with the subfield GF(q^2)
@@ -90,4 +92,52 @@ def criteria_families(draw, q):
         source = polys[draw(st.integers(0, len(polys) - 1))]
         shift = draw(element | st.integers(1, top.order - 1))
         polys.insert(draw(st.integers(0, len(polys))), lp.shift_transform(source, shift))
+    return polys
+
+
+def passes_support(P, s):
+    """Whether ``validate_support`` accepts P at s."""
+    try:
+        lp.validate_support(P, s)
+    except BadSupport:
+        return False
+    return True
+
+
+def split_space(tw, k, s, rng):
+    """A random k-dimensional subspace of the tower's top field whose
+    subspace polynomial passes ``validate_support`` at s, drawn from the
+    ``random.Random`` rng."""
+    while True:
+        V = sl.span(tw, [rng.randrange(1, tw.top.order) for _ in range(k)])
+        if V.dim == k and passes_support(subspace_polynomial(V), s):
+            return V
+
+
+# q -> tower of GF(2^6), GF(3^5) or GF(4^5) for ``split_families``.  Two
+# 3-dimensional subspaces of GF(q^4) meet in a plane at every shift, so there
+# every family fails the rank condition at the smallest admissible shift; in
+# GF(q^5) the first failing shift varies, and in GF(2^6) some families pass.
+SPLIT_TOWERS = {2: (2, 1, 2, 3), 3: (3, 1, 1, 5), 4: (2, 2, 1, 5)}
+
+
+@st.composite
+def split_families(draw, q):
+    """1-3 subspace polynomials (k = 3, s = 1) of random 3-dimensional
+    subspaces of the tower of ``SPLIT_TOWERS[q]``, each passing
+    ``validate_support``, and sometimes that of a shift of one of the
+    subspaces (a shifted duplicate: an orbit collision).  Every member splits
+    with simple roots."""
+    tw = build_tower(*SPLIT_TOWERS[q])
+    element = st.integers(1, tw.top.order - 1)
+    spaces = []
+    for _ in range(draw(st.integers(1, 3))):
+        V = sl.span(tw, draw(st.lists(element, min_size=3, max_size=3)))
+        assume(V.dim == 3)
+        spaces.append(V)
+    if draw(st.booleans()):
+        source = spaces[draw(st.integers(0, len(spaces) - 1))]
+        spaces.insert(draw(st.integers(0, len(spaces))), sl.cyclic_shift(source, draw(element)))
+    polys = [subspace_polynomial(V) for V in spaces]
+    assume(all(passes_support(P, 1) for P in polys))
     return polys

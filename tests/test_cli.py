@@ -307,18 +307,34 @@ def test_poly_command_passes(tmp_path):
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert set(manifest["timings"]) == {"time_criteria", "time_criteria_gf2", "time_distance"}
     assert not any(key.startswith("time_") for key in rep)
-    # one rank matrix per ordered pair and per orbit of x -> x^4 on the
-    # admissible alphas, which fixes the GF(4) coefficients: 2 orbits in
-    # GF(4), 18 more in GF(2^7) and 2322 of length 7
-    from cyclic_cdc.field_tower import build_tower
+    # the rank condition reads one point-ratio histogram per ordered pair of
+    # the 3 kernels, 7 x 7 ratios each
+    assert manifest["counters"]["criteria_ratios"] == 3 ** 2 * 7 ** 2 == 441
+    assert set(manifest["counters"]) == {"criteria_ratios", "pairs", "point_ratios",
+                                         "shared_pairs", "budget"}
 
-    top = build_tower(2, 1, 2, 7).top
-    admissible = range(2, top.order)  # GF(2) is the only excluded subfield
-    orbits = {min(top.pow(a, 4 ** i) for i in range(7)) for a in admissible}
-    assert len(admissible) == 16382 and len(orbits) == 2 + 18 + 2322
-    counters = manifest["counters"]
-    assert counters["alpha_orbits"] == len(orbits) and counters["frobenius_degree"] == 2
-    assert counters["rank_matrices"] == len(orbits) * 9 == 21078
+
+def test_poly_at_N_28_reads_every_shift_off_the_histograms(tmp_path):
+    # 2^28 - 2 admissible shifts: the criteria cost the same 441 point ratios
+    # as at N = 14
+    out = tmp_path / "poly28.json"
+    assert run(["poly", "--file", DATA, "--N", 28, "--out", out]) == cli.EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["criteria"]["alphas_checked"] == 2 ** 28 - 2 == 268435454
+    assert rep["criteria"]["passed"] and rep["criteria_gf2"]["passed"]
+    assert rep["exact"]["distance"] == 4 and rep["exact"]["size"] == "805306365"
+    # a scan of every shift took minutes here; the histograms take milliseconds
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["timings"]["time_criteria"] < 5
+
+
+def test_poly_criteria_budget_counts_point_ratios(tmp_path, capsys):
+    # the exact distance needs 126 point ratios and the criteria 441
+    assert run(["poly", "--file", DATA, "--N", 14, "--budget", 440,
+                "--out", tmp_path / "over.json"]) == cli.EXIT_INFEASIBLE
+    assert "441 point ratios exceeds budget 440" in capsys.readouterr().err
+    assert run(["poly", "--file", DATA, "--N", 14, "--budget", 441,
+                "--out", tmp_path / "ok.json"]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("n", [16, 18])

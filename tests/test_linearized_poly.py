@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -6,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    admissible_alphas,
     field_matrix_rank_division_free,
     find_splitting_N,
     intersection_dim_via_gcd,
     rank_verdict_by_full_scan,
+    shift_intersection_dims,
     shifted_intersection_dim,
     span_by_enumeration,
     subspace_polynomial,
 )
-from strategies import TOWERS, criteria_families
+from strategies import TOWERS, criteria_families, split_families, split_space
 
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import subspace_linalg as sl
@@ -239,21 +242,81 @@ def test_pair_rank_failure_at_small_field():
     assert rep.distance == 2 and rep.size == 2 * 63
 
 
+@pytest.mark.parametrize("params, k, s, d, alone_ok", [
+    ((2, 1, 2, 3), 3, 1, 3, True),  # GF(2^6) excludes GF(8) = GF(q^gcd(k, m))
+    ((2, 1, 2, 4), 5, 2, 2, False),  # GF(2^8) excludes GF(4) = GF(q^gcd(k - s - 1, m))
+])
+def test_a_duplicate_shifted_inside_an_excluded_subfield_is_no_witness(params, k, s, d, alone_ok):
+    # a kernel V meets its shift beta*V in all of V at the shift 1/beta,
+    # which lies in GF(q^d) with beta: a duplicate shifted from inside GF(q^d)
+    # leaves the rank verdict of V alone, and one shifted from outside fails
+    # it (at a matrix of rank 1 when V alone passes)
+    tw = build_tower(*params)
+    top = tw.top
+    rng = random.Random(12)
+    while True:
+        V = split_space(tw, k, s, rng)
+        if lp.check_union_distance_criteria([subspace_polynomial(V)], s).rank_ok == alone_ok:
+            break
+    inside = [beta for beta in range(2, top.order) if top.pow(beta, tw.q ** d) == beta]
+    outside = rng.sample(sorted(set(range(2, top.order)) - set(inside)), 5)
+    for beta in inside + outside:
+        polys = [subspace_polynomial(V), subspace_polynomial(sl.cyclic_shift(V, beta))]
+        verdict = lp.check_union_distance_criteria(polys, s)
+        assert (verdict.rank_ok, verdict.rank_witness) == rank_verdict_by_full_scan(polys, s)
+        if beta in inside:
+            assert verdict.rank_ok == alone_ok
+        elif alone_ok:
+            assert verdict.rank_witness[3] == 1
+        else:
+            assert not verdict.rank_ok
+
+
 def test_rank_condition_ranks_once_for_both_criteria(monkeypatch):
+    # each criterion reads the condition off the kernels' histograms and
+    # ranks one matrix, its witness's, on a failing family, and none on a
+    # passing one
     tw = build_tower(2, 1, 2, 3)
     polys = [lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2}), lp.linpoly(tw, {3: 1, 2: 1, 1: 3, 0: 3})]
     calls = []
     rank = lp.field_matrix_rank
     monkeypatch.setattr(lp, "field_matrix_rank", lambda top, rows: calls.append(1) or rank(top, rows))
-    lp._rank_verdict.cache_clear()
     general = lp.check_union_distance_criteria(polys, s=1)
-    ranked = len(calls)
     gf2 = lp.check_union_distance_criteria_gf2(polys, s=1)
-    assert ranked > 0 and len(calls) == ranked
+    assert len(calls) == 2
     assert (gf2.rank_ok, gf2.rank_witness) == (general.rank_ok, general.rank_witness)
-    # the budget still applies to a family whose verdict is known
-    with pytest.raises(Infeasible):
-        lp.check_union_distance_criteria_gf2(polys, s=1, budget=general.alphas_checked)
+    assert lp.check_union_distance_criteria(polys[:1], s=1).rank_ok and len(calls) == 2
+    # the budget counts the point ratios of e^2 histograms of P^2 = 7^2 each
+    assert general.point_ratios == 2 ** 2 * 7 ** 2
+    with pytest.raises(Infeasible, match="196 point ratios exceeds budget 195"):
+        lp.check_union_distance_criteria_gf2(polys, s=1, budget=195)
+    assert lp.check_union_distance_criteria_gf2(polys, s=1, budget=196) == gf2
+
+
+def test_criteria_budget_is_checked_before_any_point_ratio(monkeypatch):
+    tw = build_tower(2, 1, 2, 3)
+    polys = [lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2})]
+
+    def no_product(*args):
+        raise AssertionError("point ratios before the budget check")
+
+    monkeypatch.setattr(lp, "shift_dims", no_product)
+    monkeypatch.setattr(lp, "kernel_subspace", no_product)
+    with pytest.raises(Infeasible, match="49 point ratios"):
+        lp.check_union_distance_criteria(polys, s=1, budget=48)
+
+
+def test_criteria_refuse_a_family_that_does_not_split():
+    # over GF(2^6) the kernel of x^8 + x^4 + x^2 + x is GF(4) only: the rank
+    # condition is read off kernels of dimension k, so a short one is refused
+    # as poly_code_distance refuses it
+    tw = build_tower(2, 1, 2, 3)
+    P = lp.linpoly(tw, {3: 1, 2: 1, 1: 1, 0: 1})
+    assert lp.kernel_subspace(P).rows == sl.span(tw, range(1, 4)).rows
+    for check in (lp.check_union_distance_criteria, lp.check_union_distance_criteria_gf2,
+                  lambda polys, s: lp.poly_code_distance(polys)):
+        with pytest.raises(BadSupport, match="kernel dimension 2 below the q-degree 3"):
+            check([P], 1)
 
 
 Q_VALUES = pytest.mark.parametrize("q", sorted(TOWERS))
@@ -263,46 +326,93 @@ Q_VALUES = pytest.mark.parametrize("q", sorted(TOWERS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_orbit_rank_verdict_matches_full_scan(q, data):
-    polys = data.draw(criteria_families(q))
-    ok, witness, ranked, orbits, d = lp._rank_verdict(tuple(polys), 1)
-    assert (ok, witness) == rank_verdict_by_full_scan(polys, 1)
-    n_alphas = len(lp._admissible_alphas(polys[0].tower, 3, 1))
-    assert polys[0].tower.m % d == 0 and orbits <= n_alphas
-    assert ranked <= orbits * len(polys) ** 2
+    # the verdict read off the kernels' point-ratio histograms against one
+    # rank per ordered pair at every admissible alpha
+    polys = data.draw(split_families(q))
+    verdict = lp.check_union_distance_criteria(polys, 1)
+    assert (verdict.rank_ok, verdict.rank_witness) == rank_verdict_by_full_scan(polys, 1)
 
 
 def test_orbit_rank_verdict_matches_full_scan_on_random_gf2_6_families():
-    # random families over GF(2^6): about a third fail the rank condition,
-    # and coefficients from GF(4) (d = 2) or from all of GF(2^6) (d = 6)
+    # random split families over GF(2^6), a third of them with a shifted
+    # duplicate: some pass the rank condition, and some fail it at a self
+    # pair and some at a cross pair
     tw = build_tower(2, 1, 2, 3)
-    top = tw.top
     rng = random.Random(9)
     outcomes = set()
     for trial in range(60):
-        pool = range(1, 4) if trial % 2 else range(1, top.order)
-        polys = [
-            lp.linpoly(tw, {3: 1, 2: rng.choice(pool), 1: rng.choice(pool), 0: rng.choice(pool)})
-            for _ in range(rng.randint(1, 3))
-        ]
-        ok, witness, _, _, d = lp._rank_verdict(tuple(polys), 1)
-        assert (ok, witness) == rank_verdict_by_full_scan(polys, 1)
-        outcomes.add((ok, d < tw.m))
-    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+        spaces = [split_space(tw, 3, 1, rng) for _ in range(rng.randint(1, 2))]
+        if trial % 3 == 0:
+            spaces.append(sl.cyclic_shift(rng.choice(spaces), rng.randrange(1, tw.top.order)))
+        polys = [subspace_polynomial(V) for V in spaces]
+        verdict = lp.check_union_distance_criteria(polys, 1)
+        assert (verdict.rank_ok, verdict.rank_witness) == rank_verdict_by_full_scan(polys, 1)
+        outcomes.add(verdict.rank_ok and "passed" or verdict.rank_witness[0] == verdict.rank_witness[1])
+    assert outcomes == {"passed", True, False}
+
+
+# (tower, family size, (k, s) pairs): the larger k need m >= 6, whose fields
+# have 728 shifts per pair or more at q >= 3, so they run at q = 2 only
+EXHAUSTIVE = {
+    "q2": ((2, 1, 2, 4), 3, [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3)]),
+    "q3": ((3, 1, 1, 5), 2, [(3, 1), (4, 2)]),
+    "q4": ((2, 2, 1, 5), 2, [(3, 1), (4, 2)]),
+}
+
+
+@pytest.mark.parametrize("params, n, shapes", EXHAUSTIVE.values(), ids=EXHAUSTIVE)
+def test_rank_matrix_loses_rank_exactly_where_kernels_meet_in_more_than_s(params, n, shapes):
+    # every alpha and every ordered pair of a split family (n - 1 random
+    # kernels and a shift of the first): M_ij(alpha) has full column rank
+    # k - s + 1 iff dim(V_i ∩ alpha*V_j) <= s; otherwise its rank is 1 where
+    # V_i = alpha*V_j and k - s elsewhere
+    tw = build_tower(*params)
+    top = tw.top
+    rng = random.Random(11)
+    seen = set()
+    for k, s in shapes:
+        spaces = [split_space(tw, k, s, rng) for _ in range(n - 1)]
+        spaces.append(sl.cyclic_shift(spaces[0], rng.randrange(2, top.order)))
+        polys = [subspace_polynomial(V) for V in spaces]
+        for (i, Vi), (j, Vj) in itertools.product(enumerate(spaces), repeat=2):
+            dims = shift_intersection_dims(Vi, Vj)
+            for alpha in range(1, top.order):
+                dim = dims.get(tw.canon_projective(alpha), 0)
+                case = "full" if dim <= s else "equal" if dim == k else "meet"
+                want = {"full": k - s + 1, "equal": 1, "meet": k - s}[case]
+                M = lp.build_rank_matrix(polys[i], polys[j], alpha, s).entries
+                assert lp.field_matrix_rank(top, M) == want, (k, s, i, j, alpha, dim)
+                seen.add(case)
+    assert seen == {"full", "equal", "meet"}
+
+
+@pytest.mark.parametrize("q, m, k, s", [
+    (2, 6, 3, 1), (2, 8, 4, 1), (2, 12, 4, 1), (2, 12, 5, 1), (2, 12, 6, 2),
+    (2, 14, 3, 1), (3, 4, 3, 1), (3, 6, 3, 1), (4, 4, 3, 1), (4, 6, 4, 1),
+])
+def test_alphas_checked_is_the_admissible_count(q, m, k, s):
+    p, a = (q, 1) if q != 4 else (2, 2)
+    tw = build_tower(p, a, 2, m // 2)
+    assert lp._admissible_count(q, m, k, s) == len(admissible_alphas(tw, k, s))
 
 
 @Q_VALUES
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_rank_is_constant_on_frobenius_orbits(q, data):
+    # phi: x -> x^(q^d), d the smallest divisor of m for which phi fixes
+    # every coefficient of the family, maps M_ij(alpha) to M_ij(phi(alpha))
+    # entry by entry
     polys = data.draw(criteria_families(q))
     tw = polys[0].tower
     top = tw.top
-    d = lp._rank_verdict(tuple(polys), 1)[4]
+    coeffs = {c for P in polys for _, c in P.coeffs}
+    d = next(d for d in range(1, tw.m + 1)
+             if tw.m % d == 0 and all(top.pow(c, tw.q ** d) == c for c in coeffs))
 
     def phi(x):
         return top.pow(x, tw.q ** d)
 
-    assert all(phi(c) == c for P in polys for _, c in P.coeffs)
     i = data.draw(st.integers(0, len(polys) - 1))
     j = data.draw(st.integers(0, len(polys) - 1))
     alpha = data.draw(st.integers(1, top.order - 1))

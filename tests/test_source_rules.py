@@ -23,7 +23,6 @@ def test_package_has_no_assert_statements():
 
 # names kept in src/ although no code in src/ refers to them, with the reason
 KEPT_WITHOUT_CALLER = {
-    "build_rank_matrix": "perfbench/probe.py builds the field_matrix_rank_us operands",
     "densify": "perfbench/probe.py builds the dense_gcd_us operands",
     "dense_gcd": "perfbench/probe.py times it (dense_gcd_us), perfbench/tracer.py counts its calls",
     "shift_transform": "perfbench/probe.py builds the dense_gcd_us operands",

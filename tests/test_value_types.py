@@ -1,8 +1,6 @@
 """The package's value types are immutable tuples of their fields: equal and
 hashed alike exactly when their fields are."""
 
-import json
-
 import pytest
 
 from cyclic_cdc import channel_sim as ch
@@ -60,16 +58,3 @@ def test_construction_params_default_theta_is_none():
     params = sc.ConstructionParams(family="v", r=2, rep=1, l=1, delta_exps=(0,))
     assert params.theta_exp is None
     assert params == sc.ConstructionParams("v", 2, 1, 1, (0,), None)
-
-
-def test_rank_verdict_cache_hits_on_an_equal_family():
-    # two loads of one file give equal, distinct polynomial objects; the
-    # per-family rank scan runs once for both
-    _, first, _, s = lp.poly_family_from_json(json.loads(json.dumps(FAMILY)), 6)
-    _, second, _, _ = lp.poly_family_from_json(json.loads(json.dumps(FAMILY)), 6)
-    assert first == second and first[0] is not second[0]
-    lp._rank_verdict.cache_clear()
-    lp._rank_verdict(tuple(first), s)
-    lp._rank_verdict(tuple(second), s)
-    info = lp._rank_verdict.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
