@@ -2,16 +2,17 @@
 dimension erasures and error-dimension insertions, and the receiver decodes
 to a codeword at minimum subspace distance.
 
-The decoder reads the orbit structure, not the codebook.  The count of a
-point ratio canon(r * u^-1), r a point of the received space R and u one of
-generator U_i, is the number of points of R ∩ alpha*U_i at alpha = r/u, so
-one ``shift_dims`` histogram per generator gives dim(R ∩ alpha*U_i) at every
-shift, and the words that meet R most are the ones nearest to it.  Sent
-words are drawn from the materialized ``Codebook``, the union of the walked
-orbits held as one sorted list of packed RREF keys.  Two orbits are equal or
-disjoint, so a generator whose RREF is already a word is neither walked nor
-decoded against; each new orbit is sized before it is walked, and one that
-would take the count of distinct words past the cap is refused unwalked.
+The simulator reads the orbit structure and keeps no list of words.  The
+count of a point ratio canon(r * u^-1), r a point of the received space R
+and u one of generator U_i, is the number of points of R ∩ alpha*U_i at
+alpha = r/u, so one ``shift_dims`` histogram per generator gives
+dim(R ∩ alpha*U_i) at every shift, and the words that meet R most are the
+ones nearest to it.  Sent words are drawn from the ``Codebook``, a lazy
+index whose word offset_j + c is the shift g^c * U_j (g primitive) of the
+j-th distinct orbit, so one ``randrange`` draws a word uniformly and builds
+only that word.  Only R = {0}, at distance k from every word, needs them
+all: it decodes to the smallest RREF, found by walking every orbit, and a
+code of more than ``CODEBOOK_CAP`` words is refused there.
 
 Randomness comes from a seeded ``random.Random`` (Mersenne Twister), so
 trial runs are reproducible from the seed alone.
@@ -20,14 +21,15 @@ trial runs are reproducible from the seed alone.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import chain
+from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import BrokenInvariant, DecodingFailure, InfeasibleNoise, InvalidParams
-from .field_tower import FieldTower, batch_inverse
-from .orbit_codes import UnionCode
+from .field_tower import batch_inverse
+from .orbit_codes import DEFAULT_SCAN_BUDGET, UnionCode
 from .subspace_linalg import (
     Subspace,
     cyclic_shift,
@@ -37,6 +39,7 @@ from .subspace_linalg import (
     shift_dims,
     span,
     subspace_distance,
+    union_distance,
 )
 
 CODEBOOK_CAP = 1 << 16
@@ -110,19 +113,19 @@ def md_decode(
     received: Subspace,
     generators: Sequence[Subspace],
     inverses: Sequence[list[int]],
-    codebook: Sequence[Subspace],
+    codebook: Codebook,
 ) -> tuple[Subspace, int]:
     """A codeword at minimum subspace distance from ``received``, and the
     number of maximising shifts whose RREF was taken.  ``inverses`` holds
     the inverses of the points of each generator, one per orbit.
 
     All words have dimension k, so the nearest are the alpha*U_i that meet R
-    most; the smallest RREF among them wins, the lowest index of the sorted
-    codebook, which is read only for R = {0}.  Correct whenever
+    most; the smallest RREF among them wins.  The codebook is read only for
+    R = {0}, whose nearest words are all of them.  Correct whenever
     2*(erasures + insertions) is below the code's minimum distance."""
     if received.dim == 0:
         # R = {0} meets every word trivially: all sit at distance k
-        return codebook[0], 0
+        return codebook.smallest, 0
     best, argmax = 0, []
     for gen, inv in zip(generators, inverses):
         for alpha, d in shift_dims(received, gen, inv).items():
@@ -134,65 +137,56 @@ def md_decode(
     return min(words, key=lambda w: w.rows), len(argmax)
 
 
-def _pack(rows: Sequence[int], base: int) -> int:
-    key = 0
-    for r in rows:
-        key = key * base + r
-    return key
-
-
-def _position(keys: list[int], key: int) -> int:
-    """Index of ``key`` in the sorted ``keys``, or -1."""
-    i = bisect_left(keys, key)
-    return i if i < len(keys) and keys[i] == key else -1
-
-
 class Codebook(Sequence):
-    """The distinct words of a union code in RREF order, one ``Subspace``
-    built per access, and one generator per orbit.  Each sorted key is a
-    word's k RREF rows read as base-q^m digits, most significant first."""
+    """The distinct words of a union code, orbit by orbit: index
+    offsets[j] + c is g^c * U_j for 0 <= c < orbit_size(U_j), g the top
+    field's primitive element and U_j the j-th generator kept, one per
+    orbit.  A word is built only when it is read."""
 
-    def __init__(self, tower: FieldTower, k: int, keys: list[int],
-                 generators: tuple[Subspace, ...]) -> None:
-        self.tower, self.k, self.keys, self.generators = tower, k, keys, generators
+    def __init__(self, generators: tuple[Subspace, ...], cap: int) -> None:
+        self.generators, self.cap = generators, cap
+        self.offsets = list(accumulate(map(orbit_size, generators), initial=0))
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self.offsets[-1]
+
+    def locate(self, i: int) -> tuple[int, int]:
+        """The orbit j and shift c of index 0 <= i < len; IndexError else."""
+        if not 0 <= i < len(self):
+            raise IndexError(f"codebook index {i} out of range")
+        j = bisect_right(self.offsets, i) - 1
+        return j, i - self.offsets[j]
 
     def __getitem__(self, i: int) -> Subspace:
-        key, rows, base = self.keys[i], [], self.tower.top.order
-        for _ in range(self.k):
-            key, row = divmod(key, base)
-            rows.append(row)
-        return Subspace(self.tower, tuple(reversed(rows)))
+        j, c = self.locate(i)
+        top = self.generators[j].tower.top
+        return cyclic_shift(self.generators[j], top.pow(top.primitive, c))
 
-    def index(self, word: Subspace) -> int:
-        """The position of ``word``; ValueError if it is not a codeword."""
-        if (i := _position(self.keys, _pack(word.rows, self.tower.top.order))) < 0:
-            raise ValueError("not a codeword")
-        return i
+    @cached_property
+    def smallest(self) -> Subspace:
+        """The word with the smallest RREF, the decoding of R = {0}, from a
+        walk of every orbit; InfeasibleNoise before any walk when the code
+        has more than ``cap`` words."""
+        if len(self) > self.cap:
+            raise InfeasibleNoise(f"{len(self)} codewords exceed the codebook cap {self.cap}")
+        rows = min(min(enumerate_orbit(g)) for g in self.generators)
+        return Subspace(self.generators[0].tower, rows)
 
 
 def materialize_codebook(code: UnionCode, cap: int = CODEBOOK_CAP) -> Codebook:
-    """All distinct codewords of the union, in RREF order; InfeasibleNoise
-    before an orbit is walked whose size would take the count past ``cap``.
-    Each orbit's keys are sorted once, and one sort merges the runs."""
-    base, runs, walked = code.tower.top.order, [], []
-    for g in code.generators:
-        key = _pack(g.rows, base)
-        if any(_position(run, key) >= 0 for run in runs):
-            continue  # two orbits are equal or disjoint: walk each once
-        if (size := sum(map(len, runs)) + orbit_size(g)) > cap:
-            raise InfeasibleNoise(f"{size} codewords exceed the codebook cap {cap}")
-        runs.append(sorted([_pack(rows, base) for rows in enumerate_orbit(g)]))
-        walked.append(g)
-    keys = sorted(chain.from_iterable(runs))
-    return Codebook(code.tower, code.generators[0].dim, keys, tuple(walked))
+    """The lazy index over the code's distinct orbits.  A generator j with
+    an orbit collision (i, j) of ``union_distance`` repeats the orbit of
+    generator i and is dropped unwalked; ``cap`` bounds the walk that finds
+    the decoding of R = {0}."""
+    _, collisions, _, _ = union_distance(code.generators, DEFAULT_SCAN_BUDGET)
+    repeated = {j for _, j in collisions}
+    kept = tuple(g for j, g in enumerate(code.generators) if j not in repeated)
+    return Codebook(kept, cap)
 
 
 def run_trials(
     generators: Sequence[Subspace],
-    codebook: Sequence[Subspace],
+    codebook: Codebook,
     min_distance: int,
     cfg: ChannelConfig,
 ) -> dict:
@@ -202,7 +196,11 @@ def run_trials(
 
     When the guarantee 2*(erasures+insertions) < min_distance is active,
     every trial must decode correctly, and a wrong decode raises
-    DecodingFailure; otherwise the failure rate is only reported."""
+    DecodingFailure; otherwise the failure rate is only reported.  When
+    every R is {0} (erasures = k, no insertions), its word is found, or the
+    code refused, before any trial."""
+    if cfg.erasures == generators[0].dim and not cfg.insertions:
+        codebook.smallest  # every R is {0}: the walk, or its refusal, comes first
     rng = random.Random(cfg.seed)
     guarantee = 2 * (cfg.erasures + cfg.insertions) < min_distance
     top, q = generators[0].tower.top, generators[0].tower.q
@@ -219,8 +217,9 @@ def run_trials(
         if decoded.rows == word.rows:
             successes += 1
         elif guarantee:
+            orbit, shift = codebook.locate(sent)
             raise DecodingFailure(
-                f"sent {sent}, decoded {codebook.index(decoded)}, "
+                f"sent orbit {orbit} shift {shift}, decoded RREF rows {list(decoded.rows)}, "
                 f"claimed distance {min_distance}"
             )
     return {

@@ -207,7 +207,7 @@ def cmd_simulate(args):
     report = ch.run_trials(codebook.generators, codebook, code.claimed_min_distance, cfg)
     report["codebook_size"] = len(codebook)
     skipped = len(code.generators) - len(codebook.generators)
-    report["counters"].update(orbits_walked=len(codebook.generators), generators_skipped=skipped)
+    report["counters"].update(orbits=len(codebook.generators), generators_skipped=skipped)
     report["time_codebook"] = round(t2 - t1, 3)
     report["time_trials"] = round(time.perf_counter() - t2, 3)
     return code.tower.spec_dict(), report, EXIT_OK

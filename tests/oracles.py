@@ -38,7 +38,11 @@ q-polynomial family checked by one rank per ordered pair at every shift of
 off the kernels' point-ratio histograms and of its closed-form shift count.
 
 ``decode_by_scan`` is minimum-distance decoding by one subspace distance per
-codeword, the check of the channel simulator's orbit-index decoder.
+codeword, the check of the channel simulator's orbit-index decoder, and
+``sorted_codebook`` lists every word of a union code in RREF order by
+walking its orbits: the order in which the simulator once drew sent words,
+so a replay over it gives back the results pinned before it drew a word as
+a shift of its orbit's generator.
 
 ``orbit_by_scan`` lists an orbit by the RREF of the shift by every projective
 point of the ambient field, the check of the package's walk over the first
@@ -98,6 +102,16 @@ def decode_by_scan(received, codebook):
         if d < best:
             best, best_idx = d, idx
     return best_idx
+
+
+def sorted_codebook(code):
+    """Every distinct word of a union code, in RREF order: the orbit of each
+    generator whose RREF is not yet a word, walked and merged."""
+    words = set()
+    for g in code.generators:
+        if g.rows not in words:
+            words.update(sl.enumerate_orbit(g))
+    return [sl.Subspace(code.tower, rows) for rows in sorted(words)]
 
 
 def orbit_by_scan(u):

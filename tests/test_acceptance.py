@@ -23,7 +23,7 @@ from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import orbit_codes as oc
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
-from cyclic_cdc.field_tower import build_tower
+from cyclic_cdc.field_tower import batch_inverse, build_tower
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -363,4 +363,55 @@ def test_a10_channel_guarantee(odd_code_2_2_10):
         "beyond-guarantee settings only report rates",
         all(0 <= r <= 1 for r in rates),
         "success rates " + ", ".join(f"{r:.2f}" for r in rates),
+    )
+
+
+def test_a11_single_error_certificate(gf4_poly_family):
+    """Every output of one erasure or one insertion around each generator of
+    the GF(4) kernel union (q = 2, m = 14, k = 3, d = 4) decodes to it.
+
+    Shifts preserve subspace distance, and below the guarantee the nearest
+    word is unique, so md_decode(alpha*R) = alpha*md_decode(R): checking the
+    outputs around each generator U_i checks them around every word alpha*U_i,
+    which is also why drawing sent words orbit by orbit loses nothing.  The
+    outputs R with R ∩ U = V, V of dimension k - rho, number
+    [k, k - rho]_q * q^(rho*t) * [m - k, t]_q."""
+    tower, polys = gf4_poly_family
+    code = oc.build_union(tower, [lp.kernel_subspace(P) for P in polys])
+    book = ch.materialize_codebook(code)
+    gens = book.generators
+    inverses = [batch_inverse(tower.top, g.projective_reps()) for g in gens]
+    q, m, k = tower.q, tower.m, gens[0].dim
+    assert len(gens) == 3 and q == 2 and m == 14 and k == 3
+    full = tower.top.order - 1
+    counts, wrong, rng = [], [], random.Random(11)
+    for u in gens:
+        # every plane of U is the span of two of its points
+        points = u.projective_reps()
+        erased = {sl.span(tower, pair).rows for pair in itertools.combinations(points, 2)}
+        # one point e per line through U: e has no bit at U's pivots (the
+        # lowest set bit of each RREF row), so U + <e> are distinct
+        pivots = sum(r & -r for r in u.rows)
+        inserted = {sl.span(tower, u.rows + (e,)).rows for e in range(1, full + 1) if not e & pivots}
+        counts.append((len(erased), len(inserted)))
+        for rows in erased | inserted:
+            received = sl.Subspace(tower, rows)
+            if sl.subspace_distance(u, received) != 1:
+                wrong.append(("distance", rows))
+            elif ch.md_decode(received, gens, inverses, book)[0] != u:
+                wrong.append(("decoded", rows))
+        # equivariance itself, at a few shifts of a few outputs
+        for rows in rng.sample(sorted(erased | inserted), 3):
+            alpha = rng.randrange(1, full + 1)
+            decoded = ch.md_decode(sl.cyclic_shift(sl.Subspace(tower, rows), alpha),
+                                   gens, inverses, book)[0]
+            if decoded != sl.cyclic_shift(u, alpha):
+                wrong.append(("shifted", rows, alpha))
+    def outputs(rho, t):
+        return oc.gaussian_binomial(k, k - rho, q) * q ** (rho * t) * oc.gaussian_binomial(m - k, t, q)
+
+    _report(
+        "every single-erasure and single-insertion output decodes to its generator",
+        counts == [(outputs(1, 0), outputs(0, 1))] * 3 == [(7, 2047)] * 3 and not wrong,
+        f"{sum(map(sum, counts))} outputs, {len(wrong)} wrong",
     )

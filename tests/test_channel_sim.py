@@ -1,13 +1,13 @@
-"""The operator channel, and the orbit-index decoder against decoding by a
-scan of the whole codebook."""
+"""The operator channel, the lazy codebook against the scanned orbits, and
+the orbit-index decoder against decoding by a scan of every word in RREF
+order."""
 
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import decode_by_scan, orbit_by_scan
+from oracles import decode_by_scan, orbit_by_scan, sorted_codebook
 from strategies import TOWERS, orbit_generators
 
 from cyclic_cdc import channel_sim as ch
@@ -76,23 +76,26 @@ def test_decode_identity_and_ties(subfield_code, subfield_codebook):
 
 def test_decode_of_the_zero_space_is_the_first_word(subfield_code, subfield_codebook):
     # rho = k erasures leave R = {0}, at distance k from every word: the
-    # scan keeps index 0, and the decoder takes it without a point ratio
+    # scan over the words in RREF order keeps index 0, and the decoder the
+    # smallest RREF without a point ratio
     zero = ch.transmit(subfield_codebook[5], ch.ChannelConfig(2, 0, 1, 0), random.Random(0))
     assert zero.dim == 0
-    assert decode_by_scan(zero, subfield_codebook) == 0
-    assert _decode(zero, subfield_code.generators, subfield_codebook) == (subfield_codebook[0], 0)
+    words = sorted_codebook(subfield_code)
+    assert decode_by_scan(zero, words) == 0
+    assert _decode(zero, subfield_code.generators, subfield_codebook) == (words[0], 0)
 
 
 def test_decode_ties_break_to_the_smallest_rref(even_code_2_2_8):
     # a point lies on 12 of the 1,020 lines of the even (2,2,8) code, each
-    # at distance 1 from it: the scan keeps the lowest index, and the
-    # decoder the smallest of the 12 RREFs
+    # at distance 1 from it: the scan over the words in RREF order keeps the
+    # lowest index, and the decoder the smallest of the 12 RREFs
     book = ch.materialize_codebook(even_code_2_2_8)
-    point = sl.span(even_code_2_2_8.tower, [book[40].rows[0]])
-    hits = [i for i, w in enumerate(book) if sl.subspace_distance(point, w) == 1]
-    assert len(hits) == 12 and hits[0] == decode_by_scan(point, book) < 40
+    words = sorted_codebook(even_code_2_2_8)
+    point = sl.span(even_code_2_2_8.tower, [words[40].rows[0]])
+    hits = [i for i, w in enumerate(words) if sl.subspace_distance(point, w) == 1]
+    assert len(hits) == 12 and hits[0] == decode_by_scan(point, words) < 40
     decoded, taken = _decode(point, even_code_2_2_8.generators, book)
-    assert decoded == book[hits[0]] and taken == 12
+    assert decoded == words[hits[0]] and taken == 12
 
 
 def test_guaranteed_regime_always_decodes(subfield_code, subfield_codebook):
@@ -117,15 +120,17 @@ def test_false_distance_claim_breaks_the_guarantee(subfield_code, subfield_codeb
     cfg = ch.ChannelConfig(erasures=1, insertions=1, trials=40, seed=10)
     with pytest.raises(DecodingFailure) as exc:
         ch.run_trials(subfield_code.generators, subfield_codebook, 6, cfg)
-    # the message names the codebook indices of the first wrong trial, as
-    # the scan decodes it
+    # the message names the (orbit, shift) of the first wrong trial's sent
+    # word and the RREF rows of the word the scan decodes it to
+    words = sorted_codebook(subfield_code)
     rng = random.Random(cfg.seed)
     while True:
         sent = rng.randrange(len(subfield_codebook))
-        decoded = decode_by_scan(ch.transmit(subfield_codebook[sent], cfg, rng), subfield_codebook)
-        if decoded != sent:
+        decoded = words[decode_by_scan(ch.transmit(subfield_codebook[sent], cfg, rng), words)]
+        if decoded != subfield_codebook[sent]:
             break
-    assert str(exc.value) == f"sent {sent}, decoded {decoded}, claimed distance 6"
+    assert str(exc.value) == (f"sent orbit 0 shift {sent}, decoded RREF rows "
+                              f"{list(decoded.rows)}, claimed distance 6")
 
 
 def test_trials_are_reproducible(subfield_code, subfield_codebook):
@@ -135,22 +140,27 @@ def test_trials_are_reproducible(subfield_code, subfield_codebook):
     assert a == b
 
 
-def test_codebook_cap():
-    tw = build_tower(2, 1, 2, 4)
-    code = oc.build_union(tw, [sl.span(tw, range(1, 4))])
-    with pytest.raises(InfeasibleNoise):
-        ch.materialize_codebook(code, cap=10)
+def test_codebook_cap(subfield_code):
+    # the cap bounds only the walk for R = {0}: every other draw is a shift
+    book = ch.materialize_codebook(subfield_code, cap=10)
+    assert len(book) == 85
+    cfg = ch.ChannelConfig(erasures=1, insertions=0, trials=20, seed=1)
+    assert ch.run_trials(subfield_code.generators, book, 4, cfg)["successes"] == 20
+    with pytest.raises(InfeasibleNoise, match="85 codewords exceed the codebook cap 10"):
+        ch.run_trials(subfield_code.generators, book, 4, cfg._replace(erasures=2))
 
 
 def test_codebook_counts_a_repeated_orbit_once():
-    # two generators of one orbit: the codebook is that orbit, and a cap
-    # of its size admits it
+    # two generators of one orbit: the codebook is that orbit, walked from
+    # the first of them, and a cap of its size admits the walk for R = {0}
     tw = build_tower(2, 1, 2, 4)
     u = sl.span(tw, range(1, 3))
     code = oc.build_union(tw, [u, sl.cyclic_shift(u, tw.top.primitive)])
     words = ch.materialize_codebook(code, cap=sl.orbit_size(u))
-    assert [w.rows for w in words] == sorted(sl.enumerate_orbit(u))
+    assert words.generators == (u,)
+    assert [w.rows for w in words] == sl.enumerate_orbit(u)
     assert len(words) == sl.orbit_size(u) == 85
+    assert words.smallest.rows == min(sl.enumerate_orbit(u))
 
 
 @pytest.mark.parametrize(
@@ -159,51 +169,43 @@ def test_codebook_counts_a_repeated_orbit_once():
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_codebook_is_the_union_of_the_scanned_orbits(q, subfield_linear, data):
-    # the walk over geometric columns gives the words of the scan over every
-    # projective point, repeated orbits (a shifted generator) counted once,
-    # and the packed keys give them back in RREF order, each at its index
+    # index -> word is a bijection onto the union of the orbits that the
+    # scan over every projective point lists, in the order of the walks of
+    # the kept generators: the first of each orbit in file order, so a
+    # repeated orbit (a shifted generator) is counted once
     gens = data.draw(orbit_generators(q, subfield_linear))
     tw = gens[0].tower
     book = ch.materialize_codebook(oc.build_union(tw, gens))
-    words = sorted(set().union(*(orbit_by_scan(g) for g in gens)))
-    assert list(book) == [sl.Subspace(tw, rows) for rows in words]
-    assert all(book.index(book[i]) == i for i in range(len(book)))
-    assert book[-1].rows == words[-1]
-    # one generator per orbit: none of them a shift of another
-    assert len(book) == sum(map(sl.orbit_size, book.generators))
-    vectors = data.draw(st.lists(st.integers(1, tw.top.order - 1), min_size=1, max_size=3))
-    for w in (sl.span(tw, vectors), sl.Subspace(tw, ())):
-        if w.rows in words:
-            assert book.index(w) == words.index(w.rows)
-        else:
-            with pytest.raises(ValueError):
-                book.index(w)
-
-
-@pytest.mark.parametrize("q", sorted(TOWERS))
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_codebook_keys_follow_row_tuple_order_at_the_digit_edges(q, k):
-    # rows at 0, 1, q^m - 2 and q^m - 1: a key that carried between digits
-    # or dropped the top one would reorder or alias these tuples
-    tw = build_tower(*TOWERS[q])
-    top = tw.top.order - 1
-    tuples = sorted(itertools.product((0, 1, top - 1, top), repeat=k))
-    keys = [sum(r * (top + 1) ** (k - 1 - j) for j, r in enumerate(t)) for t in tuples]
-    assert keys == sorted(keys) and len(set(keys)) == len(keys)
-    book = ch.Codebook(tw, k, keys, ())
-    assert [w.rows for w in book] == tuples
-    assert [book.index(sl.Subspace(tw, t)) for t in tuples] == list(range(len(tuples)))
+    orbits = [orbit_by_scan(g) for g in gens]
+    kept = [g for i, g in enumerate(gens) if not any(g.rows in o for o in orbits[:i])]
+    assert book.generators == tuple(kept)
+    rows = [w.rows for w in book]
+    assert rows == [word for g in kept for word in sl.enumerate_orbit(g)]
+    assert len(set(rows)) == len(rows) == len(book) == sum(map(sl.orbit_size, kept))
+    assert set(rows) == set().union(*orbits)
+    assert book.smallest.rows == min(rows)
+    i = data.draw(st.integers(0, len(book) - 1))
+    j, c = book.locate(i)
+    assert book.offsets[j] + c == i and 0 <= c < sl.orbit_size(kept[j])
+    for bad in (-1, len(book)):
+        with pytest.raises(IndexError):
+            book[bad]
 
 
 def test_codebook_is_sized_before_any_orbit_is_walked(one_orbit_code_3_3_15, monkeypatch):
-    # the orbit sizes alone put the code over the cap: walking its
-    # 7,174,453-word orbit first would take minutes
+    # the 7,174,453 words of one orbit are indexed from its size: a draw
+    # builds one shift, and only the walk for R = {0} would visit them all,
+    # which the cap refuses unwalked
     def no_walk(u):
-        raise AssertionError("orbit walked before the codebook was sized")
+        raise AssertionError("orbit walked")
 
     monkeypatch.setattr(ch, "enumerate_orbit", no_walk)
+    book = ch.materialize_codebook(one_orbit_code_3_3_15)
+    assert len(book) == 7174453
+    gen, top = book.generators[0], one_orbit_code_3_3_15.tower.top
+    assert book[7174452] == sl.cyclic_shift(gen, top.pow(top.primitive, 7174452))
     with pytest.raises(InfeasibleNoise, match="7174453 codewords exceed"):
-        ch.materialize_codebook(one_orbit_code_3_3_15)
+        book.smallest
 
 
 @pytest.mark.parametrize(
@@ -214,10 +216,12 @@ def test_codebook_is_sized_before_any_orbit_is_walked(one_orbit_code_3_3_15, mon
 def test_orbit_decoder_matches_scan_trial_by_trial(q, subfield_linear, data):
     # run_trials' own draws, replayed: every erasure count rho in 0..k (so
     # R = {0} too) and t in 0..3 insertions where they fit, inside the
-    # decoding guarantee and outside it
+    # decoding guarantee and outside it; the scan runs over the words in
+    # RREF order, so its lowest index is the decoder's smallest RREF
     gens = data.draw(orbit_generators(q, subfield_linear))
     code = oc.build_union(gens[0].tower, gens)
     book = ch.materialize_codebook(code)
+    words = sorted_codebook(code)
     inverses = _inverses(gens)
     k, m = gens[0].dim, code.tower.m
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
@@ -229,5 +233,5 @@ def test_orbit_decoder_matches_scan_trial_by_trial(q, subfield_linear, data):
                 sent = rng.randrange(len(book))
                 received = ch.transmit(book[sent], cfg, rng)
                 decoded, taken = ch.md_decode(received, gens, inverses, book)
-                assert decoded == book[decode_by_scan(received, book)], (rho, t)
+                assert decoded == words[decode_by_scan(received, words)], (rho, t)
                 assert (taken == 0) == (received.dim == 0)

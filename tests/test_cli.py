@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from oracles import sidon_by_products
+from oracles import sidon_by_products, sorted_codebook
 from strategies import FROBENIUS_TOWERS, frobenius_space
 
 from cyclic_cdc import cli
@@ -419,14 +419,15 @@ def test_simulate_command(even_code_file, tmp_path):
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert set(manifest["timings"]) == {"time_codebook", "time_trials"}
     assert manifest["counters"] == {"point_ratios": 40 * 36, "decode_candidates": 40,
-                                    "orbits_walked": 4, "generators_skipped": 0}
+                                    "orbits": 4, "generators_skipped": 0}
     assert "counters" not in rep and not any(key.startswith("time_") for key in rep)
 
 
 def test_simulate_decodes_one_generator_per_orbit(tmp_path):
-    # two generators of one 85-word GF(2^8) orbit: the shifted copy is
-    # neither walked nor decoded against, so each noiseless trial takes the
-    # 3 x 3 point ratios and 3 shifts of one generator, not twice as many
+    # two generators of one 85-word GF(2^8) orbit: the shifted copy, an
+    # orbit collision, is dropped and not decoded against, so each noiseless
+    # trial takes the 3 x 3 point ratios and 3 shifts of one generator, not
+    # twice as many
     from cyclic_cdc import subspace_linalg as sl
 
     tw = build_tower(2, 1, 2, 4)
@@ -440,21 +441,40 @@ def test_simulate_decodes_one_generator_per_orbit(tmp_path):
     assert rep["successes"] == 30 and rep["codebook_size"] == 85
     manifest = json.loads(Path(f"{out}.manifest.json").read_text())
     assert manifest["counters"] == {"point_ratios": 270, "decode_candidates": 90,
-                                    "orbits_walked": 1, "generators_skipped": 1}
+                                    "orbits": 1, "generators_skipped": 1}
 
 
-def test_simulate_over_the_codebook_cap_exits_4(one_orbit_code_3_3_15, tmp_path,
-                                                monkeypatch, capsys):
-    # one orbit of 7,174,453 words: simulate must refuse it from the orbit
-    # size, before it walks the orbit
-    def no_walk(u):
-        raise AssertionError("orbit walked before the codebook was sized")
+def _fail_if_called(what):
+    def fail(*args):
+        raise AssertionError(what)
+    return fail
 
-    monkeypatch.setattr(cli.ch, "enumerate_orbit", no_walk)
+
+def test_simulate_runs_on_a_7174453_word_orbit(one_orbit_code_3_3_15, tmp_path, monkeypatch):
+    # one orbit of the odd (3,3,15) code: each sent word is a shift of its
+    # generator, so one erasure decodes without walking the orbit
+    monkeypatch.setattr(cli.ch, "enumerate_orbit", _fail_if_called("orbit walked"))
     src = tmp_path / "one_orbit_3_3_15.json"
     src.write_text(json.dumps(one_orbit_code_3_3_15.to_json()))
     out = tmp_path / "sim.json"
     assert run(["simulate", "--code", src, "--erasures", 1, "--trials", 2,
+                "--out", out]) == cli.EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["codebook_size"] == 7174453
+    assert rep["successes"] == 2 and rep["guarantee_active"] is True
+
+
+def test_simulate_over_the_codebook_cap_exits_4(one_orbit_code_3_3_15, tmp_path,
+                                                monkeypatch, capsys):
+    # k = 3 erasures leave R = {0}, which decodes to the smallest RREF of all
+    # 7,174,453 words: simulate refuses it from the orbit size, before it
+    # walks the orbit and before any trial
+    monkeypatch.setattr(cli.ch, "enumerate_orbit", _fail_if_called("orbit walked"))
+    monkeypatch.setattr(cli.ch, "transmit", _fail_if_called("trial run"))
+    src = tmp_path / "one_orbit_3_3_15.json"
+    src.write_text(json.dumps(one_orbit_code_3_3_15.to_json()))
+    out = tmp_path / "sim.json"
+    assert run(["simulate", "--code", src, "--erasures", 3, "--trials", 2,
                 "--out", out]) == cli.EXIT_INPUT
     assert "InfeasibleNoise: 7174453 codewords exceed" in capsys.readouterr().err
     assert not out.exists()
@@ -467,11 +487,9 @@ def test_simulate_over_the_codebook_cap_exits_4(one_orbit_code_3_3_15, tmp_path,
 ], ids=["negative-trials", "erasures-above-k", "insertions-above-m-minus-k"])
 def test_simulate_checks_its_arguments_before_the_codebook(argv, text, even_code_file,
                                                           tmp_path, monkeypatch, capsys):
-    # k = 2 and m = 8: each argument is refused before any orbit is walked
-    def no_walk(u):
-        raise AssertionError("orbit walked before the arguments were checked")
-
-    monkeypatch.setattr(cli.ch, "enumerate_orbit", no_walk)
+    # k = 2 and m = 8: each argument is refused before the codebook is built
+    monkeypatch.setattr(cli.ch, "materialize_codebook",
+                        _fail_if_called("codebook built before the arguments were checked"))
     out = tmp_path / "sim.json"
     assert run(["simulate", "--code", even_code_file, *argv, "--out", out]) == cli.EXIT_INPUT
     assert text in capsys.readouterr().err
@@ -562,8 +580,11 @@ def test_manifest_reproducibility(even_code_file, tmp_path):
     assert simulate["counters"]["decode_candidates"] == 10 * 12  # 12 lines per point
 
 
-# the result digests of nine runs; a change to the package may change their
-# timings and counters, never these
+# the result digests of ten runs; a change to the package may change their
+# timings and counters, never these.  The simulate digests depend on the map
+# from a drawn index to a word, orbit by orbit; with the words in RREF order
+# simulate-even-2-2-8 reads b8557afd...d4c4
+# (test_sorted_order_replay_gives_the_old_digest)
 PINNED_DIGESTS = {
     "construct-odd-2-2-10": "4625dc64e4aa6bfa04f4aa416ff0a9214e38e37bef8478de49d4d12e3f5b5478",
     "construct-even-2-2-8": "1017f3b8fede6cf4c6f2ae022ba341114701811171753162c51a8f49559963db",
@@ -571,7 +592,7 @@ PINNED_DIGESTS = {
     "verify-odd-2-2-10": "137b5bbe80f4e581758fb0c1a811b34c78845c085499a7ba6d6d2e4c0804cc41",
     "sidon-check-odd-3-3-15": "7bde5800fd38b28e97ccf231f3d6d4801d3e026231bd5cd606ec247ce887ee55",
     "poly-gf4-N14": "1a6cf3b5732e433ff45625383ec04a446e6b2347d703473717ba2621d328e50a",
-    "simulate-even-2-2-8": "b8557afd23ed01ea5cfcadd198f7581f810fe99fa2f372d9e1b82a21d1a3d4c4",
+    "simulate-even-2-2-8": "f2e1a0608bbbf199f5354abfdb2aee0d1c0c6ff1bffebab7151399404162b9b6",
     "simulate-even-3-2-8-first-3": (
         "aaa21312b38b9a4347129fcea815a03ca01fcc5d7b928a8f63fc6106ef05e45f"),
     "table-q23-k23-r2": "325280a36d9423337bc0053a7058daea1229ecb8a7a2505c66aa83eace048b54",
@@ -585,7 +606,7 @@ def pinned_runs(tmp_path_factory):
     PINNED_DIGESTS, in order: each code a later run reads is built first.
     The first three generators of even (3,2,8), 9,840 words, are written
     here: one erasure plus one insertion is beyond their distance 2, so the
-    sorted codebook order decides which words are sent and how many decode."""
+    words sent decide how many decode."""
     tmp = tmp_path_factory.mktemp("pinned")
     tower = build_tower(3, 1, 2, 4)
     gens = [sc.make_subspace(p, tower) for p in sc.enumerate_family(tower)][:3]
@@ -622,6 +643,23 @@ def test_result_digests_are_pinned(name, pinned_runs):
     # the digest is the sha256 of the result file without its final newline
     assert written.endswith(b"\n")
     assert hashlib.sha256(written[:-1]).hexdigest() == digest
+
+
+def test_sorted_order_replay_gives_the_old_digest(even_code_2_2_8):
+    # the pinned run of simulate-even-2-2-8 replayed over the words in RREF
+    # order, as they were drawn before, gives back its old result: 8 of 50
+    # trials decode, and the digest is the old one.  So the map from a drawn
+    # index to a word is all that changed.
+    ch = cli.ch
+    book = ch.materialize_codebook(even_code_2_2_8)
+    words = sorted_codebook(even_code_2_2_8)
+    cfg = ch.ChannelConfig(erasures=1, insertions=0, trials=50, seed=5)
+    report = ch.run_trials(book.generators, words, even_code_2_2_8.claimed_min_distance, cfg)
+    del report["counters"]
+    report["codebook_size"] = len(words)
+    assert report["successes"] == 8
+    assert cli.sha256(cli._dumps(report).encode()).hexdigest() == (
+        "b8557afd23ed01ea5cfcadd198f7581f810fe99fa2f372d9e1b82a21d1a3d4c4")
 
 
 def test_digest_comes_from_the_builtin_sha256():
