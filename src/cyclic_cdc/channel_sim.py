@@ -10,9 +10,8 @@ dim(R ∩ alpha*U_i) at every shift, and the words that meet R most are the
 ones nearest to it.  Sent words are drawn from the ``Codebook``, a lazy
 index whose word offset_j + c is the shift g^c * U_j (g primitive) of the
 j-th distinct orbit, so one ``randrange`` draws a word uniformly and builds
-only that word.  Only R = {0}, at distance k from every word, needs them
-all: it decodes to the smallest RREF, found by walking every orbit, and a
-code of more than ``CODEBOOK_CAP`` words is refused there.
+only that word.  Erasures = k with no insertion, which would leave R = {0}
+at distance k from every word, outside any guarantee, are refused.
 
 Randomness comes from a seeded ``random.Random`` (Mersenne Twister), so
 trial runs are reproducible from the seed alone.
@@ -23,7 +22,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections.abc import Sequence
-from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -33,7 +31,6 @@ from .orbit_codes import DEFAULT_SCAN_BUDGET, UnionCode
 from .subspace_linalg import (
     Subspace,
     cyclic_shift,
-    enumerate_orbit,
     orbit_size,
     rank_rows,
     shift_dims,
@@ -42,7 +39,6 @@ from .subspace_linalg import (
     union_distance,
 )
 
-CODEBOOK_CAP = 1 << 16
 _RETRY_CAP = 200
 
 
@@ -54,13 +50,15 @@ class ChannelConfig(NamedTuple):
 
     def check(self, k: int, n: int) -> None:
         """InvalidParams for negative trials; InfeasibleNoise unless erasures
-        lie in [0, k] and insertions in [0, n - k] (k = dim, n = ambient)."""
+        lie in [0, k], insertions in [0, n - k] and R != {0} (k = dim, n = ambient)."""
         if self.trials < 0:
             raise InvalidParams(f"trials must be >= 0, got {self.trials}")
         if not 0 <= self.erasures <= k:
             raise InfeasibleNoise(f"erasures must lie in [0, {k}]")
         if not 0 <= self.insertions <= n - k:
             raise InfeasibleNoise(f"insertions must lie in [0, {n - k}]")
+        if self.erasures == k and not self.insertions:
+            raise InfeasibleNoise(f"{k} erasures and no insertion leave R = {{0}}")
 
 
 def transmit(codeword: Subspace, cfg: ChannelConfig, rng: random.Random) -> Subspace:
@@ -110,22 +108,16 @@ def transmit(codeword: Subspace, cfg: ChannelConfig, rng: random.Random) -> Subs
 
 
 def md_decode(
-    received: Subspace,
-    generators: Sequence[Subspace],
-    inverses: Sequence[list[int]],
-    codebook: Codebook,
+    received: Subspace, generators: Sequence[Subspace], inverses: Sequence[list[int]]
 ) -> tuple[Subspace, int]:
-    """A codeword at minimum subspace distance from ``received``, and the
-    number of maximising shifts whose RREF was taken.  ``inverses`` holds
-    the inverses of the points of each generator, one per orbit.
+    """A codeword at minimum subspace distance from ``received`` (R != {0}),
+    and the number of maximising shifts whose RREF was taken.  ``inverses``
+    holds the inverses of the points of each generator, one per orbit.
 
     All words have dimension k, so the nearest are the alpha*U_i that meet R
-    most; the smallest RREF among them wins.  The codebook is read only for
-    R = {0}, whose nearest words are all of them.  Correct whenever
-    2*(erasures + insertions) is below the code's minimum distance."""
-    if received.dim == 0:
-        # R = {0} meets every word trivially: all sit at distance k
-        return codebook.smallest, 0
+    most, and every point of R lies in some of them; the smallest RREF among
+    them wins.  Correct whenever 2*(erasures + insertions) is below the
+    code's minimum distance."""
     best, argmax = 0, []
     for gen, inv in zip(generators, inverses):
         for alpha, d in shift_dims(received, gen, inv).items():
@@ -143,8 +135,8 @@ class Codebook(Sequence):
     field's primitive element and U_j the j-th generator kept, one per
     orbit.  A word is built only when it is read."""
 
-    def __init__(self, generators: tuple[Subspace, ...], cap: int) -> None:
-        self.generators, self.cap = generators, cap
+    def __init__(self, generators: tuple[Subspace, ...]) -> None:
+        self.generators = generators
         self.offsets = list(accumulate(map(orbit_size, generators), initial=0))
 
     def __len__(self) -> int:
@@ -162,26 +154,15 @@ class Codebook(Sequence):
         top = self.generators[j].tower.top
         return cyclic_shift(self.generators[j], top.pow(top.primitive, c))
 
-    @cached_property
-    def smallest(self) -> Subspace:
-        """The word with the smallest RREF, the decoding of R = {0}, from a
-        walk of every orbit; InfeasibleNoise before any walk when the code
-        has more than ``cap`` words."""
-        if len(self) > self.cap:
-            raise InfeasibleNoise(f"{len(self)} codewords exceed the codebook cap {self.cap}")
-        rows = min(min(enumerate_orbit(g)) for g in self.generators)
-        return Subspace(self.generators[0].tower, rows)
 
-
-def materialize_codebook(code: UnionCode, cap: int = CODEBOOK_CAP) -> Codebook:
+def materialize_codebook(code: UnionCode) -> Codebook:
     """The lazy index over the code's distinct orbits.  A generator j with
     an orbit collision (i, j) of ``union_distance`` repeats the orbit of
-    generator i and is dropped unwalked; ``cap`` bounds the walk that finds
-    the decoding of R = {0}."""
+    generator i and is dropped."""
     _, collisions, _, _ = union_distance(code.generators, DEFAULT_SCAN_BUDGET)
     repeated = {j for _, j in collisions}
     kept = tuple(g for j, g in enumerate(code.generators) if j not in repeated)
-    return Codebook(kept, cap)
+    return Codebook(kept)
 
 
 def run_trials(
@@ -196,11 +177,7 @@ def run_trials(
 
     When the guarantee 2*(erasures+insertions) < min_distance is active,
     every trial must decode correctly, and a wrong decode raises
-    DecodingFailure; otherwise the failure rate is only reported.  When
-    every R is {0} (erasures = k, no insertions), its word is found, or the
-    code refused, before any trial."""
-    if cfg.erasures == generators[0].dim and not cfg.insertions:
-        codebook.smallest  # every R is {0}: the walk, or its refusal, comes first
+    DecodingFailure; otherwise the failure rate is only reported."""
     rng = random.Random(cfg.seed)
     guarantee = 2 * (cfg.erasures + cfg.insertions) < min_distance
     top, q = generators[0].tower.top, generators[0].tower.q
@@ -211,7 +188,7 @@ def run_trials(
         sent = rng.randrange(len(codebook))
         word = codebook[sent]
         received = transmit(word, cfg, rng)
-        decoded, taken = md_decode(received, generators, inverses, codebook)
+        decoded, taken = md_decode(received, generators, inverses)
         ratios += (q ** received.dim - 1) // (q - 1) * points
         candidates += taken
         if decoded.rows == word.rows:

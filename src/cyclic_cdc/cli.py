@@ -7,7 +7,7 @@ tool version, wall time, phase timings, work counters, sha256 digest of the
 result JSON); timings and counters stay outside the hashed result, so identical
 inputs give identical result digests.  Big integers are decimal strings.
 Exit codes: 0 verified/ok, 2 claim mismatch or failed check, 3 infeasible
-under the scan budget, 4 input error.
+under the scan budget, 4 input error (argparse usage errors included).
 """
 
 from __future__ import annotations
@@ -280,7 +280,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error exits 2, which here means a failed check
+        raise SystemExit(EXIT_INPUT if exc.code == 2 else exc.code) from None
     t0 = time.perf_counter()
     params = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "out")}
     try:

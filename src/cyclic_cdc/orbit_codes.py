@@ -163,7 +163,9 @@ def known_size_5k(q: int, k: int) -> int:
 
 def compare_sizes(q: int, k: int, r: int, parity: str) -> dict:
     """One comparison row: our size, the best known, and the difference
-    column ours - known (with ours - known_5k at n = 5k)."""
+    column ours - known (with ours - known_5k at n = 5k), for k >= 2."""
+    if k < 2:
+        raise InvalidParams(f"a table row needs k >= 2, got k = {k}")
     ours = construction_size(q, k, r, parity)
     known = best_known_size(q, k, r, parity)
     n = (2 * r + 1) * k if parity == "odd" else 2 * r * k

@@ -40,6 +40,7 @@ from .errors import (
     BrokenInvariant,
     DimensionMismatch,
     Infeasible,
+    InvalidParams,
     ZeroShift,
 )
 from .field_tower import FieldTower, batch_inverse, json_field
@@ -241,6 +242,8 @@ def union_distance(
     two points or more; its ``shift_dims`` histogram gives every dimension.
     Any other pair meets its shifts in at most one point, and in one at some.
     """
+    if budget < 0:
+        raise InvalidParams(f"budget must be >= 0, got {budget}")
     k = common_dim(generators)
     n = len(generators)
     if k == 1:  # every two points are shifts of each other

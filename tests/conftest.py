@@ -24,7 +24,7 @@ def even_code_2_2_8():
 @pytest.fixture(scope="session")
 def one_orbit_code_3_3_15():
     """The first generator of the odd (3,3,15) code alone: one full orbit of
-    (3^15 - 1)/2 = 7,174,453 words, far above the simulator's codebook cap."""
+    (3^15 - 1)/2 = 7,174,453 words, which the simulator never lists."""
     tower = build_tower(3, 1, 3, 5)
     gen = sc.make_subspace(next(iter(sc.enumerate_family(tower))), tower)
     return oc.build_union(tower, [gen], provenance="first generator of odd(q=3,k=3,r=2)")

@@ -378,8 +378,7 @@ def test_a11_single_error_certificate(gf4_poly_family):
     [k, k - rho]_q * q^(rho*t) * [m - k, t]_q."""
     tower, polys = gf4_poly_family
     code = oc.build_union(tower, [lp.kernel_subspace(P) for P in polys])
-    book = ch.materialize_codebook(code)
-    gens = book.generators
+    gens = ch.materialize_codebook(code).generators
     inverses = [batch_inverse(tower.top, g.projective_reps()) for g in gens]
     q, m, k = tower.q, tower.m, gens[0].dim
     assert len(gens) == 3 and q == 2 and m == 14 and k == 3
@@ -398,13 +397,13 @@ def test_a11_single_error_certificate(gf4_poly_family):
             received = sl.Subspace(tower, rows)
             if sl.subspace_distance(u, received) != 1:
                 wrong.append(("distance", rows))
-            elif ch.md_decode(received, gens, inverses, book)[0] != u:
+            elif ch.md_decode(received, gens, inverses)[0] != u:
                 wrong.append(("decoded", rows))
         # equivariance itself, at a few shifts of a few outputs
         for rows in rng.sample(sorted(erased | inserted), 3):
             alpha = rng.randrange(1, full + 1)
             decoded = ch.md_decode(sl.cyclic_shift(sl.Subspace(tower, rows), alpha),
-                                   gens, inverses, book)[0]
+                                   gens, inverses)[0]
             if decoded != sl.cyclic_shift(u, alpha):
                 wrong.append(("shifted", rows, alpha))
     def outputs(rho, t):

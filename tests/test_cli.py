@@ -13,6 +13,7 @@ from strategies import FROBENIUS_TOWERS, frobenius_space
 from cyclic_cdc import cli
 from cyclic_cdc import orbit_codes as oc
 from cyclic_cdc import sidon_constructions as sc
+from cyclic_cdc import subspace_linalg as sl
 from cyclic_cdc.field_tower import build_tower
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,13 +53,28 @@ def test_construct_verify_roundtrip_odd(tmp_path):
 
 
 def test_verify_rejects_criterion_mode(even_code_file, tmp_path, capsys):
-    # exact is the only mode; an unknown choice is an argparse usage error
+    # exact is the only mode; an unknown choice is a usage error, exit 4
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--code", even_code_file, "--mode", "criterion",
              "--out", tmp_path / "crit.json"])
-    assert exc.value.code == 2
+    assert exc.value.code == cli.EXIT_INPUT
     assert "invalid choice: 'criterion'" in capsys.readouterr().err
     assert not (tmp_path / "crit.json").exists()
+
+
+@pytest.mark.parametrize("argv, exit_code, text", [
+    (["verify", "--code", "x", "--budget", "abc"], cli.EXIT_INPUT, "invalid int value: 'abc'"),
+    (["construct", "--q", 2, "--k", 2, "--r", 2], cli.EXIT_INPUT, "required: --parity"),
+    (["nosuch"], cli.EXIT_INPUT, "invalid choice: 'nosuch'"),
+    (["--help"], cli.EXIT_OK, "usage: cyclic-cdc"),
+], ids=["budget-not-int", "missing-parity", "unknown-subcommand", "help"])
+def test_usage_errors_exit_4(argv, exit_code, text, capsys):
+    # argparse's own exit 2 would read as a failed check
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == exit_code
+    captured = capsys.readouterr()
+    assert text in captured.out + captured.err
 
 
 def test_verify_flags_corrupted_generator(even_code_file, tmp_path):
@@ -166,6 +182,16 @@ def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, com
     (["bounds", "--q", 2, "--n", 1, "--k", 3, "--d", 2], cli.EXIT_INPUT, "InvalidParams"),
     (["table", "--q", 2, "--k", 2, "--r", 1, "--parity", "odd"], cli.EXIT_INPUT, "InvalidParams"),
     (["poly", "--file", ("poly", "polys", []), "--N", 14], cli.EXIT_INPUT, "InvalidParams"),
+    # a negative budget is no scan limit: refused, not reported as infeasible
+    (["verify", "--code", "CODE", "--budget", -1], cli.EXIT_INPUT,
+     "InvalidParams: budget must be >= 0, got -1"),
+    (["poly", "--file", DATA, "--N", 14, "--budget", -1], cli.EXIT_INPUT,
+     "InvalidParams: budget must be >= 0, got -1"),
+    # a row's distance is 2k - 2, so k < 2 is named before any formula
+    (["table", "--q", 2, "--k", 0, "--r", 2, "--parity", "odd"], cli.EXIT_INPUT,
+     "InvalidParams: a table row needs k >= 2, got k = 0"),
+    (["table", "--q", 2, "--k", 1, "--r", 2, "--parity", "odd"], cli.EXIT_INPUT,
+     "InvalidParams: a table row needs k >= 2, got k = 1"),
     # beyond d = 2k a code holds one word: both bounds are 1
     (["bounds", "--q", 2, "--n", 8, "--k", 2, "--d", 8], cli.EXIT_OK, '"sphere_packing": "1"'),
     # integer fields of input files take JSON integers only: a float or a
@@ -208,7 +234,8 @@ def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, com
     (["poly", "--file", ("poly", "", [1, 2]), "--N", 14], cli.EXIT_INPUT,
      "BadShape: expected a JSON object, got list"),
 ], ids=["bounds-q1", "bounds-q6", "table-q1", "bounds-odd-d", "bounds-n-below-k",
-        "table-r1", "poly-empty-family", "bounds-d-above-2k", "verify-float-p",
+        "table-r1", "poly-empty-family", "verify-negative-budget", "poly-negative-budget",
+        "table-k0", "table-k1", "bounds-d-above-2k", "verify-float-p",
         "verify-float-distance", "verify-bool-distance", "verify-float-size",
         "verify-int-size", "verify-float-dim", "poly-float-s", "poly-float-k", "poly-float-q",
         "poly-float-exponent", "poly-float-coordinate", "poly-missing-level",
@@ -216,10 +243,13 @@ def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, com
         "poly-poly-array", "poly-top-level-array"])
 def test_out_of_range_parameters(argv, exit_code, text, even_code_file, tmp_path, capsys):
     # an argument (source, dotted path, value) is a copy of the bundled poly
-    # family or the even (2,2,8) code file with that one field set
+    # family or the even (2,2,8) code file with that one field set, and CODE
+    # is that code file unchanged
     sources = {"poly": DATA, "code": even_code_file}
 
     def written(arg):
+        if arg == "CODE":
+            return even_code_file
         return _edited(sources[arg[0]], *arg[1:], tmp_path) if isinstance(arg, tuple) else arg
 
     assert run([written(a) for a in argv]) == exit_code
@@ -376,13 +406,12 @@ def test_poly_command_s_out_of_range(tmp_path, capsys):
     # there is no --s option to override the file's s
     with pytest.raises(SystemExit) as exc:
         run(["poly", "--file", DATA, "--N", 14, "--s", 1])
-    assert exc.value.code == 2
+    assert exc.value.code == cli.EXIT_INPUT
 
 
 def test_verify_subfield_orbit_reports_double_distance(tmp_path):
     # an orbit of the middle subfield has distance 2k, not 2k-2
     from cyclic_cdc import orbit_codes as oc
-    from cyclic_cdc import subspace_linalg as sl
     from cyclic_cdc.field_tower import build_tower
 
     tw = build_tower(2, 1, 2, 5)
@@ -428,8 +457,6 @@ def test_simulate_decodes_one_generator_per_orbit(tmp_path):
     # orbit collision, is dropped and not decoded against, so each noiseless
     # trial takes the 3 x 3 point ratios and 3 shifts of one generator, not
     # twice as many
-    from cyclic_cdc import subspace_linalg as sl
-
     tw = build_tower(2, 1, 2, 4)
     u = sl.span(tw, range(1, 3))
     code = oc.build_union(tw, [u, sl.cyclic_shift(u, tw.top.primitive)])
@@ -453,7 +480,7 @@ def _fail_if_called(what):
 def test_simulate_runs_on_a_7174453_word_orbit(one_orbit_code_3_3_15, tmp_path, monkeypatch):
     # one orbit of the odd (3,3,15) code: each sent word is a shift of its
     # generator, so one erasure decodes without walking the orbit
-    monkeypatch.setattr(cli.ch, "enumerate_orbit", _fail_if_called("orbit walked"))
+    monkeypatch.setattr(sl, "enumerate_orbit", _fail_if_called("orbit walked"))
     src = tmp_path / "one_orbit_3_3_15.json"
     src.write_text(json.dumps(one_orbit_code_3_3_15.to_json()))
     out = tmp_path / "sim.json"
@@ -464,27 +491,35 @@ def test_simulate_runs_on_a_7174453_word_orbit(one_orbit_code_3_3_15, tmp_path, 
     assert rep["successes"] == 2 and rep["guarantee_active"] is True
 
 
-def test_simulate_over_the_codebook_cap_exits_4(one_orbit_code_3_3_15, tmp_path,
-                                                monkeypatch, capsys):
-    # k = 3 erasures leave R = {0}, which decodes to the smallest RREF of all
-    # 7,174,453 words: simulate refuses it from the orbit size, before it
-    # walks the orbit and before any trial
-    monkeypatch.setattr(cli.ch, "enumerate_orbit", _fail_if_called("orbit walked"))
-    monkeypatch.setattr(cli.ch, "transmit", _fail_if_called("trial run"))
+def test_simulate_refuses_the_zero_space_before_the_codebook(one_orbit_code_3_3_15, tmp_path,
+                                                            monkeypatch, capsys):
+    # k = 3 erasures and no insertion leave R = {0}, at distance 3 from all
+    # 7,174,453 words: simulate refuses it before it builds the codebook.
+    # One insertion leaves a point, which decodes without walking the orbit.
     src = tmp_path / "one_orbit_3_3_15.json"
     src.write_text(json.dumps(one_orbit_code_3_3_15.to_json()))
     out = tmp_path / "sim.json"
-    assert run(["simulate", "--code", src, "--erasures", 3, "--trials", 2,
-                "--out", out]) == cli.EXIT_INPUT
-    assert "InfeasibleNoise: 7174453 codewords exceed" in capsys.readouterr().err
+    monkeypatch.setattr(sl, "enumerate_orbit", _fail_if_called("orbit walked"))
+    with monkeypatch.context() as patched:
+        patched.setattr(cli.ch, "materialize_codebook", _fail_if_called("codebook built"))
+        assert run(["simulate", "--code", src, "--erasures", 3, "--trials", 2,
+                    "--out", out]) == cli.EXIT_INPUT
+    assert "InfeasibleNoise: 3 erasures and no insertion leave R = {0}" in capsys.readouterr().err
     assert not out.exists()
+    assert run(["simulate", "--code", src, "--erasures", 3, "--insertions", 1, "--trials", 2,
+                "--out", out]) == cli.EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["trials"] == 2 and rep["guarantee_active"] is False
 
 
 @pytest.mark.parametrize("argv, text", [
     (["--trials", -3], "InvalidParams: trials must be >= 0"),
     (["--erasures", 3, "--trials", 0], "InfeasibleNoise: erasures must lie in [0, 2]"),
     (["--insertions", 7, "--trials", 2], "InfeasibleNoise: insertions must lie in [0, 6]"),
-], ids=["negative-trials", "erasures-above-k", "insertions-above-m-minus-k"])
+    (["--erasures", 2, "--trials", 2],
+     "InfeasibleNoise: 2 erasures and no insertion leave R = {0}"),
+], ids=["negative-trials", "erasures-above-k", "insertions-above-m-minus-k",
+        "erasures-k-no-insertion"])
 def test_simulate_checks_its_arguments_before_the_codebook(argv, text, even_code_file,
                                                           tmp_path, monkeypatch, capsys):
     # k = 2 and m = 8: each argument is refused before the codebook is built
@@ -500,7 +535,6 @@ def test_simulate_flags_false_distance_claim(tmp_path):
     # the GF(4) orbit in GF(2^8) has distance 4; claiming 6 puts one erasure
     # plus one insertion under a guarantee the code cannot keep
     from cyclic_cdc import orbit_codes as oc
-    from cyclic_cdc import subspace_linalg as sl
     from cyclic_cdc.field_tower import build_tower
 
     tw = build_tower(2, 1, 2, 4)

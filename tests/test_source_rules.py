@@ -27,6 +27,8 @@ KEPT_WITHOUT_CALLER = {
     "dense_gcd": "perfbench/probe.py times it (dense_gcd_us), perfbench/tracer.py counts its calls",
     "shift_transform": "perfbench/probe.py builds the dense_gcd_us operands",
     "ratio_to_bound": "scripts/size_comparison.py prints the n = 4k ratio",
+    "enumerate_orbit": "perfbench/probe.py times it (enumerate_orbit_s), perfbench/tracer.py "
+                       "wraps it by name",
 }
 
 
