@@ -77,7 +77,7 @@ def transmit(codeword: Subspace, cfg: ChannelConfig, rng: random.Random) -> Subs
     def random_member() -> int:
         acc = 0
         for row in codeword.rows:
-            acc = top.add(acc, tower.scalar_mul(rng.randrange(q), row))
+            acc = top.add(acc, top.mul(rng.randrange(q), row))
         return acc
 
     target = k - rho

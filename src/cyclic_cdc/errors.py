@@ -49,7 +49,8 @@ class DimensionMismatch(CdcError):
 
 
 class Infeasible(CdcError):
-    """An exhaustive scan exceeds the configured budget."""
+    """An exhaustive scan exceeds the configured budget, or a step needs
+    tables that a field above the table limit does not carry."""
 
 
 class BrokenInvariant(CdcError):

@@ -104,8 +104,7 @@ def kernel_subspace(P: LinearizedPolynomial) -> Subspace:
     """Kernel of x -> P(x) on GF(q^m) as a GF(q)-subspace, via the m x m
     coordinate matrix of the map."""
     tower = P.tower
-    m = tower.m
-    images = [P.evaluate(tower.unflatten([1 if i == j else 0 for i in range(m)])) for j in range(m)]
+    images = [P.evaluate(tower.q ** j) for j in range(tower.m)]
     return map_kernel(tower, images)
 
 
@@ -284,7 +283,7 @@ def _rank_verdict(polys: list[LinearizedPolynomial], s: int) -> tuple[bool, tupl
     subfields = (q ** math.gcd(k - s - 1, tower.m), q ** math.gcd(k, tower.m))
     inverses = [batch_inverse(top, V.projective_reps()) for V in kernels]
     failing = sorted(  # (smallest member of the class, i, j)
-        (min(tower.scalar_mul(c, rep) for c in range(1, q)), i, j)
+        (min(top.mul(c, rep) for c in range(1, q)), i, j)
         for (i, Vi), (j, Vj) in itertools.product(enumerate(kernels), repeat=2)
         for rep, dim in shift_dims(Vi, Vj, inverses[j]).items() if dim > s)
     for alpha, i, j in failing:

@@ -33,8 +33,8 @@ import itertools
 from collections import Counter
 from typing import Iterator, NamedTuple
 
-from .errors import BadShape, BrokenInvariant, InvalidParams
-from .field_tower import FieldTower
+from .errors import BadShape, BrokenInvariant, Infeasible, InvalidParams
+from .field_tower import LOG_TABLE_LIMIT, FieldTower
 from .subspace_linalg import Subspace, rank_rows, span, union_distance
 
 class ConstructionParams(NamedTuple):
@@ -97,11 +97,16 @@ def build_avoiding_set(tower: FieldTower) -> tuple[int, ...]:
     included), where f0 is the constant term of the top defining polynomial.
 
     Greedy over ascending exponents; size is exactly floor((q^k - 2)/2).
+    The forbidden exponent is a discrete log in GF(q^k), read from its log
+    table: Infeasible when q^k exceeds LOG_TABLE_LIMIT and there is none.
     """
     parity, _ = tower_shape(tower)
     if parity != "even":
         raise BadShape("the avoiding set is defined for even towers only")
     mid = tower.mid
+    if mid.order > LOG_TABLE_LIMIT:
+        raise Infeasible(f"the avoiding set needs GF(q^k) log tables, but q^k = {mid.order} "
+                         f"exceeds LOG_TABLE_LIMIT = {LOG_TABLE_LIMIT}")
     f0 = tower.def_poly_top[0]
     if f0 == 0:
         raise BadShape("top defining polynomial has zero constant term")

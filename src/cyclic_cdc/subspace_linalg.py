@@ -144,12 +144,12 @@ class Subspace(NamedTuple):
     def projective_reps(self) -> list[int]:
         """(q^dim - 1)/(q - 1) representatives, one per GF(q)*-class: for
         each leading row, that row plus every combination of the later rows."""
-        add, smul, q = self.tower.top.add, self.tower.scalar_mul, self.tower.q
+        add, mul, q = self.tower.top.add, self.tower.top.mul, self.tower.q
         reps: list[int] = []
         for i in reversed(range(self.dim)):
             points = [self.rows[i]]
             for row in self.rows[i + 1:]:
-                multiples = [smul(c, row) for c in range(q)]
+                multiples = [mul(c, row) for c in range(q)]
                 points = [add(p, m) for p in points for m in multiples]
             reps.extend(points)
         return reps

@@ -18,6 +18,9 @@ without inverses.
 ``span_by_enumeration``, ``rref_by_enumeration`` and ``kernel_by_enumeration``
 list every vector of a span, or every vector of GF(q)^m, instead of
 eliminating: they check the package's elimination kernels at small sizes.
+They scale by ``scalar_mul``, which multiplies a top element by a GF(q)
+scalar one GF(q^k)-coordinate at a time, the check of the package's product
+of the two in the top level.
 
 ``shifted_intersection_dim`` is dim(U ∩ alpha*V) from one rank, and
 ``shift_intersection_dims`` reads it at every shift from the histogram of
@@ -359,12 +362,25 @@ def field_matrix_rank_division_free(top, rows):
     return rank
 
 
+def scalar_mul(tower, c, x):
+    """c * x for a GF(q) scalar c and a top element x, one GF(q^k)-coordinate
+    of x at a time, each multiplied by c in the middle level: the package
+    multiplies in the top level, since encodings embed."""
+    mo, mmul = tower.mid.order, tower.mid.mul
+    enc, mult = 0, 1
+    while x:
+        x, d = divmod(x, mo)
+        enc += mmul(c, d) * mult
+        mult *= mo
+    return enc
+
+
 def span_by_enumeration(tower, rows):
     """The set of all GF(q)-combinations of the rows (q^len(rows) of them)."""
     top = tower.top
     combos = {0}
     for row in rows:
-        combos = {top.add(x, tower.scalar_mul(c, row)) for x in combos for c in range(tower.q)}
+        combos = {top.add(x, scalar_mul(tower, c, row)) for x in combos for c in range(tower.q)}
     return combos
 
 
@@ -395,7 +411,7 @@ def kernel_by_enumeration(tower, image_of_basis):
     for j, img in enumerate(image_of_basis):
         unit = tower.q ** j
         pairs = [
-            (top.add(x, tower.scalar_mul(c, unit)), top.add(y, tower.scalar_mul(c, img)))
+            (top.add(x, scalar_mul(tower, c, unit)), top.add(y, scalar_mul(tower, c, img)))
             for x, y in pairs
             for c in range(tower.q)
         ]

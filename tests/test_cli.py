@@ -192,6 +192,9 @@ def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, com
      "InvalidParams: a table row needs k >= 2, got k = 0"),
     (["table", "--q", 2, "--k", 1, "--r", 2, "--parity", "odd"], cli.EXIT_INPUT,
      "InvalidParams: a table row needs k >= 2, got k = 1"),
+    # the even avoiding set reads GF(q^k) log tables, which 17^4 > 2^16 lacks
+    (["construct", "--q", 17, "--k", 4, "--r", 2, "--parity", "even"], cli.EXIT_INFEASIBLE,
+     "q^k = 83521 exceeds LOG_TABLE_LIMIT = 65536"),
     # beyond d = 2k a code holds one word: both bounds are 1
     (["bounds", "--q", 2, "--n", 8, "--k", 2, "--d", 8], cli.EXIT_OK, '"sphere_packing": "1"'),
     # integer fields of input files take JSON integers only: a float or a
@@ -235,7 +238,7 @@ def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, com
      "BadShape: expected a JSON object, got list"),
 ], ids=["bounds-q1", "bounds-q6", "table-q1", "bounds-odd-d", "bounds-n-below-k",
         "table-r1", "poly-empty-family", "verify-negative-budget", "poly-negative-budget",
-        "table-k0", "table-k1", "bounds-d-above-2k", "verify-float-p",
+        "table-k0", "table-k1", "construct-even-above-log-tables", "bounds-d-above-2k", "verify-float-p",
         "verify-float-distance", "verify-bool-distance", "verify-float-size",
         "verify-int-size", "verify-float-dim", "poly-float-s", "poly-float-k", "poly-float-q",
         "poly-float-exponent", "poly-float-coordinate", "poly-missing-level",

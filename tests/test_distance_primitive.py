@@ -160,7 +160,7 @@ def test_projective_reps_match_span_enumeration(q, subfield_linear, data):
         assert len(reps) == (tw.q ** u.dim - 1) // (tw.q - 1)
         assert set(reps) <= elements
         # no two reps are proportional, and their multiples cover the span
-        multiples = {tw.scalar_mul(c, p) for p in reps for c in range(1, tw.q)}
+        multiples = {tw.top.mul(c, p) for p in reps for c in range(1, tw.q)}
         assert len(multiples) == len(reps) * (tw.q - 1)
         assert multiples == elements - {0}
 

@@ -40,7 +40,7 @@ def row_lists(draw, tower):
         else:
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             c = draw(st.integers(1, tower.q - 1))
-            rows.append(top.add(a, tower.scalar_mul(c, b)))
+            rows.append(top.add(a, top.mul(c, b)))
     return draw(st.permutations(rows))
 
 
@@ -54,7 +54,7 @@ def low_rank_maps(draw, tower):
     for _ in range(tower.m):
         img = 0
         for b in basis:
-            img = top.add(img, tower.scalar_mul(draw(st.integers(0, tower.q - 1)), b))
+            img = top.add(img, top.mul(draw(st.integers(0, tower.q - 1)), b))
         images.append(img)
     return images
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import element_order
+from oracles import element_order, scalar_mul
 
 from cyclic_cdc.errors import (
     BadShape,
@@ -175,8 +175,8 @@ def test_frobenius_is_q_linear():
         for _ in range(100):
             c = rng.randrange(tw.q)  # GF(q) scalar, embedded
             x, y = rng.randrange(F.order), rng.randrange(F.order)
-            lhs = F.pow(F.add(tw.scalar_mul(c, x), y), tw.q)
-            rhs = F.add(tw.scalar_mul(c, F.pow(x, tw.q)), F.pow(y, tw.q))
+            lhs = F.pow(F.add(F.mul(c, x), y), tw.q)
+            rhs = F.add(F.mul(c, F.pow(x, tw.q)), F.pow(y, tw.q))
             assert lhs == rhs
 
 
@@ -304,3 +304,25 @@ def test_ring_axioms_hypothesis(x, y, z):
     assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
     assert F.add(x, F.neg(x)) == 0
     assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
+
+
+# q = 2, 3, 3, 4: the top level GF(2^10) and GF(3^8) multiply by log tables,
+# GF(3^15) by schoolbook products (no tables), GF(4^6) over GF(4) = GF(2^2)
+SCALAR_TOWERS = [(2, 1, 2, 5), (3, 1, 2, 4), (3, 1, 3, 5), (2, 2, 2, 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_scalar_product_and_negation_hypothesis(data):
+    # a GF(q) scalar times a top element is top.mul, since encodings embed,
+    # and -x is (p - 1) * x on every level
+    tw = build_tower(*data.draw(st.sampled_from(SCALAR_TOWERS)))
+    c = data.draw(st.integers(0, tw.q - 1))
+    x = data.draw(st.integers(0, tw.top.order - 1))
+    assert tw.top.mul(c, x) == scalar_mul(tw, c, x)
+    for level in ("prime", "q", "mid", "top"):
+        F = tw.field(level)
+        y = x % F.order  # the low digits of x: an element of F
+        assert F.add(y, F.neg(y)) == 0
+        if tw.a == 1:  # prime q: negate each GF(q)-coordinate
+            assert tw.flatten(F.neg(y)) == tuple((-d) % tw.p for d in tw.flatten(y))

@@ -35,7 +35,7 @@ def test_span_examples():
     # scalar multiples collapse
     tw3 = build_tower(3, 1, 3, 5)
     u = 12345
-    assert sl.span(tw3, [u, tw3.scalar_mul(2, u)]).dim == 1
+    assert sl.span(tw3, [u, tw3.top.mul(2, u)]).dim == 1
     assert sl.span(tw, [0, 0]).rows == ()
 
 
@@ -47,7 +47,7 @@ def test_rref_canonical_under_row_mixing():
         rows = list(s.rows)
         rng.shuffle(rows)
         # replace rows by random nonzero scalar multiples and row sums
-        rows[0] = tw.scalar_mul(rng.randrange(1, 3), rows[0])
+        rows[0] = tw.top.mul(rng.randrange(1, 3), rows[0])
         rows[1] = tw.top.add(rows[1], rows[2])
         assert sl.span(tw, rows).rows == s.rows
 
@@ -110,7 +110,7 @@ def test_shift_intersection_invariant_under_scalar():
     v = random_subspace(tw, 3, rng)
     for _ in range(20):
         alpha = rng.randrange(1, tw.top.order)
-        lam_alpha = tw.scalar_mul(2, alpha)
+        lam_alpha = tw.top.mul(2, alpha)
         assert shifted_intersection_dim(u, v, alpha) == shifted_intersection_dim(u, v, lam_alpha)
 
 
