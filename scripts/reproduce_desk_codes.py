@@ -8,21 +8,16 @@ Expected output: 33 orbits / size 33759 / distance 2 over GF(2^10), and
 import time
 
 from cyclic_cdc import orbit_codes as oc
-from cyclic_cdc import sidon_constructions as sc
-from cyclic_cdc.field_tower import build_tower
 
 
 def reproduce(q, k, r, parity):
-    t = 2 * r + 1 if parity == "odd" else 2 * r
-    tower = build_tower(q, 1, k, t)
     t0 = time.perf_counter()
-    gens = [sc.make_subspace(p, tower) for p in sc.enumerate_family(tower)]
-    code = oc.build_union(tower, gens, provenance=f"{parity}(q={q},k={k},r={r})")
+    code = oc.construct_code(q, k, r, parity)
     report = oc.verify_code(code)
     wall = time.perf_counter() - t0
     formula = oc.construction_size(q, k, r, parity)
     print(
-        f"{parity} tower, q={q} k={k} n={tower.m}: {len(gens)} orbits, "
+        f"{parity} tower, q={q} k={k} n={code.tower.m}: {len(code.generators)} orbits, "
         f"verified size {report['verified_size']} (formula {formula}), "
         f"distance {report['verified_min_distance']}, "
         f"claims ok={report['ok']}  [{wall:.1f}s]"

@@ -27,7 +27,6 @@ except ImportError:
         from hashlib import sha256
 
 from .errors import CdcError, DecodingFailure, Infeasible
-from .field_tower import build_tower, prime_power
 from . import __version__
 from . import channel_sim as ch
 from . import linearized_poly as lp
@@ -76,22 +75,12 @@ def _load_code(path: str) -> oc.UnionCode:
         return oc.code_from_json(json.load(fh))
 
 
-def _tower_for(q: int, k: int, r: int, parity: str):
-    p, a = prime_power(q)
-    t = 2 * r + 1 if parity == "odd" else 2 * r
-    return build_tower(p, a, k, t)
-
-
 # -- subcommands: each returns (tower spec, result, exit code) ---------------------
 
 
 def cmd_construct(args):
-    tower = _tower_for(args.q, args.k, args.r, args.parity)
-    gens = [sc.make_subspace(p, tower) for p in sc.enumerate_family(tower)]
-    code = oc.build_union(
-        tower, gens, provenance=f"{args.parity}(q={args.q},k={args.k},r={args.r})"
-    )
-    return tower.spec_dict(), code.to_json(), EXIT_OK
+    code = oc.construct_code(args.q, args.k, args.r, args.parity)
+    return code.tower.spec_dict(), code.to_json(), EXIT_OK
 
 
 def cmd_verify(args):

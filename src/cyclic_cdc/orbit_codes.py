@@ -1,7 +1,8 @@
-"""Union codes assembled from orbit generators: exact size and minimum
-distance verification, closed-form size formulas for the odd/even tower
-constructions and their best known competitors, sphere-packing and Johnson
-bounds, rates, and the n = 4k ratio to the common bound value.
+"""Union codes assembled from orbit generators: the construction's code
+(``construct_code``: tower, family, union), exact size and minimum distance
+verification, closed-form sizes of the odd/even constructions (n from
+``tower_degree``) and their best known competitors, sphere-packing and
+Johnson bounds, rates, and the n = 4k ratio to the common bound value.
 
 All formula evaluation is exact big-integer arithmetic.  Size formulas and
 Gaussian binomials divide exactly (a remainder raises BrokenInvariant); a
@@ -15,9 +16,9 @@ import math
 import time
 from typing import Iterable, NamedTuple
 
-from .errors import BrokenInvariant, InvalidParams
-from .field_tower import FieldTower, json_field, prime_power, tower_from_spec
-from .sidon_constructions import max_rep_index
+from .errors import BrokenInvariant, Infeasible, InvalidParams
+from .field_tower import FieldTower, build_tower, json_field, prime_power, tower_from_spec
+from . import sidon_constructions as sc
 from .subspace_linalg import (
     Subspace,
     common_dim,
@@ -73,6 +74,17 @@ def build_union(tower: FieldTower, generators: Iterable[Subspace], provenance: s
     return UnionCode(tower, gens, size, 2 * k - 2, provenance)
 
 
+def construct_code(q: int, k: int, r: int, parity: str) -> UnionCode:
+    """The odd or even construction's union code, one generator per tuple of
+    the family; Infeasible when it has more than DEFAULT_SCAN_BUDGET tuples."""
+    tower = build_tower(*prime_power(q), k, sc.tower_degree(r, parity))
+    count = sc.family_size(tower)
+    if count > DEFAULT_SCAN_BUDGET:
+        raise Infeasible(f"the family has {count} tuples, over the budget {DEFAULT_SCAN_BUDGET}")
+    gens = [sc.make_subspace(p, tower) for p in sc.enumerate_family(tower)]
+    return build_union(tower, gens, provenance=f"{parity}(q={q},k={k},r={r})")
+
+
 # -- exact verification ----------------------------------------------------------
 
 def verify_code(code: UnionCode, budget: int = DEFAULT_SCAN_BUDGET) -> dict:
@@ -122,14 +134,13 @@ def construction_size(q: int, k: int, r: int, parity: str) -> int:
     """Size of the union code built over the odd (n = (2r+1)k) or even
     (n = 2rk) tower, as a closed form."""
     prime_power(q)
-    p0 = max_rep_index(r, parity)  # InvalidParams unless r >= 2 and odd/even
+    p0 = sc.max_rep_index(r, parity)  # InvalidParams unless r >= 2 and odd/even
+    n = sc.tower_degree(r, parity) * k
     qk = q ** k - 1
     if parity == "odd":
-        n = (2 * r + 1) * k
         s = sum(r // i - r // (i + 1) for i in range(2, p0 + 1))
         num = ((r + s) * qk * (q - 1) + r) * qk ** (r - 1) * (q ** n - 1)
     else:
-        n = 2 * r * k
         s = sum(-(-r // i) - r // (i + 1) - 1 for i in range(2, p0 + 1))
         num = (
             ((r - 1 + s) * qk * (q - 1) + (r - 1))
@@ -143,14 +154,11 @@ def construction_size(q: int, k: int, r: int, parity: str) -> int:
 def best_known_size(q: int, k: int, r: int, parity: str) -> int:
     """Best previously known size for the same parameters."""
     prime_power(q)
+    n = sc.tower_degree(r, parity) * k
     qk = q ** k - 1
     if parity == "odd":
-        n = (2 * r + 1) * k
         return r * (qk ** r * (q ** n - 1) + _exact_div(qk ** (r - 1) * (q ** n - 1), q - 1))
-    if parity == "even":
-        n = 2 * r * k
-        return ((q ** k - 2) // 2) * (r - 1) * qk ** (r - 1) * (q ** n - 1)
-    raise InvalidParams(f"unknown parity {parity!r}")
+    return ((q ** k - 2) // 2) * (r - 1) * qk ** (r - 1) * (q ** n - 1)
 
 
 def known_size_5k(q: int, k: int) -> int:
@@ -168,7 +176,7 @@ def compare_sizes(q: int, k: int, r: int, parity: str) -> dict:
         raise InvalidParams(f"a table row needs k >= 2, got k = {k}")
     ours = construction_size(q, k, r, parity)
     known = best_known_size(q, k, r, parity)
-    n = (2 * r + 1) * k if parity == "odd" else 2 * r * k
+    n = sc.tower_degree(r, parity) * k
     row = {
         "q": q,
         "k": k,

@@ -1,6 +1,7 @@
-"""Sidon-space constructions in GF(q^n) for n = (2r+1)k (odd towers) and
-n = 2rk (even towers), plus the Sidon test, the per-generator certificate of
-the paper.
+"""Sidon-space constructions in GF(q^n), n = tk, over the tower of degree
+t = tower_degree(r, parity): 2r+1 (odd towers) or 2r (even towers), r >= 2.
+Also the family's size, counted without enumerating it, and the Sidon test,
+the per-generator certificate of the paper.
 
 Four families are built, all k-dimensional images of GF(q^k) written in the
 basis {1, gamma, ..., gamma^(t-1)}:
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from typing import Iterator, NamedTuple
 
@@ -53,43 +55,35 @@ class ConstructionParams(NamedTuple):
     theta_exp: int | None = None
 
 
+def tower_degree(r: int, parity: str) -> int:
+    """Top extension degree t of the construction: 2r + 1 on odd towers and
+    2r on even ones, so n = t*k.  InvalidParams unless r >= 2 and the parity
+    is 'odd' or 'even'."""
+    if r < 2:
+        raise InvalidParams("r must be >= 2")
+    if parity not in ("odd", "even"):
+        raise InvalidParams(f"unknown parity {parity!r}")
+    return 2 * r + 1 if parity == "odd" else 2 * r
+
+
 def tower_shape(tower: FieldTower) -> tuple[str, int]:
-    """('odd'|'even', r) derived from the top extension degree t."""
-    t = tower.t
-    if t % 2 == 1:
-        r = (t - 1) // 2
-        parity = "odd"
-    else:
-        r = t // 2
-        parity = "even"
+    """('odd'|'even', r) of a tower, the inverse of ``tower_degree``."""
+    parity, r = ("odd" if tower.t % 2 else "even"), tower.t // 2
     if r < 2 or tower.k < 2:
-        raise BadShape(f"need k >= 2 and t in {{2r, 2r+1 : r >= 2}}, got k={tower.k}, t={t}")
+        raise BadShape(f"need k >= 2 and t in {{2r, 2r+1 : r >= 2}}, got k={tower.k}, t={tower.t}")
     return parity, r
 
 
 def max_rep_index(r: int, parity: str) -> int:
     """Largest repetition index with a nonempty l-range.
 
-    odd:  max{i >= 1 : floor(r/i) > floor(r/(i+1))}
-    even: 1 when r = 2, else max{i >= 1 : ceil(r/i) - 1 > floor(r/(i+1))}
+    odd:  r, since i = r has floor(r/r) = 1 > 0 = floor(r/(r+1))
+    even: max{i >= 1 : ceil(r/i) - 1 > floor(r/(i+1))}, or 1 if none (r = 2)
     """
-    if r < 2:
-        raise InvalidParams("r must be >= 2")
+    tower_degree(r, parity)  # InvalidParams unless r >= 2 and odd/even
     if parity == "odd":
-        best = 1
-        for i in range(1, r + 1):
-            if r // i > r // (i + 1):
-                best = i
-        return best
-    if parity == "even":
-        if r == 2:
-            return 1
-        best = 1
-        for i in range(1, r + 1):
-            if -(-r // i) - 1 > r // (i + 1):
-                best = i
-        return best
-    raise InvalidParams(f"unknown parity {parity!r}")
+        return r
+    return max((i for i in range(1, r + 1) if -(-r // i) - 1 > r // (i + 1)), default=1)
 
 
 def build_avoiding_set(tower: FieldTower) -> tuple[int, ...]:
@@ -226,6 +220,13 @@ def enumerate_family(tower: FieldTower) -> Iterator[ConstructionParams]:
         for theta_exp in thetas:
             for deltas in itertools.product(*pools):
                 yield ConstructionParams(family, len(pools), rep, l, deltas, theta_exp)
+
+
+def family_size(tower: FieldTower) -> int:
+    """How many tuples ``enumerate_family`` yields, counted from the parameter
+    space without yielding one."""
+    return sum(len(thetas) * math.prod(map(len, pools))
+               for _, _, _, thetas, pools in _parameter_space(tower))
 
 
 # -- Sidon test ----------------------------------------------------------------

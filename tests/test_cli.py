@@ -41,6 +41,13 @@ def test_construct_verify_roundtrip(even_code_file, tmp_path):
     assert rep["verified_size"] == "1020" and rep["verified_min_distance"] == 2
 
 
+def test_construct_writes_construct_code(tmp_path):
+    out = tmp_path / "odd422.json"
+    assert run(["construct", "--q", 4, "--k", 2, "--r", 2, "--parity", "odd",
+                "--out", out]) == cli.EXIT_OK
+    assert out.read_text() == cli._dumps(oc.construct_code(4, 2, 2, "odd").to_json()) + "\n"
+
+
 def test_construct_verify_roundtrip_odd(tmp_path):
     code_path = tmp_path / "odd2210.json"
     assert run(["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "odd",
@@ -174,6 +181,11 @@ def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, com
     assert not (tmp_path / "out.json").exists()
 
 
+# rows of test_out_of_range_parameters refused before a tower is built: the
+# (3,1,10,3) tower takes about 0.4 s
+BUILDS_NO_TOWER = {"construct-r1"}
+
+
 @pytest.mark.parametrize("argv, exit_code, text", [
     (["bounds", "--q", 1, "--n", 8, "--k", 2, "--d", 4], cli.EXIT_INPUT, "NotPrime"),
     (["bounds", "--q", 6, "--n", 8, "--k", 2, "--d", 4], cli.EXIT_INPUT, "NotPrime"),
@@ -195,6 +207,13 @@ def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, com
     # the even avoiding set reads GF(q^k) log tables, which 17^4 > 2^16 lacks
     (["construct", "--q", 17, "--k", 4, "--r", 2, "--parity", "even"], cli.EXIT_INFEASIBLE,
      "q^k = 83521 exceeds LOG_TABLE_LIMIT = 65536"),
+    # the odd family is counted, not enumerated: 3(q-1)(q^k-1)^2 + 2(q^k-1)
+    # tuples at r = 2
+    (["construct", "--q", 17, "--k", 4, "--r", 2, "--parity", "odd"], cli.EXIT_INFEASIBLE,
+     "the family has 334828506240 tuples, over the budget 67108864"),
+    # r is refused before any tower is built (see BUILDS_NO_TOWER)
+    (["construct", "--q", 3, "--k", 10, "--r", 1, "--parity", "odd"], cli.EXIT_INPUT,
+     "InvalidParams: r must be >= 2"),
     # beyond d = 2k a code holds one word: both bounds are 1
     (["bounds", "--q", 2, "--n", 8, "--k", 2, "--d", 8], cli.EXIT_OK, '"sphere_packing": "1"'),
     # integer fields of input files take JSON integers only: a float or a
@@ -238,17 +257,21 @@ def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, com
      "BadShape: expected a JSON object, got list"),
 ], ids=["bounds-q1", "bounds-q6", "table-q1", "bounds-odd-d", "bounds-n-below-k",
         "table-r1", "poly-empty-family", "verify-negative-budget", "poly-negative-budget",
-        "table-k0", "table-k1", "construct-even-above-log-tables", "bounds-d-above-2k", "verify-float-p",
+        "table-k0", "table-k1", "construct-even-above-log-tables", "construct-odd-above-budget",
+        "construct-r1", "bounds-d-above-2k", "verify-float-p",
         "verify-float-distance", "verify-bool-distance", "verify-float-size",
         "verify-int-size", "verify-float-dim", "poly-float-s", "poly-float-k", "poly-float-q",
         "poly-float-exponent", "poly-float-coordinate", "poly-missing-level",
         "verify-changed-def-poly-top", "verify-k-zero", "poly-polys-number",
         "poly-poly-array", "poly-top-level-array"])
-def test_out_of_range_parameters(argv, exit_code, text, even_code_file, tmp_path, capsys):
+def test_out_of_range_parameters(argv, exit_code, text, even_code_file, tmp_path, capsys,
+                                 request, monkeypatch):
     # an argument (source, dotted path, value) is a copy of the bundled poly
     # family or the even (2,2,8) code file with that one field set, and CODE
     # is that code file unchanged
     sources = {"poly": DATA, "code": even_code_file}
+    if request.node.callspec.id in BUILDS_NO_TOWER:
+        monkeypatch.setattr(oc, "build_tower", _fail_if_called("tower built"))
 
     def written(arg):
         if arg == "CODE":
@@ -725,3 +748,22 @@ def test_cli_import_loads_every_traced_layer_and_nothing_heavy():
     assert loaded & forbidden == set()
     assert len(tracer.SPANNED) == 6
     assert {f"cyclic_cdc.{layer}" for layer in tracer.SPANNED} <= loaded
+
+
+def _readme_cli_lines():
+    """The ``cyclic-cdc`` command lines of README's CLI block, continuations
+    joined."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Command-line interface", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("cyclic-cdc ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # in order, in one directory: verify reads the code.json that construct wrote
+    lines = _readme_cli_lines()
+    assert len(lines) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        argv = [str(ROOT / a) if a.startswith("data/") else a for a in argv]
+        assert cli.main(argv) == cli.EXIT_OK, argv

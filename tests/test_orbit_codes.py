@@ -50,6 +50,21 @@ def test_difference_identity_5k():
         assert row["difference_5k"] == size_difference_5k(q, k)
 
 
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_best_known_size_refuses_r_below_2(r, parity):
+    # the even closed form gave -0.0 at r = 0 and 252 at r = 1 for (2, 2)
+    with pytest.raises(InvalidParams, match="r must be >= 2"):
+        oc.best_known_size(2, 2, r, parity)
+
+
+def test_construct_code_claims_the_closed_form():
+    code = oc.construct_code(4, 2, 2, "odd")
+    assert len(code.generators) == 2055
+    assert code.claimed_size == oc.construction_size(4, 2, 2, "odd")
+    assert code.provenance == "odd(q=4,k=2,r=2)"
+
+
 def test_compare_sizes_row():
     row = oc.compare_sizes(3, 3, 2, "odd")
     assert row["ours"] == oc.construction_size(3, 3, 2, "odd")

@@ -1,5 +1,6 @@
 """Each script under scripts/ runs to the end and prints its headline lines."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,3 +24,14 @@ def test_script_runs(script, lines):
     assert done.returncode == 0, done.stderr
     for line in lines:
         assert line in done.stdout
+
+
+def test_reproduce_builds_a_code_over_gf4(capsys):
+    # q = 4 = 2^2 is no prime: the script builds its tower through construct_code
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_desk_codes", ROOT / "scripts" / "reproduce_desk_codes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.reproduce(4, 2, 2, "odd")
+    assert ("odd tower, q=4 k=2 n=10: 2055 orbits, verified size 718273875 (formula 718273875), "
+            "distance 2, claims ok=True") in capsys.readouterr().out

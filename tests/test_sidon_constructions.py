@@ -11,7 +11,7 @@ from strategies import FROBENIUS_TOWERS, frobenius_space, sidon_subjects
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
 from cyclic_cdc.errors import BadShape, InvalidParams
-from cyclic_cdc.field_tower import build_tower
+from cyclic_cdc.field_tower import build_tower, prime_power
 
 
 def test_max_rep_index_values():
@@ -26,9 +26,22 @@ def test_max_rep_index_values():
     assert sc.max_rep_index(9, "even") == 4
 
 
+def test_tower_degree():
+    assert sc.tower_degree(2, "odd") == 5 and sc.tower_degree(2, "even") == 4
+    assert sc.tower_degree(7, "odd") == 15 and sc.tower_degree(7, "even") == 14
+    for r in (-1, 0, 1):
+        with pytest.raises(InvalidParams, match="r must be >= 2"):
+            sc.tower_degree(r, "odd")
+    with pytest.raises(InvalidParams, match="unknown parity 'both'"):
+        sc.tower_degree(2, "both")
+
+
 def test_tower_shape():
     assert sc.tower_shape(build_tower(2, 1, 2, 5)) == ("odd", 2)
     assert sc.tower_shape(build_tower(2, 1, 2, 4)) == ("even", 2)
+    # the inverse of tower_degree
+    for r, parity in itertools.product(range(2, 6), ("odd", "even")):
+        assert sc.tower_shape(build_tower(2, 1, 2, sc.tower_degree(r, parity))) == (parity, r)
     with pytest.raises(BadShape):
         sc.tower_shape(build_tower(2, 1, 2, 3))  # r = 1
     with pytest.raises(BadShape):
@@ -71,6 +84,15 @@ def test_enumeration_counts():
     assert family_count(build_tower(2, 1, 2, 4)) == 4
     # 3*(q^k-1)^2*(q-1) + 2*(q^k-1) at q=3, k=3, r=2
     assert family_count(build_tower(3, 1, 3, 5)) == 3 * 26 * 26 * 2 + 2 * 26
+
+
+@pytest.mark.parametrize("q, k, r, parity, count", [
+    (2, 2, 2, "odd", 33), (3, 2, 2, "even", 51), (2, 3, 3, "odd", 1519),
+    (2, 2, 5, "even", 513), (4, 2, 2, "odd", 2055),
+])
+def test_family_size_counts_the_enumeration(q, k, r, parity, count):
+    tower = build_tower(*prime_power(q), k, sc.tower_degree(r, parity))
+    assert sc.family_size(tower) == family_count(tower) == count
 
 
 def test_enumerated_tuples_are_admissible_and_unique():
