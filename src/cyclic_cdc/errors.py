@@ -56,8 +56,9 @@ class Infeasible(CdcError):
 class BrokenInvariant(CdcError):
     """A computed quantity contradicts the theory it rests on: a
     deterministic search (irreducible polynomial, primitive element) ran past
-    its bound, the avoiding set fails its defining property, or a closed form
-    left a remainder.  Indicates an implementation bug, not bad input."""
+    its bound, the avoiding set fails its defining property, a closed form
+    left a remainder, or an enumerated family misses its closed-form count.
+    Indicates an implementation bug, not bad input."""
 
 
 # -- linearized polynomials -------------------------------------------------

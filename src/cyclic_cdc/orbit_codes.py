@@ -1,8 +1,9 @@
 """Union codes assembled from orbit generators: the construction's code
-(``construct_code``: tower, family, union), exact size and minimum distance
-verification, closed-form sizes of the odd/even constructions (n from
-``tower_degree``) and their best known competitors, sphere-packing and
-Johnson bounds, rates, and the n = 4k ratio to the common bound value.
+(``construct_code``: count, tower, family, union), exact size and minimum
+distance verification, closed-form sizes of the odd/even constructions
+(``generator_count`` orbits of (q^n-1)/(q-1) words, n from ``tower_degree``)
+and their best known competitors, sphere-packing and Johnson bounds, rates,
+and the n = 4k ratio to the common bound value.
 
 All formula evaluation is exact big-integer arithmetic.  Size formulas and
 Gaussian binomials divide exactly (a remainder raises BrokenInvariant); a
@@ -76,12 +77,17 @@ def build_union(tower: FieldTower, generators: Iterable[Subspace], provenance: s
 
 def construct_code(q: int, k: int, r: int, parity: str) -> UnionCode:
     """The odd or even construction's union code, one generator per tuple of
-    the family; Infeasible when it has more than DEFAULT_SCAN_BUDGET tuples."""
-    tower = build_tower(*prime_power(q), k, sc.tower_degree(r, parity))
-    count = sc.family_size(tower)
+    the family.  The family is counted by ``generator_count`` before any tower
+    is built: Infeasible when it has more than DEFAULT_SCAN_BUDGET tuples, and
+    BrokenInvariant when the enumeration yields another number of tuples."""
+    count = generator_count(q, k, r, parity)
     if count > DEFAULT_SCAN_BUDGET:
         raise Infeasible(f"the family has {count} tuples, over the budget {DEFAULT_SCAN_BUDGET}")
+    tower = build_tower(*prime_power(q), k, sc.tower_degree(r, parity))
     gens = [sc.make_subspace(p, tower) for p in sc.enumerate_family(tower)]
+    if len(gens) != count:
+        raise BrokenInvariant(f"the family enumerated {len(gens)} tuples, the closed form "
+                              f"counts {count}")
     return build_union(tower, gens, provenance=f"{parity}(q={q},k={k},r={r})")
 
 
@@ -130,25 +136,27 @@ def _exact_div(num: int, den: int) -> int:
     return num // den
 
 
-def construction_size(q: int, k: int, r: int, parity: str) -> int:
-    """Size of the union code built over the odd (n = (2r+1)k) or even
-    (n = 2rk) tower, as a closed form."""
+def generator_count(q: int, k: int, r: int, parity: str) -> int:
+    """Tuples in the odd or even family, one orbit generator each, as a
+    closed form: ((r+S)(q^k-1)(q-1) + r)(q^k-1)^(r-1) on odd towers and
+    ((r-1+S)(q^k-1)(q-1) + (r-1))(q^k-1)^(r-2) floor((q^k-2)/2) on even ones,
+    where S counts the (rep, l) rows with rep >= 2."""
     prime_power(q)
     p0 = sc.max_rep_index(r, parity)  # InvalidParams unless r >= 2 and odd/even
-    n = sc.tower_degree(r, parity) * k
     qk = q ** k - 1
     if parity == "odd":
         s = sum(r // i - r // (i + 1) for i in range(2, p0 + 1))
-        num = ((r + s) * qk * (q - 1) + r) * qk ** (r - 1) * (q ** n - 1)
-    else:
-        s = sum(-(-r // i) - r // (i + 1) - 1 for i in range(2, p0 + 1))
-        num = (
-            ((r - 1 + s) * qk * (q - 1) + (r - 1))
-            * qk ** (r - 2)
-            * ((q ** k - 2) // 2)
-            * (q ** n - 1)
-        )
-    return _exact_div(num, q - 1)
+        return ((r + s) * qk * (q - 1) + r) * qk ** (r - 1)
+    s = sum(-(-r // i) - r // (i + 1) - 1 for i in range(2, p0 + 1))
+    return ((r - 1 + s) * qk * (q - 1) + (r - 1)) * qk ** (r - 2) * ((q ** k - 2) // 2)
+
+
+def construction_size(q: int, k: int, r: int, parity: str) -> int:
+    """Size of the union code built over the odd (n = (2r+1)k) or even
+    (n = 2rk) tower: ``generator_count`` full orbits of (q^n-1)/(q-1) words."""
+    count = generator_count(q, k, r, parity)
+    n = sc.tower_degree(r, parity) * k
+    return count * _exact_div(q ** n - 1, q - 1)
 
 
 def best_known_size(q: int, k: int, r: int, parity: str) -> int:

@@ -1,7 +1,7 @@
 """Sidon-space constructions in GF(q^n), n = tk, over the tower of degree
 t = tower_degree(r, parity): 2r+1 (odd towers) or 2r (even towers), r >= 2.
-Also the family's size, counted without enumerating it, and the Sidon test,
-the per-generator certificate of the paper.
+Also the Sidon test, the per-generator certificate of the paper.  The
+family's size is a closed form, ``orbit_codes.generator_count``.
 
 Four families are built, all k-dimensional images of GF(q^k) written in the
 basis {1, gamma, ..., gamma^(t-1)}:
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import Counter
 from typing import Iterator, NamedTuple
 
@@ -90,7 +89,8 @@ def build_avoiding_set(tower: FieldTower) -> tuple[int, ...]:
     """Exponent set A with f0 * xi^i * xi^j != 1 for all i, j in A (i = j
     included), where f0 is the constant term of the top defining polynomial.
 
-    Greedy over ascending exponents; size is exactly floor((q^k - 2)/2).
+    The smaller member of each pair of exponents summing to the forbidden
+    one (``avoiding_exponents``); size is exactly floor((q^k - 2)/2).
     The forbidden exponent is a discrete log in GF(q^k), read from its log
     table: Infeasible when q^k exceeds LOG_TABLE_LIMIT and there is none.
     """
@@ -107,32 +107,23 @@ def build_avoiding_set(tower: FieldTower) -> tuple[int, ...]:
     o1 = mid.order - 1
     # f0 * xi^(i+j) == 1  <=>  i + j == forbidden (mod o1)
     chosen = avoiding_exponents(o1, (-mid._log[f0]) % o1, (mid.order - 2) // 2)
-    # verification pass over the defining property
-    for i in chosen:
-        for j in chosen:
-            if mid.mul(f0, mid.pow(tower.xi, i + j)) == 1:
-                raise BrokenInvariant("avoiding set verification failed")
+    # verification of the defining property: f0 * xi^i never equals xi^(-j)
+    products = {mid.mul(f0, mid.pow(tower.xi, i)) for i in chosen}
+    if any(mid.pow(tower.xi, o1 - j) in products for j in chosen):
+        raise BrokenInvariant("avoiding set verification failed")
     return tuple(chosen)
 
 
 def avoiding_exponents(o1: int, forbidden: int, target: int) -> list[int]:
     """The first ``target`` residues i mod o1, ascending, with no two chosen
-    (i = j included) summing to ``forbidden``.
+    (i = j included) summing to ``forbidden``: the smaller member of each
+    pair {i, forbidden - i} with i != forbidden - i.
 
-    The pairs {i, forbidden - i} with i != forbidden - i partition the
-    residues i with 2i != forbidden.  There are at least floor((o1 - 1)/2)
-    of them, and the greedy takes the smaller member of each, so a target of
-    floor((o1 - 1)/2) = floor((q^k - 2)/2) is always reached."""
-    chosen: list[int] = []
-    for i in range(o1):
-        if len(chosen) == target:
-            break
-        if (2 * i) % o1 == forbidden:
-            continue
-        if any((i + j) % o1 == forbidden for j in chosen):
-            continue
-        chosen.append(i)
-    return chosen
+    Those pairs partition the residues i with 2i != forbidden, and there are
+    at least floor((o1 - 1)/2) of them, so a target of floor((o1 - 1)/2) =
+    floor((q^k - 2)/2) is always reached.  Two smaller members never sum to
+    ``forbidden``, since their partners are the larger ones."""
+    return [i for i in range(o1) if i < (forbidden - i) % o1][:target]
 
 
 @functools.lru_cache(maxsize=None)
@@ -220,13 +211,6 @@ def enumerate_family(tower: FieldTower) -> Iterator[ConstructionParams]:
         for theta_exp in thetas:
             for deltas in itertools.product(*pools):
                 yield ConstructionParams(family, len(pools), rep, l, deltas, theta_exp)
-
-
-def family_size(tower: FieldTower) -> int:
-    """How many tuples ``enumerate_family`` yields, counted from the parameter
-    space without yielding one."""
-    return sum(len(thetas) * math.prod(map(len, pools))
-               for _, _, _, thetas, pools in _parameter_space(tower))
 
 
 # -- Sidon test ----------------------------------------------------------------

@@ -50,6 +50,11 @@ a shift of its orbit's generator.
 ``orbit_by_scan`` lists an orbit by the RREF of the shift by every projective
 point of the ambient field, the check of the package's walk over the first
 orbit_size powers of the primitive element.
+
+``avoiding_greedy`` picks the avoiding set's exponents one at a time,
+ascending, skipping any that sums to the forbidden residue with itself or an
+earlier pick: the check of the package's rule that takes the smaller member
+of each pair summing to it.
 """
 
 from collections import Counter
@@ -416,3 +421,18 @@ def kernel_by_enumeration(tower, image_of_basis):
             for c in range(tower.q)
         ]
     return {x for x, y in pairs if y == 0}
+
+
+def avoiding_greedy(o1, forbidden, target):
+    """The first ``target`` residues i mod o1, ascending, each kept unless
+    2i or i plus an earlier kept residue is ``forbidden`` mod o1."""
+    chosen = []
+    for i in range(o1):
+        if len(chosen) == target:
+            break
+        if (2 * i) % o1 == forbidden:
+            continue
+        if any((i + j) % o1 == forbidden for j in chosen):
+            continue
+        chosen.append(i)
+    return chosen

@@ -182,8 +182,10 @@ def test_basis_rows_outside_gf2_8_are_input_errors(even_code_file, tmp_path, com
 
 
 # rows of test_out_of_range_parameters refused before a tower is built: the
-# (3,1,10,3) tower takes about 0.4 s
-BUILDS_NO_TOWER = {"construct-r1"}
+# (3,1,10,3) tower takes about 0.4 s, and an over-budget family's tower can
+# take minutes
+BUILDS_NO_TOWER = {"construct-r1", "construct-even-above-log-tables",
+                   "construct-odd-above-budget", "construct-even-k14", "construct-odd-r30"}
 
 
 @pytest.mark.parametrize("argv, exit_code, text", [
@@ -204,13 +206,18 @@ BUILDS_NO_TOWER = {"construct-r1"}
      "InvalidParams: a table row needs k >= 2, got k = 0"),
     (["table", "--q", 2, "--k", 1, "--r", 2, "--parity", "odd"], cli.EXIT_INPUT,
      "InvalidParams: a table row needs k >= 2, got k = 1"),
-    # the even avoiding set reads GF(q^k) log tables, which 17^4 > 2^16 lacks
+    # the family is counted from its closed form, not enumerated, and refused
+    # over the budget before its tower is built (see BUILDS_NO_TOWER): at
+    # r = 2, (q-1)(q^k-1) + 1 times floor((q^k-2)/2) even tuples, and
+    # 3(q-1)(q^k-1)^2 + 2(q^k-1) odd ones
     (["construct", "--q", 17, "--k", 4, "--r", 2, "--parity", "even"], cli.EXIT_INFEASIBLE,
-     "q^k = 83521 exceeds LOG_TABLE_LIMIT = 65536"),
-    # the odd family is counted, not enumerated: 3(q-1)(q^k-1)^2 + 2(q^k-1)
-    # tuples at r = 2
+     "the family has 55803428639 tuples, over the budget 67108864"),
     (["construct", "--q", 17, "--k", 4, "--r", 2, "--parity", "odd"], cli.EXIT_INFEASIBLE,
      "the family has 334828506240 tuples, over the budget 67108864"),
+    (["construct", "--q", 2, "--k", 14, "--r", 2, "--parity", "even"], cli.EXIT_INFEASIBLE,
+     "the family has 134201344 tuples, over the budget 67108864"),
+    (["construct", "--q", 2, "--k", 2, "--r", 30, "--parity", "odd"], cli.EXIT_INFEASIBLE,
+     "the family has 11324012265205695 tuples, over the budget 67108864"),
     # r is refused before any tower is built (see BUILDS_NO_TOWER)
     (["construct", "--q", 3, "--k", 10, "--r", 1, "--parity", "odd"], cli.EXIT_INPUT,
      "InvalidParams: r must be >= 2"),
@@ -258,8 +265,8 @@ BUILDS_NO_TOWER = {"construct-r1"}
 ], ids=["bounds-q1", "bounds-q6", "table-q1", "bounds-odd-d", "bounds-n-below-k",
         "table-r1", "poly-empty-family", "verify-negative-budget", "poly-negative-budget",
         "table-k0", "table-k1", "construct-even-above-log-tables", "construct-odd-above-budget",
-        "construct-r1", "bounds-d-above-2k", "verify-float-p",
-        "verify-float-distance", "verify-bool-distance", "verify-float-size",
+        "construct-even-k14", "construct-odd-r30", "construct-r1", "bounds-d-above-2k",
+        "verify-float-p", "verify-float-distance", "verify-bool-distance", "verify-float-size",
         "verify-int-size", "verify-float-dim", "poly-float-s", "poly-float-k", "poly-float-q",
         "poly-float-exponent", "poly-float-coordinate", "poly-missing-level",
         "verify-changed-def-poly-top", "verify-k-zero", "poly-polys-number",

@@ -8,7 +8,7 @@ from oracles import common_bound_4k, size_difference, size_difference_5k
 from cyclic_cdc import orbit_codes as oc
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
-from cyclic_cdc.errors import DimensionMismatch, Infeasible, InvalidParams
+from cyclic_cdc.errors import BrokenInvariant, DimensionMismatch, Infeasible, InvalidParams
 from cyclic_cdc.field_tower import build_tower
 
 
@@ -63,6 +63,19 @@ def test_construct_code_claims_the_closed_form():
     assert len(code.generators) == 2055
     assert code.claimed_size == oc.construction_size(4, 2, 2, "odd")
     assert code.provenance == "odd(q=4,k=2,r=2)"
+
+
+def test_construct_code_checks_the_enumeration_against_the_count(monkeypatch):
+    enumerate_family = sc.enumerate_family
+
+    def one_dropped(tower):
+        tuples = enumerate_family(tower)
+        next(tuples)
+        return tuples
+
+    monkeypatch.setattr(sc, "enumerate_family", one_dropped)
+    with pytest.raises(BrokenInvariant, match="enumerated 32 tuples, the closed form counts 33"):
+        oc.construct_code(2, 2, 2, "odd")
 
 
 def test_compare_sizes_row():

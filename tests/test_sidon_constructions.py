@@ -5,12 +5,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cross_pair_ok, shifted_intersection_dim, sidon_by_products
+from oracles import avoiding_greedy, cross_pair_ok, shifted_intersection_dim, sidon_by_products
 from strategies import FROBENIUS_TOWERS, frobenius_space, sidon_subjects
 
+from cyclic_cdc import orbit_codes as oc
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
-from cyclic_cdc.errors import BadShape, InvalidParams
+from cyclic_cdc.errors import BadShape, BrokenInvariant, Infeasible, InvalidParams
 from cyclic_cdc.field_tower import build_tower, prime_power
 
 
@@ -75,6 +76,26 @@ def test_avoiding_set_rejected_on_odd_tower():
         sc.build_avoiding_set(build_tower(2, 1, 2, 5))
 
 
+def test_avoiding_set_needs_log_tables():
+    # construct refuses the (17,4,2) even family by its count first, so this
+    # guard is reached only by a direct call
+    with pytest.raises(Infeasible, match="q\\^k = 83521 exceeds LOG_TABLE_LIMIT = 65536"):
+        sc.build_avoiding_set(build_tower(17, 1, 4, 4))
+
+
+def test_avoiding_set_check_catches_a_partner(monkeypatch):
+    # an added exponent whose sum with the first one is the forbidden residue
+    rule = sc.avoiding_exponents
+
+    def with_partner(o1, forbidden, target):
+        chosen = rule(o1, forbidden, target)
+        return chosen + [(forbidden - chosen[0]) % o1]
+
+    monkeypatch.setattr(sc, "avoiding_exponents", with_partner)
+    with pytest.raises(BrokenInvariant, match="avoiding set verification failed"):
+        sc.build_avoiding_set(build_tower(2, 1, 3, 4))
+
+
 def family_count(tower):
     return sum(1 for _ in sc.enumerate_family(tower))
 
@@ -91,8 +112,9 @@ def test_enumeration_counts():
     (2, 2, 5, "even", 513), (4, 2, 2, "odd", 2055),
 ])
 def test_family_size_counts_the_enumeration(q, k, r, parity, count):
+    # even (2,2,5) is the first row where the even inner sum is nonzero
     tower = build_tower(*prime_power(q), k, sc.tower_degree(r, parity))
-    assert sc.family_size(tower) == family_count(tower) == count
+    assert oc.generator_count(q, k, r, parity) == family_count(tower) == count
 
 
 def test_enumerated_tuples_are_admissible_and_unique():
@@ -315,6 +337,7 @@ def test_avoiding_greedy_reaches_target_for_every_forbidden_residue(order):
     o1, target = order - 1, (order - 2) // 2
     for forbidden in range(o1):
         chosen = sc.avoiding_exponents(o1, forbidden, target)
+        assert chosen == avoiding_greedy(o1, forbidden, target), forbidden
         assert len(chosen) == target, forbidden
         assert chosen == sorted(set(chosen))
         assert all((i + j) % o1 != forbidden for i in chosen for j in chosen)
