@@ -27,8 +27,9 @@ from typing import NamedTuple
 
 from .errors import BrokenInvariant, DecodingFailure, InfeasibleNoise, InvalidParams
 from .field_tower import batch_inverse
-from .orbit_codes import DEFAULT_SCAN_BUDGET, UnionCode
+from .orbit_codes import UnionCode
 from .subspace_linalg import (
+    DEFAULT_SCAN_BUDGET,
     Subspace,
     cyclic_shift,
     orbit_size,

@@ -6,8 +6,9 @@ Every run emits a manifest (command, the parsed arguments but ``--out``, tower,
 tool version, wall time, phase timings, work counters, sha256 digest of the
 result JSON); timings and counters stay outside the hashed result, so identical
 inputs give identical result digests.  Big integers are decimal strings.
-Exit codes: 0 verified/ok, 2 claim mismatch or failed check, 3 infeasible
-under the scan budget, 4 input error (argparse usage errors included).
+Exit codes: 0 verified/ok, 1 internal fault (a BrokenInvariant propagates
+with its traceback), 2 claim mismatch or failed check, 3 infeasible under the
+scan budget, 4 input error (argparse usage errors included).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .errors import CdcError, DecodingFailure, Infeasible
+from .errors import BrokenInvariant, CdcError, DecodingFailure, Infeasible
 from . import __version__
 from . import channel_sim as ch
 from . import linearized_poly as lp
@@ -285,6 +286,8 @@ def main(argv=None) -> int:
     except DecodingFailure as exc:
         print(f"decoding guarantee broken: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except BrokenInvariant:  # an implementation bug, not bad input
+        raise
     except (OSError, json.JSONDecodeError, KeyError, ValueError, CdcError) as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -23,10 +23,11 @@ Arithmetic strategy: levels of order <= 2^16 carry discrete log/exp tables
 by x -> x*g with g primitive: x*g is the sum of the products of x's low and
 high halves of digits, each read from a table of about sqrt(order) entries,
 and g must not return to 1 early (else BrokenInvariant).  Levels of order
-<= 2^8 also carry dense add/mul tables, so schoolbook multiplication in the
-levels above them indexes lists.  Larger levels multiply by schoolbook
-products over the level below and invert by powering, so ``batch_inverse``
-inverts many elements at the cost of one inversion (Montgomery's trick).
+<= 2^8 also carry dense add/mul tables, by which the level above multiplies
+and reduces its schoolbook products; above GF(p) or a larger level, a product
+is ``_pmod(_pmul(...))``, as in the irreducibility test.  Levels above 2^16
+multiply so and invert by powering, so ``batch_inverse`` inverts many
+elements at the cost of one inversion (Montgomery's trick).
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ def prime_power(q: int) -> tuple[int, int]:
 class PrimeField:
     """GF(p) with elements 0..p-1."""
 
+    _add_table = _mul_table = None  # the level above multiplies by _pmul, _pmod
+
     def __init__(self, p: int):
         if factorize(p) != {p: 1}:
             raise NotPrime(f"{p} is not prime")
@@ -131,6 +134,7 @@ class ExtensionField:
         if len(def_poly) < 2 or def_poly[-1] != 1:
             raise BadShape("defining polynomial must be monic of degree >= 1")
         self.sub = sub
+        self.def_poly = def_poly
         self.degree = len(def_poly) - 1
         self.order = sub.order ** self.degree
         self.char = sub.char
@@ -236,34 +240,28 @@ class ExtensionField:
     def _mul_poly(self, a, b):
         if a == 0 or b == 0:
             return 0
-        so = self.sub.order
-        d = self.degree
+        sub, d = self.sub, self.degree
+        so = sub.order
         av = digits_of(a, so, d)
         bv = digits_of(b, so, d)
+        mt, at = sub._mul_table, sub._add_table
+        if mt is None:
+            return int_from_digits(_pmod(sub, _pmul(sub, av, bv), self.def_poly), so)
         prod = [0] * (2 * d - 1)
-        mt = self.sub._mul_table if isinstance(self.sub, ExtensionField) else None
-        at = self.sub._add_table if isinstance(self.sub, ExtensionField) else None
-        smul, sadd = self.sub.mul, self.sub.add
-        if mt is not None and at is not None:
-            for i, ai in enumerate(av):
-                if ai:
-                    row = mt[ai]
-                    for j, bj in enumerate(bv):
-                        if bj:
-                            prod[i + j] = at[prod[i + j]][row[bj]]
-        else:
-            for i, ai in enumerate(av):
-                if ai:
-                    for j, bj in enumerate(bv):
-                        if bj:
-                            prod[i + j] = sadd(prod[i + j], smul(ai, bj))
+        for i, ai in enumerate(av):
+            if ai:
+                row = mt[ai]
+                for j, bj in enumerate(bv):
+                    if bj:
+                        prod[i + j] = at[prod[i + j]][row[bj]]
         red = self._red
         for i in range(2 * d - 2, d - 1, -1):
             c = prod[i]
             if c:
+                row = mt[c]
                 for j, rj in enumerate(red):
                     if rj:
-                        prod[i - d + j] = sadd(prod[i - d + j], smul(c, rj))
+                        prod[i - d + j] = at[prod[i - d + j]][row[rj]]
         return int_from_digits(prod[:d], so)
 
     # -- table construction ---------------------------------------------------
@@ -364,7 +362,7 @@ def _pmul(F: Field, a: list[int], b: list[int]) -> list[int]:
 def _pmod(F: Field, a: list[int], m: list[int]) -> list[int]:
     a = list(a)
     dm = len(m) - 1
-    inv_lead = F.inv(m[-1])
+    inv_lead = 1 if m[-1] == 1 else F.inv(m[-1])  # above 2^16, inv(1) powers
     while len(a) - 1 >= dm and a:
         c = F.mul(a[-1], inv_lead)
         shift = len(a) - 1 - dm
@@ -503,21 +501,10 @@ class FieldTower:
         return x
 
     def projective_reps(self, level: str = "top") -> Iterator[int]:
-        """One representative per GF(q)*-class of nonzero elements: those
-        whose first nonzero GF(q)-coordinate equals 1."""
-        f = self.field(level)
-        q = self.q
-        if q == 2:
-            yield from range(1, f.order)
-            return
-        for enc in range(1, f.order):
-            y = enc
-            while y:
-                y, d = divmod(y, q)
-                if d:
-                    break
-            if d == 1:
-                yield enc
+        """One representative per GF(q)*-class of nonzero elements of the
+        level, ascending: the fixed points of ``canon_projective``."""
+        canon = self.canon_projective
+        return (x for x in range(1, self.field(level).order) if canon(x) == x)
 
     # -- serialization ----------------------------------------------------------
 

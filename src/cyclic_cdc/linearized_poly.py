@@ -34,8 +34,8 @@ from .field_tower import (
     FieldTower, batch_inverse, build_tower, enc_from_nested, json_field, json_object, poly_gcd,
     prime_power,
 )
-from .orbit_codes import DEFAULT_SCAN_BUDGET
 from .subspace_linalg import (
+    DEFAULT_SCAN_BUDGET,
     Subspace,
     field_matrix_rank,
     map_kernel,
@@ -305,6 +305,8 @@ def _criteria(polys: list[LinearizedPolynomial], s: int, budget: int, separated)
     """Both criteria: the family check, condition (1) from ``_rank_verdict``
     once its n^2 * P^2 point ratios (P points per kernel) fit the budget, and
     condition (2) as ``separated(Pi, Pj)`` on every unordered pair i < j."""
+    if budget < 0:
+        raise InvalidParams(f"budget must be >= 0, got {budget}")
     k = _check_family(polys, s)
     tower = polys[0].tower
     q = tower.q

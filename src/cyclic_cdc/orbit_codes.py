@@ -21,14 +21,13 @@ from .errors import BrokenInvariant, Infeasible, InvalidParams
 from .field_tower import FieldTower, build_tower, json_field, prime_power, tower_from_spec
 from . import sidon_constructions as sc
 from .subspace_linalg import (
+    DEFAULT_SCAN_BUDGET,
     Subspace,
     common_dim,
     orbit_size,
     subspace_from_json,
     union_distance,
 )
-
-DEFAULT_SCAN_BUDGET = 1 << 26
 
 
 class UnionCode(NamedTuple):

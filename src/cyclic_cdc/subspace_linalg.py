@@ -45,6 +45,9 @@ from .errors import (
 )
 from .field_tower import FieldTower, batch_inverse, json_field
 
+# the default cap on union_distance's point ratios and construct_code's family
+DEFAULT_SCAN_BUDGET = 1 << 26
+
 
 # -- the two elimination kernels ------------------------------------------------
 

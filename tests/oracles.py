@@ -51,6 +51,14 @@ a shift of its orbit's generator.
 point of the ambient field, the check of the package's walk over the first
 orbit_size powers of the primitive element.
 
+``schoolbook_mul`` multiplies in an extension level by the schoolbook
+product of the digit vectors and its reduction, each coefficient by the
+level below's ``add`` and ``mul``: the check of the package's product, which
+indexes the level below's dense tables or runs the polynomial helpers of the
+irreducibility test.  ``projective_reps_by_digits`` lists the elements whose
+first nonzero GF(q)-coordinate is 1 by scanning their digits, the check of
+the package's fixed points of ``canon_projective``.
+
 ``avoiding_greedy`` picks the avoiding set's exponents one at a time,
 ascending, skipping any that sums to the forbidden residue with itself or an
 earlier pick: the check of the package's rule that takes the smaller member
@@ -62,7 +70,7 @@ from math import gcd
 
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import subspace_linalg as sl
-from cyclic_cdc.field_tower import build_tower, factorize
+from cyclic_cdc.field_tower import build_tower, digits_of, factorize, int_from_digits
 from cyclic_cdc.sidon_constructions import max_rep_index
 from cyclic_cdc.subspace_linalg import rank_rows
 
@@ -436,3 +444,34 @@ def avoiding_greedy(o1, forbidden, target):
             continue
         chosen.append(i)
     return chosen
+
+
+def schoolbook_mul(F, a, b):
+    """a * b in the extension level F: the product of the digit vectors over
+    F.sub, then each coefficient of x^i, i >= d, folded down by
+    x^d = sum(F._red[j] * x^j), from the top degree down."""
+    sub, d = F.sub, F.degree
+    av, bv = digits_of(a, sub.order, d), digits_of(b, sub.order, d)
+    prod = [0] * (2 * d - 1)
+    for i, ai in enumerate(av):
+        for j, bj in enumerate(bv):
+            prod[i + j] = sub.add(prod[i + j], sub.mul(ai, bj))
+    for i in range(2 * d - 2, d - 1, -1):
+        for j, rj in enumerate(F._red):
+            prod[i - d + j] = sub.add(prod[i - d + j], sub.mul(prod[i], rj))
+    return int_from_digits(prod[:d], sub.order)
+
+
+def projective_reps_by_digits(tower, level):
+    """The nonzero elements of the level whose first nonzero GF(q)-coordinate
+    is 1, ascending."""
+    reps = []
+    for enc in range(1, tower.field(level).order):
+        y = enc
+        while y:
+            y, d = divmod(y, tower.q)
+            if d:
+                break
+        if d == 1:
+            reps.append(enc)
+    return reps

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from cyclic_cdc import cli
 from cyclic_cdc import orbit_codes as oc
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
+from cyclic_cdc.errors import BrokenInvariant
 from cyclic_cdc.field_tower import build_tower
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -755,6 +757,30 @@ def test_cli_import_loads_every_traced_layer_and_nothing_heavy():
     assert loaded & forbidden == set()
     assert len(tracer.SPANNED) == 6
     assert {f"cyclic_cdc.{layer}" for layer in tracer.SPANNED} <= loaded
+
+
+def test_broken_invariant_is_an_internal_fault(tmp_path, monkeypatch):
+    # an implementation bug, not bad input: the exception leaves main, so
+    # Python prints its traceback and exits 1.  The family enumeration drops
+    # its first tuple, in this process and in a child.
+    argv = ["construct", "--q", "2", "--k", "2", "--r", "2", "--parity", "odd",
+            "--out", str(tmp_path / "code.json")]
+    family = sc.enumerate_family
+    monkeypatch.setattr(sc, "enumerate_family",
+                        lambda tower: itertools.islice(family(tower), 1, None))
+    with pytest.raises(BrokenInvariant, match="enumerated 32 tuples, the closed form counts 33"):
+        cli.main(argv)
+    script = ("import itertools, sys\nfrom cyclic_cdc import cli, sidon_constructions as sc\n"
+              "family = sc.enumerate_family\n"
+              "sc.enumerate_family = lambda tower: itertools.islice(family(tower), 1, None)\n"
+              "sys.exit(cli.main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "Traceback" in done.stderr
+    assert "BrokenInvariant: the family enumerated 32 tuples" in done.stderr
+    assert not (tmp_path / "code.json").exists()
 
 
 def _readme_cli_lines():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import element_order, scalar_mul
+from oracles import element_order, projective_reps_by_digits, scalar_mul, schoolbook_mul
 
 from cyclic_cdc.errors import (
     BadShape,
@@ -145,7 +145,8 @@ def test_geometric_run_matches_powers(params, data):
     assert top.geometric(x, n) == [top.mul(x, top.pow(g, i)) for i in range(n)]
 
 
-@pytest.mark.parametrize("params", TOWERS)
+# (2, 1, 9, 3): the top GF(2^27) multiplies over GF(2^9), a level without dense tables
+@pytest.mark.parametrize("params", TOWERS + [(2, 1, 9, 3)])
 def test_distributivity_on_pseudorandom_triples(params):
     tw = build_tower(*params)
     for level in ("q", "mid", "top"):
@@ -326,3 +327,31 @@ def test_scalar_product_and_negation_hypothesis(data):
         assert F.add(y, F.neg(y)) == 0
         if tw.a == 1:  # prime q: negate each GF(q)-coordinate
             assert tw.flatten(F.neg(y)) == tuple((-d) % tw.p for d in tw.flatten(y))
+
+
+# (tower, level, whether the level below carries dense tables): GF(3^15) over
+# GF(27) and GF(2^28) over GF(4) index them; GF(2^27) over GF(2^9) and GF(3^12)
+# over GF(3^6) (levels above 2^8) and GF(4) over GF(2) multiply by _pmul, _pmod
+PRODUCT_LEVELS = [((3, 1, 3, 5), "top", True), ((2, 1, 2, 14), "top", True),
+                  ((2, 1, 9, 3), "top", False), ((3, 1, 6, 2), "top", False),
+                  ((2, 2, 2, 3), "q", False)]
+
+
+@pytest.mark.parametrize("params, level, tabled", PRODUCT_LEVELS,
+                         ids=["gf3_15", "gf2_28", "gf2_27", "gf3_12", "gf4"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_matches_schoolbook(params, level, tabled, data):
+    F = build_tower(*params).field(level)
+    assert (F.sub._mul_table is not None) == tabled
+    element = st.one_of(st.sampled_from([0, 1]), st.integers(0, F.order - 1))
+    a, b = data.draw(element), data.draw(element)
+    assert F._mul_poly(a, b) == schoolbook_mul(F, a, b)
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2, 5), (3, 1, 2, 4), (2, 2, 2, 3), (5, 1, 2, 2)],
+                         ids=["q2", "q3", "q4", "q5"])
+@pytest.mark.parametrize("level", ["mid", "top"])
+def test_projective_reps_match_digit_scan(params, level):
+    tw = build_tower(*params)
+    assert list(tw.projective_reps(level)) == projective_reps_by_digits(tw, level)

@@ -306,6 +306,17 @@ def test_criteria_budget_is_checked_before_any_point_ratio(monkeypatch):
         lp.check_union_distance_criteria(polys, s=1, budget=48)
 
 
+def test_criteria_refuse_a_negative_budget():
+    # as poly_code_distance does: a negative budget is no scan limit, so it is
+    # refused before the family is checked, never reported as infeasible
+    tw = build_tower(2, 1, 2, 3)
+    polys = [lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2})]
+    for check in (lp.check_union_distance_criteria, lp.check_union_distance_criteria_gf2,
+                  lambda polys, s, budget: lp.poly_code_distance(polys, budget)):
+        with pytest.raises(InvalidParams, match="budget must be >= 0, got -1"):
+            check(polys, s=1, budget=-1)
+
+
 def test_criteria_refuse_a_family_that_does_not_split():
     # over GF(2^6) the kernel of x^8 + x^4 + x^2 + x is GF(4) only: the rank
     # condition is read off kernels of dimension k, so a short one is refused

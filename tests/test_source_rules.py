@@ -103,3 +103,32 @@ def test_every_stored_attribute_is_read():
         for where in places
     )
     assert unread == []
+
+
+# the package modules that each module may import, "__init__" being the package root
+LAYERS = {
+    "errors": set(),
+    "field_tower": {"errors"},
+    "subspace_linalg": {"errors", "field_tower"},
+    "sidon_constructions": {"errors", "field_tower", "subspace_linalg"},
+    "orbit_codes": {"errors", "field_tower", "sidon_constructions", "subspace_linalg"},
+    "linearized_poly": {"errors", "field_tower", "subspace_linalg"},
+    "channel_sim": {"errors", "field_tower", "orbit_codes", "subspace_linalg"},
+    "cli": {"__init__", "errors", "field_tower", "subspace_linalg", "sidon_constructions",
+            "orbit_codes", "linearized_poly", "channel_sim"},
+    "__init__": set(),
+}
+
+
+def test_layers_import_only_their_dependencies():
+    imported: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        found = imported.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                # "from .x import y" imports x; "from . import x" imports x if
+                # it is a module, the package root otherwise
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                found.update(n if (SRC / f"{n}.py").is_file() else "__init__" for n in names)
+    assert set(imported) == set(LAYERS)
+    assert {m: deps - LAYERS[m] for m, deps in imported.items() if deps - LAYERS[m]} == {}
