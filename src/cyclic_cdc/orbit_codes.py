@@ -2,13 +2,13 @@
 (``construct_code``: count, tower, family, union), exact size and minimum
 distance verification, closed-form sizes of the odd/even constructions
 (``generator_count`` orbits of (q^n-1)/(q-1) words, n from ``tower_degree``)
-and their best known competitors, sphere-packing and Johnson bounds, rates,
-and the n = 4k ratio to the common bound value.
+and their best known competitors, the sphere-packing (Johnson) bound, rates,
+and the n = 4k ratio to that bound.
 
-All formula evaluation is exact big-integer arithmetic.  Size formulas and
-Gaussian binomials divide exactly (a remainder raises BrokenInvariant); a
-bound is the floor of its rational product, since a code size is an integer
-no larger than the product.  Floating point appears only in rate reporting.
+All formula evaluation is exact big-integer arithmetic.  Size formulas
+divide exactly (a remainder raises BrokenInvariant); the bound is the floor
+of its rational product, since a code size is an integer no larger than the
+product.  Floating point appears only in rate reporting.
 """
 
 from __future__ import annotations
@@ -206,46 +206,30 @@ def compare_sizes(q: int, k: int, r: int, parity: str) -> dict:
 
 # -- bounds, rates, ratios --------------------------------------------------------
 
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of GF(q)^n, exactly."""
-    if k < 0 or k > n:
-        return 0
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (k - i) - 1
-    return _exact_div(num, den)
-
-
 def _check_bound_params(q: int, n: int, k: int, d: int) -> None:
     prime_power(q)
     if not 1 <= k <= n or d < 2 or d % 2:
         raise InvalidParams("need 1 <= k <= n and an even distance >= 2")
 
 
-def sphere_packing_bound(q: int, n: int, k: int, d: int) -> int:
-    """Upper bound for a CDC of minimum distance d = 2*delta + 2: the floor
-    of [n, k-delta]_q / [k, k-delta]_q, and 1 for d > 2k."""
+def _johnson_product(q: int, n: int, k: int, d: int) -> tuple[int, int]:
+    """Numerator and denominator of the product of
+    (q^(n-i) - 1)/(q^(k-i) - 1) over 0 <= i <= k - d/2."""
     _check_bound_params(q, n, k, d)
-    if d > 2 * k:
-        return 1
-    delta = (d - 2) // 2
-    num = gaussian_binomial(n, k - delta, q)
-    den = gaussian_binomial(k, k - delta, q)
-    return num // den
+    num = den = 1
+    for i in range(k - d // 2 + 1):
+        num *= q ** (n - i) - 1
+        den *= q ** (k - i) - 1
+    return num, den
 
 
 def johnson_bound(q: int, n: int, k: int, d: int) -> int:
-    """Upper bound for a CDC of minimum distance d = 2*delta: the floor of
-    the product of (q^(n-i) - 1)/(q^(k-i) - 1) over 0 <= i <= k - delta."""
-    _check_bound_params(q, n, k, d)
-    delta = d // 2
-    num = 1
-    den = 1
-    for i in range(k - delta + 1):
-        num *= q ** (n - i) - 1
-        den *= q ** (k - i) - 1
+    """The sphere-packing (Johnson) bound on a CDC of k-subspaces of GF(q)^n
+    with minimum distance d: the floor of ``_johnson_product``.  Its
+    sphere-packing form [n, m]_q / [k, m]_q, m = k - d/2 + 1, telescopes to
+    that product, as both Gaussian binomials have the denominator
+    (q^m - 1)...(q - 1); for d > 2k, m <= 0 and the empty product gives 1."""
+    num, den = _johnson_product(q, n, k, d)
     return num // den
 
 
@@ -257,18 +241,14 @@ def rate(code_size: int, q: int, n: int, k: int) -> float:
 
 
 def ratio_to_bound(q: int, k: int) -> Fraction:
-    """Even-construction size at r = 2 (n = 4k) over the common bound value,
-    as an exact rational.
+    """Even-construction size at r = 2 (n = 4k) over the bound's rational
+    product at n = 4k, distance 2k - 2, as an exact rational.
 
-    The bound enters as the exact rational product
-    (q^(4k) - 1)(q^(4k-1) - 1) / ((q^k - 1)(q^(k-1) - 1)), whose floor both
-    bounds equal at n = 4k, distance 2k - 2.  For q = 2 and q = 3 that
-    product is an integer for k <= 5 and for no k in 6..24.  The ratio's
-    approach to 1/2, and its entry into (0.45, 0.5) at k = 6, is therefore
-    measured against the rational product, not the floor."""
+    That product, (q^(4k) - 1)(q^(4k-1) - 1) / ((q^k - 1)(q^(k-1) - 1)), is
+    an integer for q = 2 and q = 3 at k <= 5 and for no k in 6..24.  The
+    ratio's approach to 1/2, and its entry into (0.45, 0.5) at k = 6, is
+    therefore measured against the product, not its floor."""
     if k < 2:
         raise InvalidParams("k must be >= 2")
     from fractions import Fraction  # imported here: it loads decimal
-    n = 4 * k
-    bound = Fraction((q ** n - 1) * (q ** (n - 1) - 1), (q ** k - 1) * (q ** (k - 1) - 1))
-    return construction_size(q, k, 2, "even") / bound
+    return construction_size(q, k, 2, "even") / Fraction(*_johnson_product(q, 4 * k, k, 2 * k - 2))

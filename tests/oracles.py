@@ -29,11 +29,13 @@ the point ratios canon(a * b^-1), with one plain inversion per point.
 ``find_splitting_N`` are the paper's polynomial view of a subspace: its
 annihilating q-polynomial, the gcd step of ``gcd_scan``, and the smallest
 field that splits a q-polynomial.  ``element_order`` is the multiplicative
-order by factoring the group order.  ``common_bound_4k`` is the paper's
-closed form of the value that the sphere-packing and Johnson bounds share at
-n = 4k, and ``size_difference``/``size_difference_5k`` are its closed forms of
-the gap between the construction's size and a competitor's, which the package
-gets by subtraction.
+order by factoring the group order.  ``gaussian_binomial`` counts the
+k-subspaces of GF(q)^n, and ``sphere_packing_bound`` is the bound as the
+floor of a ratio of two of them, the check of the package's one product
+``johnson_bound``.  ``common_bound_4k`` is the paper's closed form of the
+bound's value at n = 4k, and ``size_difference``/``size_difference_5k`` are
+its closed forms of the gap between the construction's size and a
+competitor's, which the package gets by subtraction.
 
 ``rank_verdict_by_full_scan`` is the rank-matrix condition of a
 q-polynomial family checked by one rank per ordered pair at every shift of
@@ -185,9 +187,29 @@ def intersection_dim_via_gcd(P, Q):
     return dim
 
 
+def gaussian_binomial(n, k, q):
+    """Number of k-dimensional subspaces of GF(q)^n, exactly."""
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (k - i) - 1
+    return _exact_quotient(num, den)
+
+
+def sphere_packing_bound(q, n, k, d):
+    """The sphere-packing bound for a CDC of minimum distance d = 2*delta + 2:
+    the floor of [n, k-delta]_q / [k, k-delta]_q, and 1 for d > 2k."""
+    if d > 2 * k:
+        return 1
+    delta = (d - 2) // 2
+    return gaussian_binomial(n, k - delta, q) // gaussian_binomial(k, k - delta, q)
+
+
 def common_bound_4k(q, k):
     """The floor of (q^(4k) - 1)(q^(4k-1) - 1) / ((q^k - 1)(q^(k-1) - 1)), the
-    value of both bounds at n = 4k, distance 2k - 2."""
+    bound's value at n = 4k, distance 2k - 2."""
     n = 4 * k
     return (q ** n - 1) * (q ** (n - 1) - 1) // ((q ** k - 1) * (q ** (k - 1) - 1))
 

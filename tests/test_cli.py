@@ -50,6 +50,19 @@ def test_construct_writes_construct_code(tmp_path):
     assert out.read_text() == cli._dumps(oc.construct_code(4, 2, 2, "odd").to_json()) + "\n"
 
 
+def test_construct_manifest_reports_its_work(tmp_path):
+    # the construct time and the family against the scan budget go to the
+    # manifest; the result file and its digest stay those of the code alone
+    out = tmp_path / "odd2210.json"
+    assert run(["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "odd",
+                "--out", out]) == cli.EXIT_OK
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert set(manifest["timings"]) == {"time_construct"}
+    assert manifest["counters"] == {"generators": 33, "budget": oc.DEFAULT_SCAN_BUDGET}
+    assert out.read_text() == cli._dumps(oc.construct_code(2, 2, 2, "odd").to_json()) + "\n"
+    assert manifest["result_digest"] == PINNED_DIGESTS["construct-odd-2-2-10"]
+
+
 def test_construct_verify_roundtrip_odd(tmp_path):
     code_path = tmp_path / "odd2210.json"
     assert run(["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "odd",

@@ -3,7 +3,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from oracles import common_bound_4k, size_difference, size_difference_5k
+from oracles import (
+    common_bound_4k,
+    gaussian_binomial,
+    size_difference,
+    size_difference_5k,
+    sphere_packing_bound,
+)
 
 from cyclic_cdc import orbit_codes as oc
 from cyclic_cdc import sidon_constructions as sc
@@ -175,24 +181,40 @@ def brute_subspace_count(n, k, q=2):
 
 
 def test_gaussian_binomial_against_brute_count():
-    assert oc.gaussian_binomial(4, 2, 2) == brute_subspace_count(4, 2)
-    assert oc.gaussian_binomial(5, 2, 2) == brute_subspace_count(5, 2)
-    assert oc.gaussian_binomial(4, 1, 2) == brute_subspace_count(4, 1)
+    assert gaussian_binomial(4, 2, 2) == brute_subspace_count(4, 2)
+    assert gaussian_binomial(5, 2, 2) == brute_subspace_count(5, 2)
+    assert gaussian_binomial(4, 1, 2) == brute_subspace_count(4, 1)
 
 
 def test_gaussian_binomial_edges():
     for q in (2, 3, 5):
-        assert oc.gaussian_binomial(3, 3, q) == 1
-        assert oc.gaussian_binomial(2, 1, q) == q + 1
-        assert oc.gaussian_binomial(7, 0, q) == 1
+        assert gaussian_binomial(3, 3, q) == 1
+        assert gaussian_binomial(2, 1, q) == q + 1
+        assert gaussian_binomial(7, 0, q) == 1
 
 
 def test_bounds_coincide_at_n_4k():
     for q in (2, 3):
         for k in range(2, 6):
-            sp = oc.sphere_packing_bound(q, 4 * k, k, 2 * k - 2)
+            sp = sphere_packing_bound(q, 4 * k, k, 2 * k - 2)
             jo = oc.johnson_bound(q, 4 * k, k, 2 * k - 2)
             assert sp == jo == common_bound_4k(q, k)
+
+
+def test_johnson_bound_equals_the_gaussian_binomial_route():
+    # [n, m]_q / [k, m]_q with m = k - d/2 + 1 telescopes to Johnson's
+    # product; the grid takes in k = n and every d > 2k up to 2k + 4
+    cases = [
+        (q, n, k, d)
+        for q in (2, 3, 4, 5, 7, 8, 9)
+        for n in range(1, 13)
+        for k in range(1, n + 1)
+        for d in range(2, 2 * k + 5, 2)
+    ]
+    assert len(cases) == 3640
+    assert [c for c in cases if oc.johnson_bound(*c) != sphere_packing_bound(*c)] == []
+    assert oc.johnson_bound(3, 12, 12, 24) == oc.johnson_bound(2, 8, 2, 6) == 1
+    assert oc.johnson_bound(2, 8, 8, 2) == 1  # k = n: GF(2)^8 is the only word
 
 
 def test_bounds_floor_a_non_integral_product():
@@ -203,10 +225,10 @@ def test_bounds_floor_a_non_integral_product():
     assert num % den and common_bound_4k(2, 6) == num // den
     for q, k in ((2, 6), (3, 7)):
         n = 4 * k
-        assert oc.sphere_packing_bound(q, n, k, 2 * k - 2) == common_bound_4k(q, k)
+        assert sphere_packing_bound(q, n, k, 2 * k - 2) == common_bound_4k(q, k)
         assert oc.johnson_bound(q, n, k, 2 * k - 2) == common_bound_4k(q, k)
     # integral products keep their values
-    assert oc.johnson_bound(2, 8, 2, 2) == oc.sphere_packing_bound(2, 8, 2, 2) == 10795
+    assert oc.johnson_bound(2, 8, 2, 2) == sphere_packing_bound(2, 8, 2, 2) == 10795
 
 
 def test_bounds_input_validation():

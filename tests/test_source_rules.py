@@ -6,6 +6,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cyclic_cdc"
+TESTS = ROOT / "tests"
 
 
 def test_package_has_no_assert_statements():
@@ -132,3 +133,26 @@ def test_layers_import_only_their_dependencies():
                 found.update(n if (SRC / f"{n}.py").is_file() else "__init__" for n in names)
     assert set(imported) == set(LAYERS)
     assert {m: deps - LAYERS[m] for m, deps in imported.items() if deps - LAYERS[m]} == {}
+
+
+def _is_call_to(node, name: str) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == name
+            or isinstance(func, ast.Attribute) and func.attr == name)
+
+
+def test_test_seeds_do_not_hash():
+    # CPython salts the hash of a str per process (PYTHONHASHSEED), so a
+    # generator seeded from hash(...) draws other values in every run and a
+    # failure cannot be replayed; random.Random seeds from a str deterministically
+    sources = sorted(TESTS.rglob("*.py"))
+    assert sources
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _is_call_to(node, "Random")
+        and any(_is_call_to(inner, "hash")
+                for arg in [*node.args, *node.keywords] for inner in ast.walk(arg))
+    ]
+    assert found == []
