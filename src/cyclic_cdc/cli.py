@@ -178,7 +178,6 @@ def cmd_poly(args):
         result["criteria_gf2"] = v2.to_json()
         result["time_criteria_gf2"] = round(time.perf_counter() - t1, 3)
     result["counters"] = {
-        "criteria_ratios": verdict.point_ratios,
         "pairs": len(polys) * (len(polys) + 1) // 2,
         "point_ratios": rep.point_ratios,
         "shared_pairs": rep.shared_pairs,

@@ -10,10 +10,10 @@ can be used directly).
 
 Both union-distance criteria share one family check (``_check_family``) and
 one skeleton (``_criteria``): the rank-matrix condition, read off the
-point-ratio histograms of the split kernels (a matrix loses rank exactly at
-the shifts where two kernels meet in more than s dimensions, so only a
-failure's witness is ranked), then each criterion's own coefficient
-condition on every unordered pair.
+``shift_dims`` of the kernel pairs that ``subspace_linalg.shared_pairs``
+returns (a matrix loses rank exactly where two kernels meet in more than
+s >= 1 dimensions, so only a failure's witness is ranked), then each
+criterion's own coefficient condition on every unordered pair.
 """
 
 from __future__ import annotations
@@ -23,16 +23,15 @@ import math
 from typing import Mapping, NamedTuple
 
 from .errors import (
+    BadShape,
     BadSupport,
-    Infeasible,
     InvalidParams,
     LevelMismatch,
     WrongCharacteristic,
     ZeroShift,
 )
 from .field_tower import (
-    FieldTower, batch_inverse, build_tower, enc_from_nested, json_field, json_object, poly_gcd,
-    prime_power,
+    FieldTower, build_tower, enc_from_nested, json_field, json_object, poly_gcd, prime_power,
 )
 from .subspace_linalg import (
     DEFAULT_SCAN_BUDGET,
@@ -40,6 +39,7 @@ from .subspace_linalg import (
     field_matrix_rank,
     map_kernel,
     orbit_size,
+    shared_pairs,
     shift_dims,
     union_distance,
 )
@@ -243,7 +243,6 @@ class CriteriaVerdict(NamedTuple):
     coeff_ok: bool
     coeff_witnesses: list
     alphas_checked: int
-    point_ratios: int  # the work of the rank verdict; not part of the result
 
     @property
     def passed(self) -> bool:
@@ -260,9 +259,9 @@ class CriteriaVerdict(NamedTuple):
         }
 
 
-def _rank_verdict(polys: list[LinearizedPolynomial], s: int) -> tuple[bool, tuple | None]:
-    """The rank-matrix condition, read off one ``shift_dims`` per ordered pair
-    of the family's split kernels.
+def _rank_verdict(polys: list[LinearizedPolynomial], s: int, budget: int) -> tuple[bool, tuple | None]:
+    """The rank-matrix condition, read off one ``shift_dims`` per pair i <= j
+    of the split kernels that ``shared_pairs`` returns under ``budget``.
 
     The columns of M_ij(alpha) are x^(q^a) o D for a < k - s, and P_i, with
     D = P_i - shift_transform(P_j, alpha) of q-degree <= s + 1.  A column
@@ -274,18 +273,22 @@ def _rank_verdict(polys: list[LinearizedPolynomial], s: int) -> tuple[bool, tupl
     when that intersection has dimension s + 1, and D = 0 exactly when
     V_i = alpha*V_j.  So M_ij(alpha) loses rank exactly when
     dim(V_i ∩ alpha*V_j) > s: its rank is then 1 where D = 0, and k - s
-    otherwise.  Both sides, and admissibility, are constant on GF(q)*-classes
-    of alpha, so the witness (i, j, alpha, rank) is at the smallest failing
-    (alpha, i, j), as in a scan of every alpha.  Returns (ok, witness)."""
+    otherwise.  As s >= 1 only a shared pair fails, and as
+    V_j ∩ alpha^-1*V_i = alpha^-1*(V_i ∩ alpha*V_j), (j, i) fails at
+    canon(alpha^-1) where (i, j) fails at alpha.  Both sides, and
+    admissibility, are constant on GF(q)*-classes of alpha, so the witness
+    (i, j, alpha, rank) is at the smallest failing (alpha, i, j), as in a
+    scan of every alpha.  Returns (ok, witness)."""
     kernels = _split_kernels(polys)
     tower, k = kernels[0].tower, kernels[0].dim
     top, q = tower.top, tower.q
     subfields = (q ** math.gcd(k - s - 1, tower.m), q ** math.gcd(k, tower.m))
-    inverses = [batch_inverse(top, V.projective_reps()) for V in kernels]
+    pairs, inverses, _ = shared_pairs(kernels, budget)
     failing = sorted(  # (smallest member of the class, i, j)
-        (min(top.mul(c, rep) for c in range(1, q)), i, j)
-        for (i, Vi), (j, Vj) in itertools.product(enumerate(kernels), repeat=2)
-        for rep, dim in shift_dims(Vi, Vj, inverses[j]).items() if dim > s)
+        (min(top.mul(c, x) for c in range(1, q)), a, b)
+        for i, j in pairs
+        for rep, dim in shift_dims(kernels[i], kernels[j], inverses[j]).items() if dim > s
+        for x, a, b in ((rep, i, j), (top.inv(rep), j, i)))
     for alpha, i, j in failing:
         if all(top.pow(alpha, e) != alpha for e in subfields):
             rank = field_matrix_rank(top, build_rank_matrix(polys[i], polys[j], alpha, s).entries)
@@ -303,21 +306,14 @@ def _admissible_count(q: int, m: int, k: int, s: int) -> int:
 
 def _criteria(polys: list[LinearizedPolynomial], s: int, budget: int, separated) -> CriteriaVerdict:
     """Both criteria: the family check, condition (1) from ``_rank_verdict``
-    once its n^2 * P^2 point ratios (P points per kernel) fit the budget, and
-    condition (2) as ``separated(Pi, Pj)`` on every unordered pair i < j."""
-    if budget < 0:
-        raise InvalidParams(f"budget must be >= 0, got {budget}")
+    and condition (2) as ``separated(Pi, Pj)`` on every unordered pair i < j."""
     k = _check_family(polys, s)
     tower = polys[0].tower
-    q = tower.q
-    ratios = (len(polys) * (q ** k - 1) // (q - 1)) ** 2
-    if ratios > budget:
-        raise Infeasible(f"{ratios} point ratios exceeds budget {budget}")
-    rank_ok, witness = _rank_verdict(polys, s)
+    rank_ok, witness = _rank_verdict(polys, s, budget)
     failures = [(i, j) for (i, Pi), (j, Pj) in itertools.combinations(enumerate(polys), 2)
                 if not separated(Pi, Pj)]
-    n_alphas = _admissible_count(q, tower.m, k, s)
-    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas, ratios)
+    n_alphas = _admissible_count(tower.q, tower.m, k, s)
+    return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas)
 
 
 def check_union_distance_criteria(
@@ -422,6 +418,8 @@ def poly_family_from_json(obj: dict, N: int) -> tuple[FieldTower, list[Linearize
     for raw in obj["polys"]:
         mapping = {}
         for e, val in json_object(raw).items():
+            if not (e.isdecimal() and str(int(e)) == e):
+                raise BadShape(f"exponent key {e!r} is not a plain decimal exponent >= 0")
             if isinstance(val, list):
                 enc = enc_from_nested(tower.mid, val)
             else:

@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import BadShape, BrokenInvariant, Infeasible, InvalidParams
 from .field_tower import LOG_TABLE_LIMIT, FieldTower
-from .subspace_linalg import Subspace, rank_rows, span, union_distance
+from .subspace_linalg import Subspace, rank_rows, shared_pairs, span
 
 class ConstructionParams(NamedTuple):
     """One admissible parameter tuple; deltas and theta are xi-exponents.
@@ -223,11 +223,10 @@ def is_sidon(u: Subspace, *, counts: Counter | None = None) -> bool:
     Raviv and Tamo 2018); the basis products are not formed when
     k(k+1)/2 > m.  Any other U is Sidon exactly when no internal point ratio
     repeats: ab = mu*cd with {a, b} != {c, d} is a/c = d/b up to scalars for
-    two distinct ordered pairs of distinct points, so ``union_distance`` of U
-    alone shares its self pair.  Its work, P(P-1) ratios plus P^2 for that
-    pair (P points), fits the budget 2P^2.  ``counts`` gains 1 at "certified"
-    or "scanned", the basis products at "products" and the ratios of a
-    scanned U at "point_ratios".
+    two distinct ordered pairs of distinct points, so ``shared_pairs`` of U
+    alone returns its self pair, within the budget 2P^2 (P points).
+    ``counts`` gains 1 at "certified" or "scanned", the basis products at
+    "products" and the ratios of a scanned U at "point_ratios".
     """
     tally = Counter() if counts is None else counts
     rows, mul = u.rows, u.tower.top.mul
@@ -239,6 +238,6 @@ def is_sidon(u: Subspace, *, counts: Counter | None = None) -> bool:
             return True
     tally["scanned"] += 1
     points = (u.tower.q ** u.dim - 1) // (u.tower.q - 1)
-    _, _, ratios, shared = union_distance([u], 2 * points ** 2)
+    pairs, _, ratios = shared_pairs([u], 2 * points ** 2)
     tally["point_ratios"] += ratios
-    return not shared
+    return not pairs

@@ -23,7 +23,7 @@ augmented rows (image of e_j | e_j).
 
 Intersections with every cyclic shift at once come from point ratios, with
 no discrete logs: ``shift_dims`` counts canon(a * b^-1) over two subspaces'
-points, and ``union_distance`` runs it only on pairs sharing such a ratio.
+points, and only the generator pairs that ``shared_pairs`` returns need it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .field_tower import FieldTower, batch_inverse, json_field
 
-# the default cap on union_distance's point ratios and construct_code's family
+# the default cap on shared_pairs' point ratios and construct_code's family
 DEFAULT_SCAN_BUDGET = 1 << 26
 
 
@@ -230,27 +230,23 @@ def common_dim(generators: Sequence[Subspace]) -> int:
     return k
 
 
-def union_distance(
+def shared_pairs(
     generators: Sequence[Subspace], budget: int
-) -> tuple[int, list[tuple[int, int]], int, int]:
-    """Minimum distance of the union of the generators' cyclic orbits, its
-    orbit collisions (i < j with U_i = alpha*U_j), and the number of internal
-    point ratios and of generator pairs that share one.  The ratios, and then
-    the ratios plus P^2 per shared pair (P points per generator), must not
-    exceed ``budget``.
+) -> tuple[list[tuple[int, int]], list[list[int]], int]:
+    """The sorted pairs i <= j of generators that share an internal point
+    ratio canon(c * a^-1), a != c (a self pair: one repeated inside U_i),
+    each generator's point inverses and the number of internal ratios.  The
+    ratios, and then the ratios plus P^2 per shared pair (P points each, one
+    ``shift_dims``), must not exceed ``budget``.
 
     Points a, c of U_i and b, d of U_j lie together in U_i ∩ alpha*U_j
-    exactly when c/a ≡ d/b.  So only a pair sharing an internal ratio
-    canon(c * a^-1), a != c (a self pair: repeating one), meets a shift in
-    two points or more; its ``shift_dims`` histogram gives every dimension.
-    Any other pair meets its shifts in at most one point, and in one at some.
-    """
+    exactly when c/a ≡ d/b.  So only a shared pair meets a shift in two
+    points or more; any other pair meets its shifts in at most one point,
+    and in one at some."""
     if budget < 0:
         raise InvalidParams(f"budget must be >= 0, got {budget}")
     k = common_dim(generators)
     n = len(generators)
-    if k == 1:  # every two points are shifts of each other
-        return 2, list(itertools.combinations(range(n), 2)), 0, 0
     tower = generators[0].tower
     points = (tower.q ** k - 1) // (tower.q - 1)
     ratios = n * points * (points - 1)
@@ -275,6 +271,19 @@ def union_distance(
     if ratios + len(shared) * points ** 2 > budget:
         raise Infeasible(f"{ratios} point ratios + {len(shared)} shared pairs x {points}^2 "
                          f"exceeds budget {budget}")
+    return shared, inverses, ratios
+
+
+def union_distance(
+    generators: Sequence[Subspace], budget: int
+) -> tuple[int, list[tuple[int, int]], int, int]:
+    """Minimum distance of the union of the generators' cyclic orbits, its
+    orbit collisions (i < j with U_i = alpha*U_j), and the ratio and pair
+    counts of ``shared_pairs``, from one ``shift_dims`` per shared pair."""
+    shared, inverses, ratios = shared_pairs(generators, budget)
+    k, n = generators[0].dim, len(generators)
+    if k == 1:  # every two points are shifts of each other
+        return 2, list(itertools.combinations(range(n), 2)), 0, 0
     best = 2 * k - 2 if len(shared) < n * (n + 1) // 2 else 2 * k
     collisions = []
     for i, j in shared:

@@ -385,15 +385,15 @@ def test_poly_command_passes(tmp_path):
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert set(manifest["timings"]) == {"time_criteria", "time_criteria_gf2", "time_distance"}
     assert not any(key.startswith("time_") for key in rep)
-    # the rank condition reads one point-ratio histogram per ordered pair of
-    # the 3 kernels, 7 x 7 ratios each
-    assert manifest["counters"]["criteria_ratios"] == 3 ** 2 * 7 ** 2 == 441
-    assert set(manifest["counters"]) == {"criteria_ratios", "pairs", "point_ratios",
-                                         "shared_pairs", "budget"}
+    # the distance and the rank condition share one scan: the 3 kernels'
+    # 7 x 6 internal point ratios each, and no pair shares one
+    assert manifest["counters"]["point_ratios"] == 3 * 7 * 6 == 126
+    assert manifest["counters"]["shared_pairs"] == 0
+    assert set(manifest["counters"]) == {"pairs", "point_ratios", "shared_pairs", "budget"}
 
 
 def test_poly_at_N_28_reads_every_shift_off_the_histograms(tmp_path):
-    # 2^28 - 2 admissible shifts: the criteria cost the same 441 point ratios
+    # 2^28 - 2 admissible shifts: the criteria cost the same 126 point ratios
     # as at N = 14
     out = tmp_path / "poly28.json"
     assert run(["poly", "--file", DATA, "--N", 28, "--out", out]) == cli.EXIT_OK
@@ -407,11 +407,11 @@ def test_poly_at_N_28_reads_every_shift_off_the_histograms(tmp_path):
 
 
 def test_poly_criteria_budget_counts_point_ratios(tmp_path, capsys):
-    # the exact distance needs 126 point ratios and the criteria 441
-    assert run(["poly", "--file", DATA, "--N", 14, "--budget", 440,
+    # the exact distance and the criteria share one budget: 126 point ratios
+    assert run(["poly", "--file", DATA, "--N", 14, "--budget", 125,
                 "--out", tmp_path / "over.json"]) == cli.EXIT_INFEASIBLE
-    assert "441 point ratios exceeds budget 440" in capsys.readouterr().err
-    assert run(["poly", "--file", DATA, "--N", 14, "--budget", 441,
+    assert "126 point ratios exceeds budget 125" in capsys.readouterr().err
+    assert run(["poly", "--file", DATA, "--N", 14, "--budget", 126,
                 "--out", tmp_path / "ok.json"]) == cli.EXIT_OK
 
 
@@ -443,6 +443,17 @@ def test_poly_command_rank_failure(tmp_path):
     assert rep["criteria"]["rank_condition_ok"] is False
     assert rep["criteria"]["rank_witness"] == [0, 0, 2, 2]
     assert rep["exact"]["distance"] == 2
+
+
+@pytest.mark.parametrize("key", [" 1", "02"])
+def test_poly_refuses_a_second_spelling_of_an_exponent(key, tmp_path, capsys):
+    # " 1" and "02" would overwrite the coefficient keyed "1" or "2"
+    family = {"q": 2, "coeff_field_degree": 2, "k": 3, "s": 1,
+              "polys": [{"3": 0, "2": 1, "1": 0, "0": 0, key: 1}]}
+    src = tmp_path / "dup.json"
+    src.write_text(json.dumps(family))
+    assert run(["poly", "--file", src, "--N", 6]) == cli.EXIT_INPUT
+    assert f"BadShape: exponent key {key!r} is not a plain decimal" in capsys.readouterr().err
 
 
 def test_poly_command_s_out_of_range(tmp_path, capsys):

@@ -273,9 +273,9 @@ def test_a_duplicate_shifted_inside_an_excluded_subfield_is_no_witness(params, k
 
 
 def test_rank_condition_ranks_once_for_both_criteria(monkeypatch):
-    # each criterion reads the condition off the kernels' histograms and
-    # ranks one matrix, its witness's, on a failing family, and none on a
-    # passing one
+    # each criterion reads the condition off the shared pairs' histograms
+    # and ranks one matrix, its witness's, on a failing family, and none on
+    # a passing one
     tw = build_tower(2, 1, 2, 3)
     polys = [lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2}), lp.linpoly(tw, {3: 1, 2: 1, 1: 3, 0: 3})]
     calls = []
@@ -286,14 +286,19 @@ def test_rank_condition_ranks_once_for_both_criteria(monkeypatch):
     assert len(calls) == 2
     assert (gf2.rank_ok, gf2.rank_witness) == (general.rank_ok, general.rank_witness)
     assert lp.check_union_distance_criteria(polys[:1], s=1).rank_ok and len(calls) == 2
-    # the budget counts the point ratios of e^2 histograms of P^2 = 7^2 each
-    assert general.point_ratios == 2 ** 2 * 7 ** 2
-    with pytest.raises(Infeasible, match="196 point ratios exceeds budget 195"):
-        lp.check_union_distance_criteria_gf2(polys, s=1, budget=195)
-    assert lp.check_union_distance_criteria_gf2(polys, s=1, budget=196) == gf2
+    # the budget is the exact distance's: 2 x 7 x 6 internal point ratios,
+    # then 7^2 for the one pair that shares a ratio
+    rep = lp.poly_code_distance(polys)
+    assert (rep.point_ratios, rep.shared_pairs) == (2 * 7 * 6, 1)
+    with pytest.raises(Infeasible, match=r"84 point ratios \+ 1 shared pairs x 7\^2 exceeds "
+                                         "budget 132"):
+        lp.check_union_distance_criteria_gf2(polys, s=1, budget=132)
+    assert lp.check_union_distance_criteria_gf2(polys, s=1, budget=133) == gf2
 
 
 def test_criteria_budget_is_checked_before_any_point_ratio(monkeypatch):
+    # the kernels are built first, as poly builds them for the distance;
+    # then the 7 x 6 internal ratios are counted before any point is listed
     tw = build_tower(2, 1, 2, 3)
     polys = [lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2})]
 
@@ -301,14 +306,14 @@ def test_criteria_budget_is_checked_before_any_point_ratio(monkeypatch):
         raise AssertionError("point ratios before the budget check")
 
     monkeypatch.setattr(lp, "shift_dims", no_product)
-    monkeypatch.setattr(lp, "kernel_subspace", no_product)
-    with pytest.raises(Infeasible, match="49 point ratios"):
-        lp.check_union_distance_criteria(polys, s=1, budget=48)
+    monkeypatch.setattr(sl.Subspace, "projective_reps", no_product)
+    with pytest.raises(Infeasible, match="42 point ratios exceeds budget 41"):
+        lp.check_union_distance_criteria(polys, s=1, budget=41)
 
 
 def test_criteria_refuse_a_negative_budget():
     # as poly_code_distance does: a negative budget is no scan limit, so it is
-    # refused before the family is checked, never reported as infeasible
+    # refused, never reported as infeasible
     tw = build_tower(2, 1, 2, 3)
     polys = [lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2})]
     for check in (lp.check_union_distance_criteria, lp.check_union_distance_criteria_gf2,
@@ -342,6 +347,22 @@ def test_orbit_rank_verdict_matches_full_scan(q, data):
     polys = data.draw(split_families(q))
     verdict = lp.check_union_distance_criteria(polys, 1)
     assert (verdict.rank_ok, verdict.rank_witness) == rank_verdict_by_full_scan(polys, 1)
+
+
+@Q_VALUES
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_criteria_and_distance_accept_the_same_budgets(q, data):
+    # the rank condition reads the distance's scan, so both need its internal
+    # point ratios plus P^2 per shared pair (P = q^2 + q + 1 points a kernel)
+    polys = data.draw(split_families(q))
+    rep = lp.poly_code_distance(polys)
+    need = rep.point_ratios + rep.shared_pairs * (q ** 2 + q + 1) ** 2
+    for check in (lambda budget: lp.poly_code_distance(polys, budget),
+                  lambda budget: lp.check_union_distance_criteria(polys, 1, budget)):
+        check(need)
+        with pytest.raises(Infeasible):
+            check(need - 1)
 
 
 def test_orbit_rank_verdict_matches_full_scan_on_random_gf2_6_families():

@@ -258,6 +258,25 @@ def test_is_sidon_rejects_a_subspace_that_is_not_max_span(spec):
     assert counts == {"scanned": 1, "point_ratios": points * (points - 1)}
 
 
+@pytest.mark.parametrize("spec", [(2, 1, 2, 4), (3, 1, 2, 3)])
+def test_is_sidon_rejects_a_shifted_subfield_from_its_ratios_alone(spec, monkeypatch):
+    # gamma*GF(q^2) repeats every internal ratio and is not max-span, so the
+    # point-ratio scan rejects it; the shared self pair is answer enough, and
+    # no shift_dims histogram is formed
+    tw = build_tower(*spec)
+    w = sl._subfield_generator(tw, 2)
+    gamma = random.Random(3).randrange(2, tw.top.order)
+    u = sl.span(tw, [gamma, tw.top.mul(gamma, w)])
+
+    def no_histogram(*args):
+        raise AssertionError("shift_dims in the Sidon scan")
+
+    monkeypatch.setattr(sl, "shift_dims", no_histogram)
+    counts = Counter()
+    assert not sc.is_sidon(u, counts=counts)
+    assert counts == {"scanned": 1, "products": 3, "point_ratios": (tw.q + 1) * tw.q}
+
+
 def test_is_sidon_counts_basis_products_only_when_certified(odd_code_2_2_10):
     counts = Counter()
     assert all(sc.is_sidon(g, counts=counts) for g in odd_code_2_2_10.generators)
