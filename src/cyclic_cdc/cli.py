@@ -163,24 +163,23 @@ def cmd_poly(args):
     with open(args.file) as fh:
         obj = json.load(fh)
     tower, polys, k, s = lp.poly_family_from_json(obj, args.N)
-    # the kernels first: a short one exits 4 before any scan
+    # the kernels first: a short one exits 4 before the one scan
     t1 = time.perf_counter()
     rep = lp.poly_code_distance(polys, budget=args.budget)
     result = {"N": args.N, "s": s, "k": k, "e": len(polys), "exact": rep.to_json()}
     result["time_distance"] = round(time.perf_counter() - t1, 3)
     t1 = time.perf_counter()
-    verdict = lp.check_union_distance_criteria(polys, s, budget=args.budget)
+    verdict = lp.check_union_distance_criteria(polys, s, rep)
     result["criteria"] = verdict.to_json()
     result["time_criteria"] = round(time.perf_counter() - t1, 3)
     if tower.q == 2:
         t1 = time.perf_counter()
-        v2 = lp.check_union_distance_criteria_gf2(polys, s, budget=args.budget)
-        result["criteria_gf2"] = v2.to_json()
+        result["criteria_gf2"] = lp.check_union_distance_criteria_gf2(polys, s, rep).to_json()
         result["time_criteria_gf2"] = round(time.perf_counter() - t1, 3)
     result["counters"] = {
         "pairs": len(polys) * (len(polys) + 1) // 2,
         "point_ratios": rep.point_ratios,
-        "shared_pairs": rep.shared_pairs,
+        "shared_pairs": len(rep.shared_pairs),
         "budget": args.budget,
     }
     return tower.spec_dict(), result, EXIT_OK if verdict.passed else EXIT_MISMATCH

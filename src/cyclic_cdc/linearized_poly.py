@@ -8,12 +8,12 @@ pairs; coefficients are encodings valid in the tower's top field (elements of
 the middle field embed with unchanged encodings, so middle-level coefficients
 can be used directly).
 
-Both union-distance criteria share one family check (``_check_family``) and
-one skeleton (``_criteria``): the rank-matrix condition, read off the
-``shift_dims`` of the kernel pairs that ``subspace_linalg.shared_pairs``
-returns (a matrix loses rank exactly where two kernels meet in more than
-s >= 1 dimensions, so only a failure's witness is ranked), then each
-criterion's own coefficient condition on every unordered pair.
+A family is scanned once: ``poly_code_distance`` runs ``union_distance`` on
+its kernels and keeps each shared pair's ``shift_dims``.  Both criteria read
+that report through one family check (``_check_family``) and one skeleton
+(``_criteria``): the rank-matrix condition, off those histograms (a matrix
+loses rank exactly where two kernels meet in more than s >= 1 dimensions, so
+only a failure's witness is ranked), then each one's coefficient condition.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .subspace_linalg import (
     field_matrix_rank,
     map_kernel,
     orbit_size,
-    shared_pairs,
-    shift_dims,
     union_distance,
 )
 
@@ -106,20 +104,6 @@ def kernel_subspace(P: LinearizedPolynomial) -> Subspace:
     tower = P.tower
     images = [P.evaluate(tower.q ** j) for j in range(tower.m)]
     return map_kernel(tower, images)
-
-
-def _split_kernels(polys: list[LinearizedPolynomial]) -> list[Subspace]:
-    """The kernels of a nonempty family, each of dimension the q-degree k of
-    its first member: every member splits in the working field."""
-    k = polys[0].q_degree
-    kernels = [kernel_subspace(P) for P in polys]
-    for V in kernels:
-        if V.dim != k:
-            raise BadSupport(
-                f"kernel dimension {V.dim} below the q-degree {k}: "
-                "not a subspace polynomial for this field"
-            )
-    return kernels
 
 
 def shift_transform(P: LinearizedPolynomial, alpha: int) -> LinearizedPolynomial:
@@ -259,9 +243,9 @@ class CriteriaVerdict(NamedTuple):
         }
 
 
-def _rank_verdict(polys: list[LinearizedPolynomial], s: int, budget: int) -> tuple[bool, tuple | None]:
-    """The rank-matrix condition, read off one ``shift_dims`` per pair i <= j
-    of the split kernels that ``shared_pairs`` returns under ``budget``.
+def _rank_verdict(polys: list[LinearizedPolynomial], s: int, report: PolyCodeReport) -> tuple:
+    """The rank-matrix condition, read off the ``shift_dims`` that ``report``
+    keeps for the shared pairs i <= j of the kernels: it scans nothing itself.
 
     The columns of M_ij(alpha) are x^(q^a) o D for a < k - s, and P_i, with
     D = P_i - shift_transform(P_j, alpha) of q-degree <= s + 1.  A column
@@ -279,15 +263,13 @@ def _rank_verdict(polys: list[LinearizedPolynomial], s: int, budget: int) -> tup
     admissibility, are constant on GF(q)*-classes of alpha, so the witness
     (i, j, alpha, rank) is at the smallest failing (alpha, i, j), as in a
     scan of every alpha.  Returns (ok, witness)."""
-    kernels = _split_kernels(polys)
-    tower, k = kernels[0].tower, kernels[0].dim
+    tower, k = polys[0].tower, polys[0].q_degree
     top, q = tower.top, tower.q
     subfields = (q ** math.gcd(k - s - 1, tower.m), q ** math.gcd(k, tower.m))
-    pairs, inverses, _ = shared_pairs(kernels, budget)
     failing = sorted(  # (smallest member of the class, i, j)
         (min(top.mul(c, x) for c in range(1, q)), a, b)
-        for i, j in pairs
-        for rep, dim in shift_dims(kernels[i], kernels[j], inverses[j]).items() if dim > s
+        for i, j, dims in report.shared_pairs
+        for rep, dim in dims.items() if dim > s
         for x, a, b in ((rep, i, j), (top.inv(rep), j, i)))
     for alpha, i, j in failing:
         if all(top.pow(alpha, e) != alpha for e in subfields):
@@ -304,12 +286,12 @@ def _admissible_count(q: int, m: int, k: int, s: int) -> int:
     return q ** m - q ** a - q ** b + q ** math.gcd(a, b)
 
 
-def _criteria(polys: list[LinearizedPolynomial], s: int, budget: int, separated) -> CriteriaVerdict:
+def _criteria(polys: list[LinearizedPolynomial], s: int, report, separated) -> CriteriaVerdict:
     """Both criteria: the family check, condition (1) from ``_rank_verdict``
     and condition (2) as ``separated(Pi, Pj)`` on every unordered pair i < j."""
     k = _check_family(polys, s)
     tower = polys[0].tower
-    rank_ok, witness = _rank_verdict(polys, s, budget)
+    rank_ok, witness = _rank_verdict(polys, s, report)
     failures = [(i, j) for (i, Pi), (j, Pj) in itertools.combinations(enumerate(polys), 2)
                 if not separated(Pi, Pj)]
     n_alphas = _admissible_count(tower.q, tower.m, k, s)
@@ -317,10 +299,10 @@ def _criteria(polys: list[LinearizedPolynomial], s: int, budget: int, separated)
 
 
 def check_union_distance_criteria(
-    polys: list[LinearizedPolynomial], s: int, budget: int = DEFAULT_SCAN_BUDGET
+    polys: list[LinearizedPolynomial], s: int, report: PolyCodeReport
 ) -> CriteriaVerdict:
     """The two sufficient conditions for the union of the kernel orbits to be
-    a cyclic code of distance >= 2k - 2s.
+    a cyclic code of distance >= 2k - 2s; ``report`` is poly_code_distance(polys).
 
     (1) every rank matrix has full column rank k - s + 1 for every ordered
         pair and every admissible alpha;
@@ -341,11 +323,11 @@ def check_union_distance_criteria(
                     return True
         return False
 
-    return _criteria(polys, s, budget, separated)
+    return _criteria(polys, s, report, separated)
 
 
 def check_union_distance_criteria_gf2(
-    polys: list[LinearizedPolynomial], s: int, budget: int = DEFAULT_SCAN_BUDGET
+    polys: list[LinearizedPolynomial], s: int, report: PolyCodeReport
 ) -> CriteriaVerdict:
     """Characteristic-2 specialization: condition (2) becomes "constant
     coefficients pairwise distinct, and some h coprime to the coefficient
@@ -361,18 +343,21 @@ def check_union_distance_criteria_gf2(
             math.gcd(h, Pi.tower.k) == 1 and Pi.coeff(h) == g0i and Pj.coeff(h) == g0j
             for h in range(1, s + 2))
 
-    return _criteria(polys, s, budget, separated)
+    return _criteria(polys, s, report, separated)
 
 
 # -- exact distance and size of polynomial-kernel unions -------------------------
 
 class PolyCodeReport(NamedTuple):
+    """The exact distance and size of the union of kernel orbits, and the
+    work of its one scan: point ratios, and (i, j, shift_dims) per shared pair."""
+
     distance: int
     size: int
     orbit_sizes: list[int]
     collisions: list[tuple[int, int]]
-    point_ratios: int  # the work of union_distance; not part of the result
-    shared_pairs: int
+    point_ratios: int  # not part of the result
+    shared_pairs: list[tuple[int, int, dict[int, int]]]  # not part of the result
 
     def to_json(self) -> dict:
         return {
@@ -386,15 +371,21 @@ class PolyCodeReport(NamedTuple):
 def poly_code_distance(
     polys: list[LinearizedPolynomial], budget: int = DEFAULT_SCAN_BUDGET
 ) -> PolyCodeReport:
-    """Exact minimum distance and size of the union of kernel orbits, by
-    ``union_distance`` on the kernels."""
+    """Exact minimum distance and size of the union of kernel orbits, by one
+    ``union_distance`` scan of the kernels, which must all split (dimension k).
+    A member j in an orbit collision (i, j) repeats i's orbit: the size omits it."""
     if not polys:
         raise InvalidParams("the family has no polynomials")
-    kernels = _split_kernels(polys)
-    best, collisions, *work = union_distance(kernels, budget)
+    k = polys[0].q_degree
+    kernels = [kernel_subspace(P) for P in polys]
+    for V in kernels:
+        if V.dim != k:
+            raise BadSupport(f"kernel dimension {V.dim} below the q-degree {k}: "
+                             "not a subspace polynomial for this field")
+    best, collisions, *scan = union_distance(kernels, budget)
     sizes = [orbit_size(V) for V in kernels]
-    total = sum(sizes) if not collisions else -1
-    return PolyCodeReport(best, total, sizes, collisions, *work)
+    total = sum(sizes) - sum(sizes[j] for j in {j for _, j in collisions})
+    return PolyCodeReport(best, total, sizes, collisions, *scan)
 
 
 # -- serialization -----------------------------------------------------------------

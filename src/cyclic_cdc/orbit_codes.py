@@ -113,7 +113,7 @@ def verify_code(code: UnionCode, budget: int = DEFAULT_SCAN_BUDGET) -> dict:
     report["counters"] = {
         "pairs": len(gens) * (len(gens) + 1) // 2,
         "point_ratios": ratios,
-        "shared_pairs": shared,
+        "shared_pairs": len(shared),
         "budget": budget,
     }
 
@@ -135,37 +135,38 @@ def _exact_div(num: int, den: int) -> int:
     return num // den
 
 
-def generator_count(q: int, k: int, r: int, parity: str) -> int:
-    """Tuples in the odd or even family, one orbit generator each, as a
-    closed form: ((r+S)(q^k-1)(q-1) + r)(q^k-1)^(r-1) on odd towers and
-    ((r-1+S)(q^k-1)(q-1) + (r-1))(q^k-1)^(r-2) floor((q^k-2)/2) on even ones,
-    where S counts the (rep, l) rows with rep >= 2."""
+def _family_parts(q: int, k: int, r: int, parity: str) -> tuple[int, int, int]:
+    """The family's tuples in three parts: u-families with rep = 1, with
+    rep >= 2 (S rows (rep, l)), and v-families.  They sum to
+    ((r+S)(q^k-1)(q-1) + r)(q^k-1)^(r-1) on odd towers and
+    ((r-1+S)(q^k-1)(q-1) + (r-1))(q^k-1)^(r-2) floor((q^k-2)/2) on even ones."""
     prime_power(q)
     p0 = sc.max_rep_index(r, parity)  # InvalidParams unless r >= 2 and odd/even
-    qk = q ** k - 1
-    if parity == "odd":
-        s = sum(r // i - r // (i + 1) for i in range(2, p0 + 1))
-        return ((r + s) * qk * (q - 1) + r) * qk ** (r - 1)
-    s = sum(-(-r // i) - r // (i + 1) - 1 for i in range(2, p0 + 1))
-    return ((r - 1 + s) * qk * (q - 1) + (r - 1)) * qk ** (r - 2) * ((q ** k - 2) // 2)
+    odd, qk = parity == "odd", q ** k - 1
+    s = sum((r // i if odd else -(-r // i) - 1) - r // (i + 1) for i in range(2, p0 + 1))
+    rows, pinned = (r, qk ** (r - 1)) if odd else (r - 1, qk ** (r - 2) * ((q ** k - 2) // 2))
+    u_row = (q - 1) * qk * pinned  # thetas x deltas; a v-row pins one delta
+    return rows * u_row, s * u_row, rows * pinned
+
+
+def generator_count(q: int, k: int, r: int, parity: str) -> int:
+    """Tuples in the odd or even family, one orbit generator each (``_family_parts``)."""
+    return sum(_family_parts(q, k, r, parity))
 
 
 def construction_size(q: int, k: int, r: int, parity: str) -> int:
     """Size of the union code built over the odd (n = (2r+1)k) or even
     (n = 2rk) tower: ``generator_count`` full orbits of (q^n-1)/(q-1) words."""
     count = generator_count(q, k, r, parity)
-    n = sc.tower_degree(r, parity) * k
-    return count * _exact_div(q ** n - 1, q - 1)
+    return count * _exact_div(q ** (sc.tower_degree(r, parity) * k) - 1, q - 1)
 
 
 def best_known_size(q: int, k: int, r: int, parity: str) -> int:
-    """Best previously known size for the same parameters."""
-    prime_power(q)
+    """Best previously known size for the same parameters: one full orbit per
+    u-tuple of the family with rep = 1, and per v-tuple on odd towers."""
+    u_rep1, _, v = _family_parts(q, k, r, parity)
     n = sc.tower_degree(r, parity) * k
-    qk = q ** k - 1
-    if parity == "odd":
-        return r * (qk ** r * (q ** n - 1) + _exact_div(qk ** (r - 1) * (q ** n - 1), q - 1))
-    return ((q ** k - 2) // 2) * (r - 1) * qk ** (r - 1) * (q ** n - 1)
+    return (u_rep1 + v if parity == "odd" else u_rep1) * _exact_div(q ** n - 1, q - 1)
 
 
 def known_size_5k(q: int, k: int) -> int:

@@ -276,22 +276,21 @@ def shared_pairs(
 
 def union_distance(
     generators: Sequence[Subspace], budget: int
-) -> tuple[int, list[tuple[int, int]], int, int]:
+) -> tuple[int, list[tuple[int, int]], int, list[tuple[int, int, dict[int, int]]]]:
     """Minimum distance of the union of the generators' cyclic orbits, its
-    orbit collisions (i < j with U_i = alpha*U_j), and the ratio and pair
-    counts of ``shared_pairs``, from one ``shift_dims`` per shared pair."""
-    shared, inverses, ratios = shared_pairs(generators, budget)
+    orbit collisions (i < j with U_i = alpha*U_j), the ratio count of
+    ``shared_pairs``, and (i, j, shift_dims(U_i, U_j)) for each shared pair,
+    the one pair histogram this scan makes (no other pair meets a shift in 2)."""
+    pairs, inverses, ratios = shared_pairs(generators, budget)
     k, n = generators[0].dim, len(generators)
     if k == 1:  # every two points are shifts of each other
-        return 2, list(itertools.combinations(range(n), 2)), 0, 0
+        return 2, list(itertools.combinations(range(n), 2)), 0, []
+    shared = [(i, j, shift_dims(generators[i], generators[j], inverses[j])) for i, j in pairs]
     best = 2 * k - 2 if len(shared) < n * (n + 1) // 2 else 2 * k
-    collisions = []
-    for i, j in shared:
-        dims = shift_dims(generators[i], generators[j], inverses[j]).values()
-        if i < j and k in dims:
-            collisions.append((i, j))
-        best = min(best, 2 * k - 2 * max((d for d in dims if d < k), default=0))
-    return best, collisions, ratios, len(shared)
+    for _, _, dims in shared:
+        best = min(best, 2 * k - 2 * max((d for d in dims.values() if d < k), default=0))
+    collisions = [(i, j) for i, j, dims in shared if i < j and k in dims.values()]
+    return best, collisions, ratios, shared
 
 
 # -- map kernels ----------------------------------------------------------------

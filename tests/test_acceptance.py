@@ -153,13 +153,14 @@ def test_a04_even_formula_q5_k3():
 def test_a05_quadrinomial_family_full_reproduction(gf4_poly_family):
     """GF(4) quadrinomials in GF(2^14): ranks, gf2 criteria, size, distance."""
     tower, polys = gf4_poly_family
-    verdict = lp.check_union_distance_criteria(polys, s=1)
+    rep = lp.poly_code_distance(polys)  # the one scan that both criteria read
+    verdict = lp.check_union_distance_criteria(polys, 1, rep)
     _report(
         "rank matrices have rank 3 for all 9 pairs and all admissible shifts",
         verdict.rank_ok and verdict.alphas_checked == 16382,
         f"{verdict.alphas_checked} shifts checked",
     )
-    v2 = lp.check_union_distance_criteria_gf2(polys, s=1)
+    v2 = lp.check_union_distance_criteria_gf2(polys, 1, rep)
     h1_pattern = all(P.coeff(1) == P.coeff(0) != 0 for P in polys) and len(
         {P.coeff(0) for P in polys}
     ) == len(polys)
@@ -167,7 +168,6 @@ def test_a05_quadrinomial_family_full_reproduction(gf4_poly_family):
         "characteristic-2 conditions pass with h = 1",
         v2.passed and h1_pattern and verdict.coeff_ok,
     )
-    rep = lp.poly_code_distance(polys)
     _report(
         "kernel-orbit union has size 49149 and exact distance 4",
         rep.size == 3 * (2 ** 14 - 1) and rep.distance == 4 and not rep.collisions,

@@ -406,10 +406,13 @@ def test_poly_at_N_28_reads_every_shift_off_the_histograms(tmp_path):
     assert manifest["timings"]["time_criteria"] < 5
 
 
-def test_poly_criteria_budget_counts_point_ratios(tmp_path, capsys):
-    # the exact distance and the criteria share one budget: 126 point ratios
-    assert run(["poly", "--file", DATA, "--N", 14, "--budget", 125,
-                "--out", tmp_path / "over.json"]) == cli.EXIT_INFEASIBLE
+def test_poly_criteria_budget_counts_point_ratios(tmp_path, capsys, monkeypatch):
+    # the exact distance and the criteria share one budget: 126 point ratios,
+    # refused before a point of any kernel is listed
+    with monkeypatch.context() as patched:
+        patched.setattr(sl.Subspace, "projective_reps", _fail_if_called("points listed"))
+        assert run(["poly", "--file", DATA, "--N", 14, "--budget", 125,
+                    "--out", tmp_path / "over.json"]) == cli.EXIT_INFEASIBLE
     assert "126 point ratios exceeds budget 125" in capsys.readouterr().err
     assert run(["poly", "--file", DATA, "--N", 14, "--budget", 126,
                 "--out", tmp_path / "ok.json"]) == cli.EXIT_OK
@@ -418,25 +421,63 @@ def test_poly_criteria_budget_counts_point_ratios(tmp_path, capsys):
 @pytest.mark.parametrize("n", [16, 18])
 def test_poly_short_kernel_exits_before_the_rank_scan(n, monkeypatch, capsys):
     # the family's kernels are {0} in GF(2^16) and GF(2^18): poly must say so
-    # before it ranks a single matrix (GF(2^18) has no log tables, so that
-    # scan would take minutes)
-    from cyclic_cdc import linearized_poly as lp
-
+    # before the one scan that the distance and the rank condition read
     def no_scan(*args):
-        raise AssertionError("rank scan before the kernel check")
+        raise AssertionError("scan before the kernel check")
 
-    monkeypatch.setattr(lp, "_rank_verdict", no_scan)
+    monkeypatch.setattr(sl, "shared_pairs", no_scan)
     assert run(["poly", "--file", DATA, "--N", n]) == cli.EXIT_INPUT
     assert "BadSupport: kernel dimension 0" in capsys.readouterr().err
 
 
+POLY_RANK_FAILURE = {"q": 2, "coeff_field_degree": 2, "k": 3, "s": 1,
+                     "polys": [{"3": 0, "2": 0, "1": 1, "0": 2}]}
+
+
+def test_poly_builds_each_kernel_once_and_scans_once(tmp_path, monkeypatch):
+    # the distance and both criteria read one scan: e kernels, one
+    # shared_pairs, one shift_dims per shared pair; each criterion ranks one
+    # matrix, its witness's, on a failing family, and none on a passing one
+    from cyclic_cdc import linearized_poly as lp
+
+    calls = {}
+    for module, name in ((lp, "kernel_subspace"), (sl, "shared_pairs"), (sl, "shift_dims"),
+                         (lp, "field_matrix_rank")):
+        calls[name] = 0
+
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    bundled = json.loads(DATA.read_text())
+    colliding = dict(bundled, polys=bundled["polys"] + bundled["polys"][:1])
+    for label, family, n, exit_code in (("bundled", bundled, 14, cli.EXIT_OK),
+                                        ("colliding", colliding, 14, cli.EXIT_MISMATCH),
+                                        ("failing", POLY_RANK_FAILURE, 6, cli.EXIT_MISMATCH)):
+        calls.update(dict.fromkeys(calls, 0))
+        src, out = tmp_path / f"{label}.json", tmp_path / f"{label}.out.json"
+        src.write_text(json.dumps(family))
+        assert run(["poly", "--file", src, "--N", n, "--out", out]) == exit_code
+        rep = json.loads(out.read_text())
+        counters = json.loads(Path(f"{out}.manifest.json").read_text())["counters"]
+        witnesses = [rep[key]["rank_witness"] for key in ("criteria", "criteria_gf2")]
+        assert calls == {"kernel_subspace": rep["e"], "shared_pairs": 1,
+                         "shift_dims": counters["shared_pairs"],
+                         "field_matrix_rank": sum(w is not None for w in witnesses)}, label
+        if label == "bundled":
+            assert counters["shared_pairs"] == 0 and witnesses == [None, None]
+        elif label == "colliding":
+            # member 3 repeats the orbit of member 0: the size counts it once
+            assert rep["exact"]["orbit_collisions"] == [[0, 3]]
+            assert rep["exact"]["size"] == "49149" and witnesses == [None, None]
+        else:
+            assert counters["shared_pairs"] == 1 and witnesses == [[0, 0, 2, 2]] * 2
+
+
 def test_poly_command_rank_failure(tmp_path):
-    bad = {
-        "q": 2, "coeff_field_degree": 2, "k": 3, "s": 1,
-        "polys": [{"3": 0, "2": 0, "1": 1, "0": 2}],
-    }
     src = tmp_path / "bad.json"
-    src.write_text(json.dumps(bad))
+    src.write_text(json.dumps(POLY_RANK_FAILURE))
     out = tmp_path / "badpoly.json"
     assert run(["poly", "--file", src, "--N", 6, "--out", out]) == cli.EXIT_MISMATCH
     rep = json.loads(out.read_text())

@@ -40,11 +40,12 @@ def _check_shift_dims(u, v):
 
 def _shared_pairs(gens):
     """Pairs i <= j with a shift of dimension >= 2, the identity of a self
-    pair aside: by the oracle histogram."""
-    return sum(
-        any(d >= 2 and (i != j or alpha != 1)
-            for alpha, d in shift_intersection_dims(gens[i], gens[j]).items())
-        for i in range(len(gens)) for j in range(i, len(gens)))
+    pair aside, each with its oracle histogram."""
+    return [
+        (i, j, dims)
+        for i in range(len(gens)) for j in range(i, len(gens))
+        for dims in [shift_intersection_dims(gens[i], gens[j])]
+        if any(d >= 2 and (i != j or alpha != 1) for alpha, d in dims.items())]
 
 
 KINDS = pytest.mark.parametrize(
@@ -62,17 +63,20 @@ def test_union_distance_matches_rank_scan(q, subfield_linear, data):
     assert (distance, collisions) == rank_scan(gens) == histogram_scan(gens)
     points = (tw.q ** k - 1) // (tw.q - 1)
     assert ratios == len(gens) * points * (points - 1)
-    # the filter keeps exactly the pairs that meet some shift in a line
-    assert shared == (_shared_pairs(gens) if k > 1 else 0)
+    # the filter keeps exactly the pairs that meet some shift in a line, each
+    # with its histogram
+    assert shared == (_shared_pairs(gens) if k > 1 else [])
     _check_shift_dims(gens[0], gens[-1])
 
 
 def test_union_distance_matches_rank_scan_on_even_2_2_8(even_code_2_2_8):
     gens = list(even_code_2_2_8.generators)
-    assert sl.union_distance(gens, BUDGET) == (2, [], 4 * 3 * 2, 0)
+    assert sl.union_distance(gens, BUDGET) == (2, [], 4 * 3 * 2, [])
     assert rank_scan(gens) == histogram_scan(gens) == (2, [])
     with_copy = gens + [sl.cyclic_shift(gens[2], 77)]
-    assert sl.union_distance(with_copy, BUDGET) == (2, [(2, 4)], 5 * 3 * 2, 1)
+    assert sl.union_distance(with_copy, BUDGET) == (2, [(2, 4)], 5 * 3 * 2,
+                                                    _shared_pairs(with_copy))
+    assert [(i, j) for i, j, _ in _shared_pairs(with_copy)] == [(2, 4)]
     assert rank_scan(with_copy) == histogram_scan(with_copy) == (2, [(2, 4)])
     with pytest.raises(Infeasible):
         sl.union_distance(gens, 4 * 3 * 2 - 1)
@@ -81,18 +85,20 @@ def test_union_distance_matches_rank_scan_on_even_2_2_8(even_code_2_2_8):
 # -- one seeded case per branch of union_distance ----------------------------------
 
 def _all_routes(gens):
-    """union_distance, checked against both oracles; returns its 4-tuple."""
-    got = sl.union_distance(gens, BUDGET)
-    assert got[:2] == rank_scan(gens) == histogram_scan(gens)
-    return got
+    """union_distance, checked against both oracles and its histograms against
+    the oracle's; returns its 4-tuple with each shared pair's (i, j) alone."""
+    distance, collisions, ratios, shared = sl.union_distance(gens, BUDGET)
+    assert (distance, collisions) == rank_scan(gens) == histogram_scan(gens)
+    assert all(dims == shift_intersection_dims(gens[i], gens[j]) for i, j, dims in shared)
+    return distance, collisions, ratios, [(i, j) for i, j, _ in shared]
 
 
 def test_union_distance_of_points():
     # k = 1: no internal ratios, and every two points are shifts of each other
     tw = build_tower(*TOWERS[3])
     points = [sl.span(tw, [x]) for x in (1, 5, 17)]
-    assert _all_routes(points) == (2, [(0, 1), (0, 2), (1, 2)], 0, 0)
-    assert _all_routes(points[:1]) == (2, [], 0, 0)
+    assert _all_routes(points) == (2, [(0, 1), (0, 2), (1, 2)], 0, [])
+    assert _all_routes(points[:1]) == (2, [], 0, [])
 
 
 def test_union_distance_from_a_pair_that_shares_no_ratio():
@@ -104,8 +110,8 @@ def test_union_distance_from_a_pair_that_shares_no_ratio():
     gf4, line = sl.span(tw, [1, 2]), sl.span(tw, [1, 4])
     assert sl.linearity_field(gf4) == 2 and sl.linearity_field(line) == 1
     assert set(_shift_dims(gf4, gf4).values()) == {2}
-    assert _all_routes([gf4]) == (4, [], 6, 1)
-    assert _all_routes([gf4, line]) == (2, [], 12, 1)
+    assert _all_routes([gf4]) == (4, [], 6, [(0, 0)])
+    assert _all_routes([gf4, line]) == (2, [], 12, [(0, 0)])
 
 
 def test_union_distance_of_a_shared_pair_meeting_in_a_plane():
@@ -116,7 +122,7 @@ def test_union_distance_of_a_shared_pair_meeting_in_a_plane():
     tw = build_tower(*TOWERS[2])
     u, v = sl.span(tw, [1, 2, 8]), sl.span(tw, [1, 2, 16])
     assert _shift_dims(u, v)[1] == 2 and _shift_dims(u, u)[2] == 2
-    assert _all_routes([u, v]) == (2, [], 2 * 7 * 6, 3)
+    assert _all_routes([u, v]) == (2, [], 2 * 7 * 6, [(0, 0), (0, 1), (1, 1)])
 
 
 def test_union_distance_of_a_ratio_repeated_inside_one_generator():
@@ -125,7 +131,7 @@ def test_union_distance_of_a_ratio_repeated_inside_one_generator():
     tw = build_tower(*TOWERS[3])
     gf9 = sl.span(tw, [1, 3])
     assert sl.linearity_field(gf9) == 2
-    assert _all_routes([gf9]) == (4, [], 12, 1)
+    assert _all_routes([gf9]) == (4, [], 12, [(0, 0)])
 
 
 def test_union_distance_budget_checks_ratios_then_histograms(even_code_2_2_8):
@@ -138,7 +144,9 @@ def test_union_distance_budget_checks_ratios_then_histograms(even_code_2_2_8):
     for budget in (30, 30 + 9 - 1):
         with pytest.raises(Infeasible, match="shared pairs"):
             sl.union_distance(gens, budget)
-    assert sl.union_distance(gens, 30 + 9) == (2, [(2, 4)], 30, 1)
+    distance, collisions, ratios, shared = sl.union_distance(gens, 30 + 9)
+    assert (distance, collisions, ratios) == (2, [(2, 4)], 30)
+    assert [(i, j) for i, j, _ in shared] == [(2, 4)]
 
 
 def test_union_distance_rejects_empty_mixed_and_zero_dimensional_lists():

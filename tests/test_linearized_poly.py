@@ -23,7 +23,6 @@ from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import subspace_linalg as sl
 from cyclic_cdc.errors import (
     BadSupport,
-    Infeasible,
     InvalidParams,
     WrongCharacteristic,
     ZeroShift,
@@ -31,6 +30,12 @@ from cyclic_cdc.errors import (
 from cyclic_cdc.field_tower import build_tower
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "polys_gf4_k3.json"
+
+
+def criteria(polys, s, check=lp.check_union_distance_criteria):
+    """``check`` on the family, reading the report of its exact distance as
+    ``poly`` runs them."""
+    return check(polys, s, lp.poly_code_distance(polys))
 
 
 def test_eval_zero_and_linearity():
@@ -211,11 +216,18 @@ def test_single_polynomial_passes_at_small_field():
     tw = build_tower(2, 1, 2, 3)  # GF(2^6)
     P = lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2})
     assert lp.kernel_subspace(P).dim == 3
-    verdict = lp.check_union_distance_criteria([P], s=1)
+    rep = lp.poly_code_distance([P])
+    verdict = lp.check_union_distance_criteria([P], 1, rep)
     assert verdict.passed and verdict.rank_ok
     assert verdict.coeff_witnesses == []  # vacuous for e = 1
-    rep = lp.poly_code_distance([P])
     assert rep.distance == 4 and rep.size == 2 ** 6 - 1
+    # two shifted copies repeat the orbit: the union is that one orbit, and
+    # its size counts it once
+    top = tw.top
+    copies = [P, lp.shift_transform(P, top.primitive), lp.shift_transform(P, top.inv(7))]
+    rep = lp.poly_code_distance(copies)
+    assert rep.collisions == [(0, 1), (0, 2), (1, 2)] and rep.orbit_sizes == [63] * 3
+    assert (rep.distance, rep.size) == (4, 2 ** 6 - 1)
 
 
 def test_single_polynomial_rank_failure_witness():
@@ -224,7 +236,7 @@ def test_single_polynomial_rank_failure_witness():
     tw = build_tower(2, 1, 2, 3)
     P = lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 3})
     assert lp.kernel_subspace(P).dim == 3
-    verdict = lp.check_union_distance_criteria([P], s=1)
+    verdict = criteria([P], 1)
     assert not verdict.rank_ok
     i, j, alpha, rank = verdict.rank_witness
     assert (i, j) == (0, 0) and rank < 3
@@ -235,7 +247,7 @@ def test_pair_rank_failure_at_small_field():
     tw = build_tower(2, 1, 2, 3)
     A = lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2})
     B = lp.linpoly(tw, {3: 1, 2: 1, 1: 3, 0: 3})
-    verdict = lp.check_union_distance_criteria_gf2([A, B], s=1)
+    verdict = criteria([A, B], 1, lp.check_union_distance_criteria_gf2)
     assert not verdict.rank_ok
     assert verdict.rank_witness == (0, 1, 2, 2)
     rep = lp.poly_code_distance([A, B])
@@ -256,13 +268,13 @@ def test_a_duplicate_shifted_inside_an_excluded_subfield_is_no_witness(params, k
     rng = random.Random(12)
     while True:
         V = split_space(tw, k, s, rng)
-        if lp.check_union_distance_criteria([subspace_polynomial(V)], s).rank_ok == alone_ok:
+        if criteria([subspace_polynomial(V)], s).rank_ok == alone_ok:
             break
     inside = [beta for beta in range(2, top.order) if top.pow(beta, tw.q ** d) == beta]
     outside = rng.sample(sorted(set(range(2, top.order)) - set(inside)), 5)
     for beta in inside + outside:
         polys = [subspace_polynomial(V), subspace_polynomial(sl.cyclic_shift(V, beta))]
-        verdict = lp.check_union_distance_criteria(polys, s)
+        verdict = criteria(polys, s)
         assert (verdict.rank_ok, verdict.rank_witness) == rank_verdict_by_full_scan(polys, s)
         if beta in inside:
             assert verdict.rank_ok == alone_ok
@@ -272,67 +284,16 @@ def test_a_duplicate_shifted_inside_an_excluded_subfield_is_no_witness(params, k
             assert not verdict.rank_ok
 
 
-def test_rank_condition_ranks_once_for_both_criteria(monkeypatch):
-    # each criterion reads the condition off the shared pairs' histograms
-    # and ranks one matrix, its witness's, on a failing family, and none on
-    # a passing one
-    tw = build_tower(2, 1, 2, 3)
-    polys = [lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2}), lp.linpoly(tw, {3: 1, 2: 1, 1: 3, 0: 3})]
-    calls = []
-    rank = lp.field_matrix_rank
-    monkeypatch.setattr(lp, "field_matrix_rank", lambda top, rows: calls.append(1) or rank(top, rows))
-    general = lp.check_union_distance_criteria(polys, s=1)
-    gf2 = lp.check_union_distance_criteria_gf2(polys, s=1)
-    assert len(calls) == 2
-    assert (gf2.rank_ok, gf2.rank_witness) == (general.rank_ok, general.rank_witness)
-    assert lp.check_union_distance_criteria(polys[:1], s=1).rank_ok and len(calls) == 2
-    # the budget is the exact distance's: 2 x 7 x 6 internal point ratios,
-    # then 7^2 for the one pair that shares a ratio
-    rep = lp.poly_code_distance(polys)
-    assert (rep.point_ratios, rep.shared_pairs) == (2 * 7 * 6, 1)
-    with pytest.raises(Infeasible, match=r"84 point ratios \+ 1 shared pairs x 7\^2 exceeds "
-                                         "budget 132"):
-        lp.check_union_distance_criteria_gf2(polys, s=1, budget=132)
-    assert lp.check_union_distance_criteria_gf2(polys, s=1, budget=133) == gf2
-
-
-def test_criteria_budget_is_checked_before_any_point_ratio(monkeypatch):
-    # the kernels are built first, as poly builds them for the distance;
-    # then the 7 x 6 internal ratios are counted before any point is listed
-    tw = build_tower(2, 1, 2, 3)
-    polys = [lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2})]
-
-    def no_product(*args):
-        raise AssertionError("point ratios before the budget check")
-
-    monkeypatch.setattr(lp, "shift_dims", no_product)
-    monkeypatch.setattr(sl.Subspace, "projective_reps", no_product)
-    with pytest.raises(Infeasible, match="42 point ratios exceeds budget 41"):
-        lp.check_union_distance_criteria(polys, s=1, budget=41)
-
-
-def test_criteria_refuse_a_negative_budget():
-    # as poly_code_distance does: a negative budget is no scan limit, so it is
-    # refused, never reported as infeasible
-    tw = build_tower(2, 1, 2, 3)
-    polys = [lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2})]
-    for check in (lp.check_union_distance_criteria, lp.check_union_distance_criteria_gf2,
-                  lambda polys, s, budget: lp.poly_code_distance(polys, budget)):
-        with pytest.raises(InvalidParams, match="budget must be >= 0, got -1"):
-            check(polys, s=1, budget=-1)
-
-
 def test_criteria_refuse_a_family_that_does_not_split():
     # over GF(2^6) the kernel of x^8 + x^4 + x^2 + x is GF(4) only: the rank
-    # condition is read off kernels of dimension k, so a short one is refused
-    # as poly_code_distance refuses it
+    # condition is read off the report of the exact distance, whose kernels
+    # must have dimension k, so that report refuses a short one
     tw = build_tower(2, 1, 2, 3)
     P = lp.linpoly(tw, {3: 1, 2: 1, 1: 1, 0: 1})
     assert lp.kernel_subspace(P).rows == sl.span(tw, range(1, 4)).rows
-    for check in (lp.check_union_distance_criteria, lp.check_union_distance_criteria_gf2,
-                  lambda polys, s: lp.poly_code_distance(polys)):
+    for check in (lp.check_union_distance_criteria, lp.check_union_distance_criteria_gf2):
         with pytest.raises(BadSupport, match="kernel dimension 2 below the q-degree 3"):
-            check([P], 1)
+            criteria([P], 1, check)
 
 
 Q_VALUES = pytest.mark.parametrize("q", sorted(TOWERS))
@@ -345,24 +306,8 @@ def test_orbit_rank_verdict_matches_full_scan(q, data):
     # the verdict read off the kernels' point-ratio histograms against one
     # rank per ordered pair at every admissible alpha
     polys = data.draw(split_families(q))
-    verdict = lp.check_union_distance_criteria(polys, 1)
+    verdict = criteria(polys, 1)
     assert (verdict.rank_ok, verdict.rank_witness) == rank_verdict_by_full_scan(polys, 1)
-
-
-@Q_VALUES
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_criteria_and_distance_accept_the_same_budgets(q, data):
-    # the rank condition reads the distance's scan, so both need its internal
-    # point ratios plus P^2 per shared pair (P = q^2 + q + 1 points a kernel)
-    polys = data.draw(split_families(q))
-    rep = lp.poly_code_distance(polys)
-    need = rep.point_ratios + rep.shared_pairs * (q ** 2 + q + 1) ** 2
-    for check in (lambda budget: lp.poly_code_distance(polys, budget),
-                  lambda budget: lp.check_union_distance_criteria(polys, 1, budget)):
-        check(need)
-        with pytest.raises(Infeasible):
-            check(need - 1)
 
 
 def test_orbit_rank_verdict_matches_full_scan_on_random_gf2_6_families():
@@ -377,7 +322,7 @@ def test_orbit_rank_verdict_matches_full_scan_on_random_gf2_6_families():
         if trial % 3 == 0:
             spaces.append(sl.cyclic_shift(rng.choice(spaces), rng.randrange(1, tw.top.order)))
         polys = [subspace_polynomial(V) for V in spaces]
-        verdict = lp.check_union_distance_criteria(polys, 1)
+        verdict = criteria(polys, 1)
         assert (verdict.rank_ok, verdict.rank_witness) == rank_verdict_by_full_scan(polys, 1)
         outcomes.add(verdict.rank_ok and "passed" or verdict.rank_witness[0] == verdict.rank_witness[1])
     assert outcomes == {"passed", True, False}
@@ -458,19 +403,19 @@ def test_duplicate_polynomials_fail_coefficient_condition():
     tw = build_tower(2, 1, 2, 3)
     P = lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2})
     dup = lp.linpoly(tw, dict(P.coeffs))
-    verdict = lp.check_union_distance_criteria([P, dup], s=1)
+    verdict = criteria([P, dup], 1)
     assert verdict.coeff_witnesses == [(0, 1)]
     assert not verdict.passed
     # the gf2 form rejects a shared constant coefficient the same way
-    v2 = lp.check_union_distance_criteria_gf2([P, dup], s=1)
+    v2 = criteria([P, dup], 1, lp.check_union_distance_criteria_gf2)
     assert v2.coeff_witnesses == [(0, 1)]
 
 
 def test_gf2_checker_requires_characteristic_two():
     tw = build_tower(3, 1, 2, 3)
     P = lp.linpoly(tw, {3: 1, 2: 1, 1: 1, 0: 1})
-    with pytest.raises(WrongCharacteristic):
-        lp.check_union_distance_criteria_gf2([P], s=1)
+    with pytest.raises(WrongCharacteristic):  # before the report is read
+        lp.check_union_distance_criteria_gf2([P], 1, None)
 
 
 def test_support_validation():
@@ -481,13 +426,14 @@ def test_support_validation():
         lp.validate_support(lp.linpoly(tw, {3: 1, 2: 1, 1: 1, 0: 1, 4: 1}), 1)
     with pytest.raises(BadSupport):  # not monic
         lp.validate_support(lp.linpoly(tw, {3: tw.xi, 2: 1, 1: 1, 0: 1}), 1)
-    with pytest.raises(BadSupport):  # s outside [1, k-2]
-        lp.check_union_distance_criteria([lp.linpoly(tw, {3: 1, 2: 1, 1: 1, 0: 1})], s=2)
+    with pytest.raises(BadSupport):  # s outside [1, k-2], before the report is read
+        lp.check_union_distance_criteria([lp.linpoly(tw, {3: 1, 2: 1, 1: 1, 0: 1})], 2, None)
 
 
+# the criteria check the family before they read the report, so none is given
 @pytest.mark.parametrize("check", [
-    lp.check_union_distance_criteria,
-    lp.check_union_distance_criteria_gf2,
+    lambda polys, s: lp.check_union_distance_criteria(polys, s, None),
+    lambda polys, s: lp.check_union_distance_criteria_gf2(polys, s, None),
     lambda polys, s: lp.build_rank_matrix(*polys, 1, s),
 ], ids=["criteria", "criteria_gf2", "build_rank_matrix"])
 def test_family_check_is_shared(check):
@@ -503,7 +449,7 @@ def test_family_check_is_shared(check):
 def test_empty_family_is_invalid():
     for check in (lp.check_union_distance_criteria, lp.check_union_distance_criteria_gf2):
         with pytest.raises(InvalidParams):
-            check([], 1)
+            check([], 1, None)
     with pytest.raises(InvalidParams):
         lp.poly_code_distance([])
 

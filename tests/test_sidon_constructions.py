@@ -110,11 +110,24 @@ def test_enumeration_counts():
 @pytest.mark.parametrize("q, k, r, parity, count", [
     (2, 2, 2, "odd", 33), (3, 2, 2, "even", 51), (2, 3, 3, "odd", 1519),
     (2, 2, 5, "even", 513), (4, 2, 2, "odd", 2055),
+    (3, 2, 2, "odd", 400), (2, 2, 3, "odd", 135), (2, 2, 4, "odd", 594),
+    (2, 2, 2, "even", 4), (2, 2, 3, "even", 24), (2, 2, 4, "even", 108), (4, 2, 2, "even", 322),
 ])
 def test_family_size_counts_the_enumeration(q, k, r, parity, count):
     # even (2,2,5) is the first row where the even inner sum is nonzero
     tower = build_tower(*prime_power(q), k, sc.tower_degree(r, parity))
     assert oc.generator_count(q, k, r, parity) == family_count(tower) == count
+    # each closed-form part counts its rows of the enumeration: u-families
+    # with rep = 1, with rep >= 2, and v-families
+    tuples = list(sc.enumerate_family(tower))
+    parts = (sum(p.family[0] == "u" and p.rep == 1 for p in tuples),
+             sum(p.family[0] == "u" and p.rep >= 2 for p in tuples),
+             sum(p.family[0] == "v" for p in tuples))
+    assert oc._family_parts(q, k, r, parity) == parts
+    # the best known size is one full orbit per tuple of a sub-family: the
+    # u-families with rep = 1, and the v-families on odd towers
+    sub = parts[0] + parts[2] if parity == "odd" else parts[0]
+    assert oc.best_known_size(q, k, r, parity) == sub * (q ** tower.m - 1) // (q - 1)
 
 
 def test_enumerated_tuples_are_admissible_and_unique():

@@ -1,12 +1,14 @@
 """Rules that the package source keeps."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cyclic_cdc"
 TESTS = ROOT / "tests"
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_package_has_no_assert_statements():
@@ -156,3 +158,64 @@ def test_test_seeds_do_not_hash():
                 for arg in [*node.args, *node.keywords] for inner in ast.walk(arg))
     ]
     assert found == []
+
+
+# -- the names that the benchmark reaches -----------------------------------------
+#
+# perfbench/ is read, never imported: it reaches into the package by name, and
+# a name renamed or removed in src/ fails only once a benchmark or traced run
+# gets to it.
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+def test_perfbench_tracer_wraps_names_that_exist():
+    # tracer.py's SPANNED and COUNTED name, per layer, the functions that
+    # every traced run wraps with getattr
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in _parse(PERFBENCH / "tracer.py").body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("SPANNED", "COUNTED")
+    }
+    assert set(tables) == {"SPANNED", "COUNTED"}
+    missing = [
+        f"{table}: {layer}.{name}"
+        for table, layers in tables.items()
+        for layer, names in layers.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"cyclic_cdc.{layer}"), name)
+    ]
+    assert missing == []
+
+
+def test_perfbench_calls_names_that_exist():
+    # every alias.attr with alias bound by "from cyclic_cdc import X as alias",
+    # and every name of "from cyclic_cdc.X import name", in perfbench/*.py
+    missing = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = _parse(path)
+        aliases: dict[str, set[str]] = {}
+        for node in ast.walk(tree):
+            module = node.module if isinstance(node, ast.ImportFrom) else None
+            if not (module or "").startswith("cyclic_cdc"):
+                continue
+            if module == "cyclic_cdc":
+                for alias in node.names:
+                    aliases.setdefault(alias.asname or alias.name, set()).add(alias.name)
+            else:
+                imported = importlib.import_module(module)
+                missing += [f"{path.name}: {module}.{alias.name}"
+                            for alias in node.names if not hasattr(imported, alias.name)]
+        assert all(len(names) == 1 for names in aliases.values()), (path.name, aliases)
+        modules = {alias: importlib.import_module(f"cyclic_cdc.{name}")
+                   for alias, (name,) in aliases.items()}
+        missing += [
+            f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)
+        ]
+    assert missing == []

@@ -23,7 +23,7 @@ def test_every_value_type_refuses_field_assignment(even_code_2_2_8):
         next(iter(sc.enumerate_family(even_code_2_2_8.tower))),
         P,
         lp.build_rank_matrix(P, P, tower.top.primitive, s),
-        lp.check_union_distance_criteria(polys, s),
+        lp.check_union_distance_criteria(polys, s, lp.poly_code_distance(polys)),
         lp.poly_code_distance(polys),
         ch.ChannelConfig(erasures=1, insertions=0, trials=3, seed=5),
     ]
