@@ -24,16 +24,16 @@ def main():
     rep = lp.poly_code_distance(polys)
     print(
         f"union of kernel orbits: size {rep.size}, exact minimum distance "
-        f"{rep.distance} ({time.perf_counter()-t0:.1f}s)"
+        f"{rep.scan.distance} ({time.perf_counter()-t0:.1f}s)"
     )
 
     t0 = time.perf_counter()
-    verdict = lp.check_union_distance_criteria(polys, s, rep)
+    verdict = lp.check_union_distance_criteria(rep, s)
     print(
         f"rank condition: {'pass' if verdict.rank_ok else 'FAIL'} "
         f"({verdict.alphas_checked} admissible shifts, {time.perf_counter()-t0:.1f}s)"
     )
-    v2 = lp.check_union_distance_criteria_gf2(polys, s, rep)
+    v2 = lp.check_union_distance_criteria_gf2(rep, s)
     print(f"characteristic-2 conditions: {'pass' if v2.passed else 'FAIL'}")
 
 

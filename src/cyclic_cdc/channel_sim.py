@@ -26,7 +26,6 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import BrokenInvariant, DecodingFailure, InfeasibleNoise, InvalidParams
-from .field_tower import batch_inverse
 from .orbit_codes import UnionCode
 from .subspace_linalg import (
     DEFAULT_SCAN_BUDGET,
@@ -134,10 +133,11 @@ class Codebook(Sequence):
     """The distinct words of a union code, orbit by orbit: index
     offsets[j] + c is g^c * U_j for 0 <= c < orbit_size(U_j), g the top
     field's primitive element and U_j the j-th generator kept, one per
-    orbit.  A word is built only when it is read."""
+    orbit, whose point inverses are inverses[j].  A word is built only when
+    it is read."""
 
-    def __init__(self, generators: tuple[Subspace, ...]) -> None:
-        self.generators = generators
+    def __init__(self, generators: tuple[Subspace, ...], inverses: list[list[int]]) -> None:
+        self.generators, self.inverses = generators, inverses
         self.offsets = list(accumulate(map(orbit_size, generators), initial=0))
 
     def __len__(self) -> int:
@@ -157,39 +157,31 @@ class Codebook(Sequence):
 
 
 def materialize_codebook(code: UnionCode) -> Codebook:
-    """The lazy index over the code's distinct orbits.  A generator j with
-    an orbit collision (i, j) of ``union_distance`` repeats the orbit of
-    generator i and is dropped."""
-    _, collisions, _, _ = union_distance(code.generators, DEFAULT_SCAN_BUDGET)
-    repeated = {j for _, j in collisions}
-    kept = tuple(g for j, g in enumerate(code.generators) if j not in repeated)
-    return Codebook(kept)
+    """The lazy index over the orbits of the ``distinct`` generators of one
+    ``union_distance`` scan, each with the point inverses that scan formed."""
+    scan = union_distance(code.generators, DEFAULT_SCAN_BUDGET)
+    return Codebook(tuple(code.generators[j] for j in scan.distinct),
+                    [scan.inverses[j] for j in scan.distinct])
 
 
-def run_trials(
-    generators: Sequence[Subspace],
-    codebook: Codebook,
-    min_distance: int,
-    cfg: ChannelConfig,
-) -> dict:
-    """Seeded decoding trials on the code with these generators (one per
-    orbit), whose codebook the sent words are drawn from; returns a
-    JSON-ready report whose ``counters`` say what decoding examined.
+def run_trials(codebook: Codebook, min_distance: int, cfg: ChannelConfig) -> dict:
+    """Seeded decoding trials on a code: words drawn from its codebook and
+    decoded against the codebook's generators and point inverses.  Returns
+    a JSON-ready report whose ``counters`` say what decoding examined.
 
     When the guarantee 2*(erasures+insertions) < min_distance is active,
     every trial must decode correctly, and a wrong decode raises
     DecodingFailure; otherwise the failure rate is only reported."""
     rng = random.Random(cfg.seed)
     guarantee = 2 * (cfg.erasures + cfg.insertions) < min_distance
-    top, q = generators[0].tower.top, generators[0].tower.q
-    inverses = [batch_inverse(top, g.projective_reps()) for g in generators]
-    points = sum(map(len, inverses))
+    q = codebook.generators[0].tower.q
+    points = sum(map(len, codebook.inverses))
     successes = ratios = candidates = 0
     for _ in range(cfg.trials):
         sent = rng.randrange(len(codebook))
         word = codebook[sent]
         received = transmit(word, cfg, rng)
-        decoded, taken = md_decode(received, generators, inverses)
+        decoded, taken = md_decode(received, codebook.generators, codebook.inverses)
         ratios += (q ** received.dim - 1) // (q - 1) * points
         candidates += taken
         if decoded.rows == word.rows:

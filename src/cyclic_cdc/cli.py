@@ -150,12 +150,6 @@ def cmd_table(args):
             writer = csv.DictWriter(fh, fieldnames=keys)
             writer.writeheader()
             writer.writerows(rows)
-    for row in rows:
-        print(
-            f"q={row['q']} k={row['k']} r={row['r']} {row['parity']:4} n={row['n']:3}  "
-            f"ours={row['ours']}  known={row['best_known']}  "
-            f"rate={row['rate_ours']:.3f} (known {row['rate_best_known']:.3f})"
-        )
     return None, {"rows": rows}, EXIT_OK
 
 
@@ -169,19 +163,14 @@ def cmd_poly(args):
     result = {"N": args.N, "s": s, "k": k, "e": len(polys), "exact": rep.to_json()}
     result["time_distance"] = round(time.perf_counter() - t1, 3)
     t1 = time.perf_counter()
-    verdict = lp.check_union_distance_criteria(polys, s, rep)
+    verdict = lp.check_union_distance_criteria(rep, s)
     result["criteria"] = verdict.to_json()
     result["time_criteria"] = round(time.perf_counter() - t1, 3)
     if tower.q == 2:
         t1 = time.perf_counter()
-        result["criteria_gf2"] = lp.check_union_distance_criteria_gf2(polys, s, rep).to_json()
+        result["criteria_gf2"] = lp.check_union_distance_criteria_gf2(rep, s).to_json()
         result["time_criteria_gf2"] = round(time.perf_counter() - t1, 3)
-    result["counters"] = {
-        "pairs": len(polys) * (len(polys) + 1) // 2,
-        "point_ratios": rep.point_ratios,
-        "shared_pairs": len(rep.shared_pairs),
-        "budget": args.budget,
-    }
+    result["counters"] = rep.scan.counters(args.budget)
     return tower.spec_dict(), result, EXIT_OK if verdict.passed else EXIT_MISMATCH
 
 
@@ -195,7 +184,7 @@ def cmd_simulate(args):
     t1 = time.perf_counter()
     codebook = ch.materialize_codebook(code)
     t2 = time.perf_counter()
-    report = ch.run_trials(codebook.generators, codebook, code.claimed_min_distance, cfg)
+    report = ch.run_trials(codebook, code.claimed_min_distance, cfg)
     report["codebook_size"] = len(codebook)
     skipped = len(code.generators) - len(codebook.generators)
     report["counters"].update(orbits=len(codebook.generators), generators_skipped=skipped)

@@ -9,11 +9,12 @@ the middle field embed with unchanged encodings, so middle-level coefficients
 can be used directly).
 
 A family is scanned once: ``poly_code_distance`` runs ``union_distance`` on
-its kernels and keeps each shared pair's ``shift_dims``.  Both criteria read
-that report through one family check (``_check_family``) and one skeleton
-(``_criteria``): the rank-matrix condition, off those histograms (a matrix
-loses rank exactly where two kernels meet in more than s >= 1 dimensions, so
-only a failure's witness is ranked), then each one's coefficient condition.
+its kernels and keeps the family with that scan.  Both criteria take that
+report, and the family only through it, with one family check
+(``_check_family``) and one skeleton (``_criteria``): the rank-matrix
+condition, off the scan's shared-pair histograms (a matrix loses rank exactly
+where two kernels meet in more than s >= 1 dimensions, so only a failure's
+witness is ranked), then each one's coefficient condition.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .field_tower import (
 from .subspace_linalg import (
     DEFAULT_SCAN_BUDGET,
     Subspace,
+    UnionScan,
     field_matrix_rank,
     map_kernel,
     orbit_size,
@@ -243,9 +245,10 @@ class CriteriaVerdict(NamedTuple):
         }
 
 
-def _rank_verdict(polys: list[LinearizedPolynomial], s: int, report: PolyCodeReport) -> tuple:
-    """The rank-matrix condition, read off the ``shift_dims`` that ``report``
-    keeps for the shared pairs i <= j of the kernels: it scans nothing itself.
+def _rank_verdict(report: PolyCodeReport, s: int) -> tuple:
+    """The rank-matrix condition of the report's family, read off the
+    ``shift_dims`` that its scan keeps for the shared pairs i <= j of the
+    kernels: it scans nothing itself.
 
     The columns of M_ij(alpha) are x^(q^a) o D for a < k - s, and P_i, with
     D = P_i - shift_transform(P_j, alpha) of q-degree <= s + 1.  A column
@@ -263,12 +266,13 @@ def _rank_verdict(polys: list[LinearizedPolynomial], s: int, report: PolyCodeRep
     admissibility, are constant on GF(q)*-classes of alpha, so the witness
     (i, j, alpha, rank) is at the smallest failing (alpha, i, j), as in a
     scan of every alpha.  Returns (ok, witness)."""
+    polys = report.polys
     tower, k = polys[0].tower, polys[0].q_degree
     top, q = tower.top, tower.q
     subfields = (q ** math.gcd(k - s - 1, tower.m), q ** math.gcd(k, tower.m))
     failing = sorted(  # (smallest member of the class, i, j)
         (min(top.mul(c, x) for c in range(1, q)), a, b)
-        for i, j, dims in report.shared_pairs
+        for i, j, dims in report.scan.shared_pairs
         for rep, dim in dims.items() if dim > s
         for x, a, b in ((rep, i, j), (top.inv(rep), j, i)))
     for alpha, i, j in failing:
@@ -286,23 +290,24 @@ def _admissible_count(q: int, m: int, k: int, s: int) -> int:
     return q ** m - q ** a - q ** b + q ** math.gcd(a, b)
 
 
-def _criteria(polys: list[LinearizedPolynomial], s: int, report, separated) -> CriteriaVerdict:
-    """Both criteria: the family check, condition (1) from ``_rank_verdict``
-    and condition (2) as ``separated(Pi, Pj)`` on every unordered pair i < j."""
+def _criteria(report: PolyCodeReport, s: int, separated) -> CriteriaVerdict:
+    """Both criteria on the report's family: the family check, condition (1)
+    from ``_rank_verdict`` and condition (2) as ``separated(Pi, Pj)`` on
+    every unordered pair i < j."""
+    polys = report.polys
     k = _check_family(polys, s)
     tower = polys[0].tower
-    rank_ok, witness = _rank_verdict(polys, s, report)
+    rank_ok, witness = _rank_verdict(report, s)
     failures = [(i, j) for (i, Pi), (j, Pj) in itertools.combinations(enumerate(polys), 2)
                 if not separated(Pi, Pj)]
     n_alphas = _admissible_count(tower.q, tower.m, k, s)
     return CriteriaVerdict(rank_ok, witness, not failures, failures, n_alphas)
 
 
-def check_union_distance_criteria(
-    polys: list[LinearizedPolynomial], s: int, report: PolyCodeReport
-) -> CriteriaVerdict:
-    """The two sufficient conditions for the union of the kernel orbits to be
-    a cyclic code of distance >= 2k - 2s; ``report`` is poly_code_distance(polys).
+def check_union_distance_criteria(report: PolyCodeReport, s: int) -> CriteriaVerdict:
+    """The two sufficient conditions for the union of the kernel orbits of
+    ``report.polys`` to be a cyclic code of distance >= 2k - 2s; ``report``
+    is ``poly_code_distance`` of that family, which it carries.
 
     (1) every rank matrix has full column rank k - s + 1 for every ordered
         pair and every admissible alpha;
@@ -323,17 +328,15 @@ def check_union_distance_criteria(
                     return True
         return False
 
-    return _criteria(polys, s, report, separated)
+    return _criteria(report, s, separated)
 
 
-def check_union_distance_criteria_gf2(
-    polys: list[LinearizedPolynomial], s: int, report: PolyCodeReport
-) -> CriteriaVerdict:
-    """Characteristic-2 specialization: condition (2) becomes "constant
-    coefficients pairwise distinct, and some h coprime to the coefficient
-    degree has the h-coefficient equal to the constant one in both
-    polynomials"."""
-    if polys and polys[0].tower.q != 2:
+def check_union_distance_criteria_gf2(report: PolyCodeReport, s: int) -> CriteriaVerdict:
+    """Characteristic-2 specialization on the report's family: condition (2)
+    becomes "constant coefficients pairwise distinct, and some h coprime to
+    the coefficient degree has the h-coefficient equal to the constant one in
+    both polynomials"."""
+    if report.polys and report.polys[0].tower.q != 2:
         raise WrongCharacteristic("this criterion requires q = 2")
 
     def separated(Pi: LinearizedPolynomial, Pj: LinearizedPolynomial) -> bool:
@@ -343,28 +346,28 @@ def check_union_distance_criteria_gf2(
             math.gcd(h, Pi.tower.k) == 1 and Pi.coeff(h) == g0i and Pj.coeff(h) == g0j
             for h in range(1, s + 2))
 
-    return _criteria(polys, s, report, separated)
+    return _criteria(report, s, separated)
 
 
 # -- exact distance and size of polynomial-kernel unions -------------------------
 
 class PolyCodeReport(NamedTuple):
-    """The exact distance and size of the union of kernel orbits, and the
-    work of its one scan: point ratios, and (i, j, shift_dims) per shared pair."""
+    """A family, and the exact size and distance of the union of its kernel
+    orbits: their orbit sizes, the size (the orbits of ``scan.distinct``) and
+    the one ``union_distance`` scan of the kernels, whose distance and
+    collisions are the result and whose work is not."""
 
-    distance: int
+    polys: tuple[LinearizedPolynomial, ...]
     size: int
     orbit_sizes: list[int]
-    collisions: list[tuple[int, int]]
-    point_ratios: int  # not part of the result
-    shared_pairs: list[tuple[int, int, dict[int, int]]]  # not part of the result
+    scan: UnionScan
 
     def to_json(self) -> dict:
         return {
-            "distance": self.distance,
+            "distance": self.scan.distance,
             "size": str(self.size),
             "orbit_sizes": self.orbit_sizes,
-            "orbit_collisions": self.collisions,
+            "orbit_collisions": self.scan.collisions,
         }
 
 
@@ -373,7 +376,7 @@ def poly_code_distance(
 ) -> PolyCodeReport:
     """Exact minimum distance and size of the union of kernel orbits, by one
     ``union_distance`` scan of the kernels, which must all split (dimension k).
-    A member j in an orbit collision (i, j) repeats i's orbit: the size omits it."""
+    The size counts the orbits of the scan's ``distinct`` members once each."""
     if not polys:
         raise InvalidParams("the family has no polynomials")
     k = polys[0].q_degree
@@ -382,10 +385,9 @@ def poly_code_distance(
         if V.dim != k:
             raise BadSupport(f"kernel dimension {V.dim} below the q-degree {k}: "
                              "not a subspace polynomial for this field")
-    best, collisions, *scan = union_distance(kernels, budget)
+    scan = union_distance(kernels, budget)
     sizes = [orbit_size(V) for V in kernels]
-    total = sum(sizes) - sum(sizes[j] for j in {j for _, j in collisions})
-    return PolyCodeReport(best, total, sizes, collisions, *scan)
+    return PolyCodeReport(tuple(polys), sum(sizes[j] for j in scan.distinct), sizes, scan)
 
 
 # -- serialization -----------------------------------------------------------------

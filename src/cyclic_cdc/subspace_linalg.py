@@ -274,23 +274,45 @@ def shared_pairs(
     return shared, inverses, ratios
 
 
-def union_distance(
-    generators: Sequence[Subspace], budget: int
-) -> tuple[int, list[tuple[int, int]], int, list[tuple[int, int, dict[int, int]]]]:
-    """Minimum distance of the union of the generators' cyclic orbits, its
-    orbit collisions (i < j with U_i = alpha*U_j), the ratio count of
-    ``shared_pairs``, and (i, j, shift_dims(U_i, U_j)) for each shared pair,
-    the one pair histogram this scan makes (no other pair meets a shift in 2)."""
+class UnionScan(NamedTuple):
+    """One ``union_distance`` scan: the union's minimum distance, its orbit
+    collisions (i < j with U_i = alpha*U_j), the ratio count of
+    ``shared_pairs``, (i, j, shift_dims(U_i, U_j)) for each shared pair, and
+    the point inverses of each generator, which ``shared_pairs`` formed."""
+
+    distance: int
+    collisions: list[tuple[int, int]]
+    point_ratios: int
+    shared_pairs: list[tuple[int, int, dict[int, int]]]
+    inverses: list[list[int]]
+
+    @property
+    def distinct(self) -> list[int]:
+        """The generators of the union's distinct orbits, ascending: j of a
+        collision (i, j) repeats the orbit of i and is dropped."""
+        return sorted(set(range(len(self.inverses))) - {j for _, j in self.collisions})
+
+    def counters(self, budget: int) -> dict:
+        """The scan's work for a manifest, and the budget it ran under."""
+        n = len(self.inverses)
+        return {"pairs": n * (n + 1) // 2, "point_ratios": self.point_ratios,
+                "shared_pairs": len(self.shared_pairs), "budget": budget}
+
+
+def union_distance(generators: Sequence[Subspace], budget: int) -> UnionScan:
+    """The ``UnionScan`` of the union of the generators' cyclic orbits: one
+    ``shared_pairs`` scan, then one ``shift_dims`` histogram per shared pair
+    (no other pair meets a shift in 2 dimensions)."""
     pairs, inverses, ratios = shared_pairs(generators, budget)
     k, n = generators[0].dim, len(generators)
     if k == 1:  # every two points are shifts of each other
-        return 2, list(itertools.combinations(range(n), 2)), 0, []
+        return UnionScan(2, list(itertools.combinations(range(n), 2)), 0, [], inverses)
     shared = [(i, j, shift_dims(generators[i], generators[j], inverses[j])) for i, j in pairs]
     best = 2 * k - 2 if len(shared) < n * (n + 1) // 2 else 2 * k
     for _, _, dims in shared:
         best = min(best, 2 * k - 2 * max((d for d in dims.values() if d < k), default=0))
     collisions = [(i, j) for i, j, dims in shared if i < j and k in dims.values()]
-    return best, collisions, ratios, shared
+    return UnionScan(best, collisions, ratios, shared, inverses)
 
 
 # -- map kernels ----------------------------------------------------------------

@@ -154,13 +154,13 @@ def test_a05_quadrinomial_family_full_reproduction(gf4_poly_family):
     """GF(4) quadrinomials in GF(2^14): ranks, gf2 criteria, size, distance."""
     tower, polys = gf4_poly_family
     rep = lp.poly_code_distance(polys)  # the one scan that both criteria read
-    verdict = lp.check_union_distance_criteria(polys, 1, rep)
+    verdict = lp.check_union_distance_criteria(rep, 1)
     _report(
         "rank matrices have rank 3 for all 9 pairs and all admissible shifts",
         verdict.rank_ok and verdict.alphas_checked == 16382,
         f"{verdict.alphas_checked} shifts checked",
     )
-    v2 = lp.check_union_distance_criteria_gf2(polys, 1, rep)
+    v2 = lp.check_union_distance_criteria_gf2(rep, 1)
     h1_pattern = all(P.coeff(1) == P.coeff(0) != 0 for P in polys) and len(
         {P.coeff(0) for P in polys}
     ) == len(polys)
@@ -170,8 +170,8 @@ def test_a05_quadrinomial_family_full_reproduction(gf4_poly_family):
     )
     _report(
         "kernel-orbit union has size 49149 and exact distance 4",
-        rep.size == 3 * (2 ** 14 - 1) and rep.distance == 4 and not rep.collisions,
-        f"size {rep.size}, distance {rep.distance}",
+        rep.size == 3 * (2 ** 14 - 1) and rep.scan.distance == 4 and not rep.scan.collisions,
+        f"size {rep.size}, distance {rep.scan.distance}",
     )
 
 
@@ -354,7 +354,7 @@ def test_a10_channel_guarantee(odd_code_2_2_10):
     codebook = ch.materialize_codebook(code)
     d = code.claimed_min_distance
     assert len(codebook) == 1023 and d == 2
-    rep = ch.run_trials(code.generators, codebook, d, ch.ChannelConfig(0, 0, 1000, seed=42))
+    rep = ch.run_trials(codebook, d, ch.ChannelConfig(0, 0, 1000, seed=42))
     _report(
         "noiseless trials decode perfectly (guarantee active)",
         rep["guarantee_active"] and rep["successes"] == 1000,
@@ -362,7 +362,7 @@ def test_a10_channel_guarantee(odd_code_2_2_10):
     )
     rates = []
     for rho, t in ((1, 0), (0, 1)):
-        out = ch.run_trials(code.generators, codebook, d, ch.ChannelConfig(rho, t, 200, seed=43))
+        out = ch.run_trials(codebook, d, ch.ChannelConfig(rho, t, 200, seed=43))
         assert out["guarantee_active"] is False
         rates.append(out["successes"] / out["trials"])
     _report(

@@ -83,7 +83,7 @@ def test_transmit_refuses_the_zero_space(subfield_code, subfield_codebook):
     with pytest.raises(InfeasibleNoise, match=r"2 erasures and no insertion leave R = \{0\}"):
         ch.transmit(w, cfg, random.Random(0))
     with pytest.raises(InfeasibleNoise):
-        ch.run_trials(subfield_code.generators, subfield_codebook, 4, cfg)
+        ch.run_trials(subfield_codebook, 4, cfg)
     point = ch.transmit(w, ch.ChannelConfig(2, 1, 1, 0), random.Random(0))
     assert point.dim == 1 and sl.subspace_distance(w, point) == 3
     words = sorted_codebook(subfield_code)
@@ -104,18 +104,18 @@ def test_decode_ties_break_to_the_smallest_rref(even_code_2_2_8):
     assert decoded == words[hits[0]] and taken == 12
 
 
-def test_guaranteed_regime_always_decodes(subfield_code, subfield_codebook):
+def test_guaranteed_regime_always_decodes(subfield_codebook):
     # d = 4, so one erasure or one insertion stays under the guarantee
     for rho, t in ((0, 0), (1, 0), (0, 1)):
         cfg = ch.ChannelConfig(erasures=rho, insertions=t, trials=120, seed=9)
-        rep = ch.run_trials(subfield_code.generators, subfield_codebook, 4, cfg)
+        rep = ch.run_trials(subfield_codebook, 4, cfg)
         assert rep["guarantee_active"] is True
         assert rep["successes"] == rep["trials"]
 
 
-def test_beyond_guarantee_reports_rate(subfield_code, subfield_codebook):
+def test_beyond_guarantee_reports_rate(subfield_codebook):
     cfg = ch.ChannelConfig(erasures=1, insertions=1, trials=120, seed=10)
-    rep = ch.run_trials(subfield_code.generators, subfield_codebook, 4, cfg)
+    rep = ch.run_trials(subfield_codebook, 4, cfg)
     assert rep["guarantee_active"] is False
     assert 0 <= rep["successes"] <= rep["trials"]
 
@@ -125,7 +125,7 @@ def test_false_distance_claim_breaks_the_guarantee(subfield_code, subfield_codeb
     # guarantee the code cannot keep
     cfg = ch.ChannelConfig(erasures=1, insertions=1, trials=40, seed=10)
     with pytest.raises(DecodingFailure) as exc:
-        ch.run_trials(subfield_code.generators, subfield_codebook, 6, cfg)
+        ch.run_trials(subfield_codebook, 6, cfg)
     # the message names the (orbit, shift) of the first wrong trial's sent
     # word and the RREF rows of the word the scan decodes it to
     words = sorted_codebook(subfield_code)
@@ -139,10 +139,10 @@ def test_false_distance_claim_breaks_the_guarantee(subfield_code, subfield_codeb
                               f"{list(decoded.rows)}, claimed distance 6")
 
 
-def test_trials_are_reproducible(subfield_code, subfield_codebook):
+def test_trials_are_reproducible(subfield_codebook):
     cfg = ch.ChannelConfig(erasures=1, insertions=1, trials=60, seed=123)
-    a = ch.run_trials(subfield_code.generators, subfield_codebook, 4, cfg)
-    b = ch.run_trials(subfield_code.generators, subfield_codebook, 4, cfg)
+    a = ch.run_trials(subfield_codebook, 4, cfg)
+    b = ch.run_trials(subfield_codebook, 4, cfg)
     assert a == b
 
 
@@ -153,7 +153,7 @@ def test_codebook_counts_a_repeated_orbit_once():
     u = sl.span(tw, range(1, 3))
     code = oc.build_union(tw, [u, sl.cyclic_shift(u, tw.top.primitive)])
     words = ch.materialize_codebook(code)
-    assert words.generators == (u,)
+    assert words.generators == (u,) and words.inverses == _inverses([u])
     assert [w.rows for w in words] == sl.enumerate_orbit(u)
     assert len(words) == sl.orbit_size(u) == 85
 
@@ -173,7 +173,7 @@ def test_codebook_is_the_union_of_the_scanned_orbits(q, subfield_linear, data):
     book = ch.materialize_codebook(oc.build_union(tw, gens))
     orbits = [orbit_by_scan(g) for g in gens]
     kept = [g for i, g in enumerate(gens) if not any(g.rows in o for o in orbits[:i])]
-    assert book.generators == tuple(kept)
+    assert book.generators == tuple(kept) and book.inverses == _inverses(kept)
     rows = [w.rows for w in book]
     assert rows == [word for g in kept for word in sl.enumerate_orbit(g)]
     assert len(set(rows)) == len(rows) == len(book) == sum(map(sl.orbit_size, kept))

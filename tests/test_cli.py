@@ -343,6 +343,23 @@ def test_missing_file_is_input_error(tmp_path):
     assert run(["verify", "--code", tmp_path / "nope.json"]) == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "even"],
+    ["verify", "--code", "CODE"],
+    ["sidon-check", "--code", "CODE"],
+    ["bounds", "--q", 2, "--n", 8, "--k", 2, "--d", 2],
+    ["table", "--q", "2,3", "--k", 2, "--r", 2],
+    ["poly", "--file", DATA, "--N", 14],
+    ["simulate", "--code", "CODE", "--erasures", 1, "--trials", 3],
+], ids=lambda argv: argv[0])
+def test_stdout_without_out_is_one_json_document(argv, even_code_file, capsys):
+    # without --out the result is all that goes to stdout (the manifest goes
+    # to stderr), so every run pipes into a JSON reader
+    assert run([even_code_file if a == "CODE" else a for a in argv]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out == cli._dumps(json.loads(out)) + "\n"
+
+
 def test_bounds_command(capsys):
     assert run(["bounds", "--q", 2, "--n", 8, "--k", 2, "--d", 2]) == cli.EXIT_OK
     out = json.loads(capsys.readouterr().out)
@@ -509,6 +526,22 @@ def test_poly_command_s_out_of_range(tmp_path, capsys):
     assert exc.value.code == cli.EXIT_INPUT
 
 
+def test_verify_reports_the_exact_size_of_a_repeated_orbit(even_code_2_2_8, tmp_path):
+    # g^77 * U_2 repeats the orbit of generator 2: the union keeps the 1,020
+    # words of even (2,2,8), which the claim of build_union overcounts by
+    # that orbit's 255; simulate's codebook holds the same 1,020 words
+    gens = even_code_2_2_8.generators
+    code = oc.build_union(even_code_2_2_8.tower, gens + (sl.cyclic_shift(gens[2], 77),))
+    src, out = tmp_path / "repeated.json", tmp_path / "verify.json"
+    src.write_text(json.dumps(code.to_json()))
+    assert run(["verify", "--code", src, "--out", out]) == cli.EXIT_MISMATCH
+    rep = json.loads(out.read_text())
+    assert rep["verified_size"] == "1020" and rep["orbit_collisions"] == [[2, 4]]
+    assert rep["claimed_size"] == str(1020 + 255)
+    assert rep["size_claim_ok"] is False and rep["distance_claim_ok"] is True
+    assert len(cli.ch.materialize_codebook(code)) == 1020
+
+
 def test_verify_subfield_orbit_reports_double_distance(tmp_path):
     # an orbit of the middle subfield has distance 2k, not 2k-2
     from cyclic_cdc import orbit_codes as oc
@@ -569,6 +602,32 @@ def test_simulate_decodes_one_generator_per_orbit(tmp_path):
     manifest = json.loads(Path(f"{out}.manifest.json").read_text())
     assert manifest["counters"] == {"point_ratios": 270, "decode_candidates": 90,
                                     "orbits": 1, "generators_skipped": 1}
+
+
+def test_simulate_forms_the_point_inverses_once(tmp_path, monkeypatch):
+    # the union of the GF(4) family's 3 kernel orbits in GF(2^14), as the
+    # benchmark's channel workload builds it: the scan behind the codebook
+    # inverts the 3 x 7 points in one batch, and the trials decode with them
+    from cyclic_cdc import field_tower as ft
+    from cyclic_cdc import linearized_poly as lp
+
+    tower, polys, _, _ = lp.poly_family_from_json(json.loads(DATA.read_text()), 14)
+    code = oc.build_union(tower, [lp.kernel_subspace(P) for P in polys])
+    src, out = tmp_path / "gf4_union.json", tmp_path / "sim.json"
+    src.write_text(json.dumps(code.to_json()))
+    calls = []
+
+    def counted(top, xs, fn=ft.batch_inverse):
+        calls.append(len(xs))
+        return fn(top, xs)
+
+    for module in (sl, cli.ch):
+        monkeypatch.setattr(module, "batch_inverse", counted, raising=False)
+    assert run(["simulate", "--code", src, "--erasures", 1, "--trials", 20, "--seed", 1,
+                "--out", out]) == cli.EXIT_OK
+    assert calls == [3 * 7]
+    rep = json.loads(out.read_text())
+    assert rep["successes"] == 20 and rep["codebook_size"] == 49149
 
 
 def _fail_if_called(what):
@@ -786,9 +845,14 @@ def test_sorted_order_replay_gives_the_old_digest(even_code_2_2_8):
     # index to a word is all that changed.
     ch = cli.ch
     book = ch.materialize_codebook(even_code_2_2_8)
-    words = sorted_codebook(even_code_2_2_8)
+
+    class SortedBook(list):
+        """The words in RREF order, decoded against the codebook's orbits."""
+        generators, inverses = book.generators, book.inverses
+
+    words = SortedBook(sorted_codebook(even_code_2_2_8))
     cfg = ch.ChannelConfig(erasures=1, insertions=0, trials=50, seed=5)
-    report = ch.run_trials(book.generators, words, even_code_2_2_8.claimed_min_distance, cfg)
+    report = ch.run_trials(words, even_code_2_2_8.claimed_min_distance, cfg)
     del report["counters"]
     report["codebook_size"] = len(words)
     assert report["successes"] == 8

@@ -38,6 +38,11 @@ def _check_shift_dims(u, v):
         assert dims.get(alpha, 0) == shifted_intersection_dim(u, v, alpha), alpha
 
 
+def _inverses(gens):
+    """Each generator's point inverses, in ``projective_reps`` order."""
+    return [batch_inverse(g.tower.top, g.projective_reps()) for g in gens]
+
+
 def _shared_pairs(gens):
     """Pairs i <= j with a shift of dimension >= 2, the identity of a self
     pair aside, each with its oracle histogram."""
@@ -59,23 +64,34 @@ KINDS = pytest.mark.parametrize(
 def test_union_distance_matches_rank_scan(q, subfield_linear, data):
     gens = data.draw(orbit_generators(q, subfield_linear))
     tw, k = gens[0].tower, gens[0].dim
-    distance, collisions, ratios, shared = sl.union_distance(gens, BUDGET)
-    assert (distance, collisions) == rank_scan(gens) == histogram_scan(gens)
+    scan = sl.union_distance(gens, BUDGET)
+    assert (scan.distance, scan.collisions) == rank_scan(gens) == histogram_scan(gens)
     points = (tw.q ** k - 1) // (tw.q - 1)
-    assert ratios == len(gens) * points * (points - 1)
+    assert scan.point_ratios == len(gens) * points * (points - 1)
     # the filter keeps exactly the pairs that meet some shift in a line, each
     # with its histogram
-    assert shared == (_shared_pairs(gens) if k > 1 else [])
+    assert scan.shared_pairs == (_shared_pairs(gens) if k > 1 else [])
+    assert scan.inverses == _inverses(gens)
+    # one generator per orbit, the first of each: j repeats an earlier orbit
+    # exactly when it meets a shift of one in all k dimensions
+    assert scan.distinct == [j for j in range(len(gens)) if not any(
+        k in shift_intersection_dims(gens[i], gens[j]).values() for i in range(j))]
     _check_shift_dims(gens[0], gens[-1])
 
 
 def test_union_distance_matches_rank_scan_on_even_2_2_8(even_code_2_2_8):
     gens = list(even_code_2_2_8.generators)
-    assert sl.union_distance(gens, BUDGET) == (2, [], 4 * 3 * 2, [])
+    scan = sl.union_distance(gens, BUDGET)
+    assert (scan.distance, scan.collisions, scan.point_ratios, scan.shared_pairs) == (
+        2, [], 4 * 3 * 2, [])
+    assert scan.inverses == _inverses(gens) and scan.distinct == [0, 1, 2, 3]
     assert rank_scan(gens) == histogram_scan(gens) == (2, [])
+    # g^77 * U_2 repeats the orbit of U_2: the later member is the one dropped
     with_copy = gens + [sl.cyclic_shift(gens[2], 77)]
-    assert sl.union_distance(with_copy, BUDGET) == (2, [(2, 4)], 5 * 3 * 2,
-                                                    _shared_pairs(with_copy))
+    scan = sl.union_distance(with_copy, BUDGET)
+    assert (scan.distance, scan.collisions, scan.point_ratios, scan.shared_pairs) == (
+        2, [(2, 4)], 5 * 3 * 2, _shared_pairs(with_copy))
+    assert scan.inverses == _inverses(with_copy) and scan.distinct == [0, 1, 2, 3]
     assert [(i, j) for i, j, _ in _shared_pairs(with_copy)] == [(2, 4)]
     assert rank_scan(with_copy) == histogram_scan(with_copy) == (2, [(2, 4)])
     with pytest.raises(Infeasible):
@@ -85,12 +101,16 @@ def test_union_distance_matches_rank_scan_on_even_2_2_8(even_code_2_2_8):
 # -- one seeded case per branch of union_distance ----------------------------------
 
 def _all_routes(gens):
-    """union_distance, checked against both oracles and its histograms against
-    the oracle's; returns its 4-tuple with each shared pair's (i, j) alone."""
-    distance, collisions, ratios, shared = sl.union_distance(gens, BUDGET)
-    assert (distance, collisions) == rank_scan(gens) == histogram_scan(gens)
-    assert all(dims == shift_intersection_dims(gens[i], gens[j]) for i, j, dims in shared)
-    return distance, collisions, ratios, [(i, j) for i, j, _ in shared]
+    """union_distance, checked against both oracles, its histograms against
+    the oracle's and its point inverses against ``batch_inverse``; returns its
+    distance, collisions, ratio count and each shared pair's (i, j) alone."""
+    scan = sl.union_distance(gens, BUDGET)
+    assert (scan.distance, scan.collisions) == rank_scan(gens) == histogram_scan(gens)
+    assert all(dims == shift_intersection_dims(gens[i], gens[j])
+               for i, j, dims in scan.shared_pairs)
+    assert scan.inverses == _inverses(gens)
+    return (scan.distance, scan.collisions, scan.point_ratios,
+            [(i, j) for i, j, _ in scan.shared_pairs])
 
 
 def test_union_distance_of_points():
@@ -99,6 +119,7 @@ def test_union_distance_of_points():
     points = [sl.span(tw, [x]) for x in (1, 5, 17)]
     assert _all_routes(points) == (2, [(0, 1), (0, 2), (1, 2)], 0, [])
     assert _all_routes(points[:1]) == (2, [], 0, [])
+    assert sl.union_distance(points, BUDGET).distinct == [0]
 
 
 def test_union_distance_from_a_pair_that_shares_no_ratio():
@@ -144,9 +165,9 @@ def test_union_distance_budget_checks_ratios_then_histograms(even_code_2_2_8):
     for budget in (30, 30 + 9 - 1):
         with pytest.raises(Infeasible, match="shared pairs"):
             sl.union_distance(gens, budget)
-    distance, collisions, ratios, shared = sl.union_distance(gens, 30 + 9)
-    assert (distance, collisions, ratios) == (2, [(2, 4)], 30)
-    assert [(i, j) for i, j, _ in shared] == [(2, 4)]
+    scan = sl.union_distance(gens, 30 + 9)
+    assert (scan.distance, scan.collisions, scan.point_ratios) == (2, [(2, 4)], 30)
+    assert [(i, j) for i, j, _ in scan.shared_pairs] == [(2, 4)]
 
 
 def test_union_distance_rejects_empty_mixed_and_zero_dimensional_lists():
@@ -179,7 +200,7 @@ def test_projective_reps_match_span_enumeration(q, subfield_linear, data):
 def test_poly_code_distance_matches_gcd_scan(q, subfield_linear, data):
     polys = [subspace_polynomial(u) for u in data.draw(orbit_generators(q, subfield_linear))]
     rep = lp.poly_code_distance(polys)
-    assert (rep.distance, rep.collisions) == gcd_scan(polys)
+    assert (rep.scan.distance, rep.scan.collisions) == gcd_scan(polys)
 
 
 @KINDS

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import random
@@ -33,9 +34,15 @@ DATA = Path(__file__).resolve().parent.parent / "data" / "polys_gf4_k3.json"
 
 
 def criteria(polys, s, check=lp.check_union_distance_criteria):
-    """``check`` on the family, reading the report of its exact distance as
-    ``poly`` runs them."""
-    return check(polys, s, lp.poly_code_distance(polys))
+    """``check`` on the report of the family's exact distance, as ``poly``
+    runs them."""
+    return check(lp.poly_code_distance(polys), s)
+
+
+def unscanned(polys):
+    """A report of the family with no scan, for the checks that the criteria
+    make before they read one."""
+    return lp.PolyCodeReport(tuple(polys), 0, [], None)
 
 
 def test_eval_zero_and_linearity():
@@ -217,17 +224,18 @@ def test_single_polynomial_passes_at_small_field():
     P = lp.linpoly(tw, {3: 1, 2: 1, 1: 2, 0: 2})
     assert lp.kernel_subspace(P).dim == 3
     rep = lp.poly_code_distance([P])
-    verdict = lp.check_union_distance_criteria([P], 1, rep)
+    verdict = lp.check_union_distance_criteria(rep, 1)
     assert verdict.passed and verdict.rank_ok
     assert verdict.coeff_witnesses == []  # vacuous for e = 1
-    assert rep.distance == 4 and rep.size == 2 ** 6 - 1
+    assert rep.scan.distance == 4 and rep.size == 2 ** 6 - 1
     # two shifted copies repeat the orbit: the union is that one orbit, and
     # its size counts it once
     top = tw.top
     copies = [P, lp.shift_transform(P, top.primitive), lp.shift_transform(P, top.inv(7))]
     rep = lp.poly_code_distance(copies)
-    assert rep.collisions == [(0, 1), (0, 2), (1, 2)] and rep.orbit_sizes == [63] * 3
-    assert (rep.distance, rep.size) == (4, 2 ** 6 - 1)
+    assert rep.scan.collisions == [(0, 1), (0, 2), (1, 2)] and rep.orbit_sizes == [63] * 3
+    assert rep.scan.distinct == [0] and rep.polys == tuple(copies)
+    assert (rep.scan.distance, rep.size) == (4, 2 ** 6 - 1)
 
 
 def test_single_polynomial_rank_failure_witness():
@@ -240,7 +248,7 @@ def test_single_polynomial_rank_failure_witness():
     assert not verdict.rank_ok
     i, j, alpha, rank = verdict.rank_witness
     assert (i, j) == (0, 0) and rank < 3
-    assert lp.poly_code_distance([P]).distance == 2  # criterion failure is real
+    assert lp.poly_code_distance([P]).scan.distance == 2  # criterion failure is real
 
 
 def test_pair_rank_failure_at_small_field():
@@ -251,7 +259,7 @@ def test_pair_rank_failure_at_small_field():
     assert not verdict.rank_ok
     assert verdict.rank_witness == (0, 1, 2, 2)
     rep = lp.poly_code_distance([A, B])
-    assert rep.distance == 2 and rep.size == 2 * 63
+    assert rep.scan.distance == 2 and rep.size == 2 * 63
 
 
 @pytest.mark.parametrize("params, k, s, d, alone_ok", [
@@ -294,6 +302,22 @@ def test_criteria_refuse_a_family_that_does_not_split():
     for check in (lp.check_union_distance_criteria, lp.check_union_distance_criteria_gf2):
         with pytest.raises(BadSupport, match="kernel dimension 2 below the q-degree 3"):
             criteria([P], 1, check)
+
+
+def test_criteria_read_the_family_off_its_report():
+    # a criterion takes the report alone, which carries the family its scan
+    # was made of: over GF(2^6), x^8 + x^4 + xi x^2 + xi x passes, and with
+    # xi^2 x it fails at the witness (0, 0, 2, 2) of its own scan.  Handed
+    # the scan of the first, it once answered (0, 0, 2, 3), a full-rank matrix.
+    tw = build_tower(2, 1, 2, 3)
+    xi = tw.xi
+    for c0, want in ((xi, (True, None)), (tw.mid.mul(xi, xi), (False, (0, 0, 2, 2)))):
+        rep = lp.poly_code_distance([lp.linpoly(tw, {3: 1, 2: 1, 1: xi, 0: c0})])
+        assert want == rank_verdict_by_full_scan(list(rep.polys), 1)
+        for check in (lp.check_union_distance_criteria, lp.check_union_distance_criteria_gf2):
+            assert list(inspect.signature(check).parameters) == ["report", "s"]
+            verdict = check(rep, 1)
+            assert (verdict.rank_ok, verdict.rank_witness) == want
 
 
 Q_VALUES = pytest.mark.parametrize("q", sorted(TOWERS))
@@ -414,8 +438,8 @@ def test_duplicate_polynomials_fail_coefficient_condition():
 def test_gf2_checker_requires_characteristic_two():
     tw = build_tower(3, 1, 2, 3)
     P = lp.linpoly(tw, {3: 1, 2: 1, 1: 1, 0: 1})
-    with pytest.raises(WrongCharacteristic):  # before the report is read
-        lp.check_union_distance_criteria_gf2([P], 1, None)
+    with pytest.raises(WrongCharacteristic):  # before the scan is read
+        lp.check_union_distance_criteria_gf2(unscanned([P]), 1)
 
 
 def test_support_validation():
@@ -426,14 +450,14 @@ def test_support_validation():
         lp.validate_support(lp.linpoly(tw, {3: 1, 2: 1, 1: 1, 0: 1, 4: 1}), 1)
     with pytest.raises(BadSupport):  # not monic
         lp.validate_support(lp.linpoly(tw, {3: tw.xi, 2: 1, 1: 1, 0: 1}), 1)
-    with pytest.raises(BadSupport):  # s outside [1, k-2], before the report is read
-        lp.check_union_distance_criteria([lp.linpoly(tw, {3: 1, 2: 1, 1: 1, 0: 1})], 2, None)
+    with pytest.raises(BadSupport):  # s outside [1, k-2], before the scan is read
+        lp.check_union_distance_criteria(unscanned([lp.linpoly(tw, {3: 1, 2: 1, 1: 1, 0: 1})]), 2)
 
 
-# the criteria check the family before they read the report, so none is given
+# the criteria check the family before they read the scan, so none is given
 @pytest.mark.parametrize("check", [
-    lambda polys, s: lp.check_union_distance_criteria(polys, s, None),
-    lambda polys, s: lp.check_union_distance_criteria_gf2(polys, s, None),
+    lambda polys, s: lp.check_union_distance_criteria(unscanned(polys), s),
+    lambda polys, s: lp.check_union_distance_criteria_gf2(unscanned(polys), s),
     lambda polys, s: lp.build_rank_matrix(*polys, 1, s),
 ], ids=["criteria", "criteria_gf2", "build_rank_matrix"])
 def test_family_check_is_shared(check):
@@ -449,7 +473,7 @@ def test_family_check_is_shared(check):
 def test_empty_family_is_invalid():
     for check in (lp.check_union_distance_criteria, lp.check_union_distance_criteria_gf2):
         with pytest.raises(InvalidParams):
-            check([], 1, None)
+            check(unscanned([]), 1)
     with pytest.raises(InvalidParams):
         lp.poly_code_distance([])
 
@@ -459,7 +483,7 @@ def test_subfield_orbit_distance():
     tw = build_tower(2, 1, 1, 4)
     P = lp.linpoly(tw, {2: 1, 0: 1})
     rep = lp.poly_code_distance([P])
-    assert rep.distance == 4
+    assert rep.scan.distance == 4
     assert rep.size == (2 ** 4 - 1) // (2 ** 2 - 1)
 
 

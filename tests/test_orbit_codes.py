@@ -110,7 +110,7 @@ def test_build_union_subfield_orbit():
     F4 = sl.span(tw, range(1, 4))
     code = oc.build_union(tw, [F4], provenance="subfield")
     assert code.claimed_size == (2 ** 10 - 1) // 3
-    assert sl.union_distance(code.generators, oc.DEFAULT_SCAN_BUDGET)[0] == 2 * tw.k
+    assert sl.union_distance(code.generators, oc.DEFAULT_SCAN_BUDGET).distance == 2 * tw.k
 
 
 def test_union_sizes(odd_code_2_2_10, even_code_2_2_8):

@@ -137,6 +137,23 @@ def test_layers_import_only_their_dependencies():
     assert {m: deps - LAYERS[m] for m, deps in imported.items() if deps - LAYERS[m]} == {}
 
 
+# a set or loop over the second members j of the collisions (i, j)
+DROPS_SECOND_MEMBER = re.compile(r"for\s+_\s*,\s*\w+\s+in\s+[\w.]*collisions\b")
+
+
+def test_only_subspace_linalg_drops_the_second_member_of_a_collision():
+    # UnionScan.distinct is the one statement of the repeated-orbit rule, j
+    # of a collision (i, j) repeats i: verify, poly and simulate read it
+    found = [
+        f"{path.relative_to(SRC)}:{n}"
+        for path in sorted(SRC.glob("*.py")) if path.stem != "subspace_linalg"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if DROPS_SECOND_MEMBER.search(line)
+    ]
+    assert found == []
+    assert DROPS_SECOND_MEMBER.search((SRC / "subspace_linalg.py").read_text())
+
+
 def _is_call_to(node, name: str) -> bool:
     func = node.func if isinstance(node, ast.Call) else None
     return (isinstance(func, ast.Name) and func.id == name

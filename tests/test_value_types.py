@@ -23,13 +23,14 @@ def test_every_value_type_refuses_field_assignment(even_code_2_2_8):
         next(iter(sc.enumerate_family(even_code_2_2_8.tower))),
         P,
         lp.build_rank_matrix(P, P, tower.top.primitive, s),
-        lp.check_union_distance_criteria(polys, s, lp.poly_code_distance(polys)),
+        lp.check_union_distance_criteria(lp.poly_code_distance(polys), s),
         lp.poly_code_distance(polys),
+        sl.union_distance(even_code_2_2_8.generators, sl.DEFAULT_SCAN_BUDGET),
         ch.ChannelConfig(erasures=1, insertions=0, trials=3, seed=5),
     ]
     assert [type(v).__name__ for v in values] == [
         "Subspace", "UnionCode", "ConstructionParams", "LinearizedPolynomial", "RankMatrix",
-        "CriteriaVerdict", "PolyCodeReport", "ChannelConfig"]
+        "CriteriaVerdict", "PolyCodeReport", "UnionScan", "ChannelConfig"]
     for value in values:
         for name in value._fields:
             with pytest.raises(AttributeError):
