@@ -23,7 +23,7 @@ def main():
     t0 = time.perf_counter()
     rep = lp.poly_code_distance(polys)
     print(
-        f"union of kernel orbits: size {rep.size}, exact minimum distance "
+        f"union of kernel orbits: size {rep.scan.size}, exact minimum distance "
         f"{rep.scan.distance} ({time.perf_counter()-t0:.1f}s)"
     )
 

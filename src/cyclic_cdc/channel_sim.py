@@ -30,8 +30,8 @@ from .orbit_codes import UnionCode
 from .subspace_linalg import (
     DEFAULT_SCAN_BUDGET,
     Subspace,
+    UnionScan,
     cyclic_shift,
-    orbit_size,
     rank_rows,
     shift_dims,
     span,
@@ -131,14 +131,17 @@ def md_decode(
 
 class Codebook(Sequence):
     """The distinct words of a union code, orbit by orbit: index
-    offsets[j] + c is g^c * U_j for 0 <= c < orbit_size(U_j), g the top
-    field's primitive element and U_j the j-th generator kept, one per
-    orbit, whose point inverses are inverses[j].  A word is built only when
-    it is read."""
+    offsets[j] + c is g^c * U_j for 0 <= c < |orbit of U_j|, g the top
+    field's primitive element and U_j the j-th generator that the scan keeps
+    (its ``distinct`` ones), whose point inverses are inverses[j].  The
+    orbit sizes and inverses are the scan's; a word is built only when it
+    is read."""
 
-    def __init__(self, generators: tuple[Subspace, ...], inverses: list[list[int]]) -> None:
-        self.generators, self.inverses = generators, inverses
-        self.offsets = list(accumulate(map(orbit_size, generators), initial=0))
+    def __init__(self, generators: Sequence[Subspace], scan: UnionScan) -> None:
+        kept = scan.distinct
+        self.generators = tuple(generators[j] for j in kept)
+        self.inverses = [scan.inverses[j] for j in kept]
+        self.offsets = list(accumulate((scan.orbit_sizes[j] for j in kept), initial=0))
 
     def __len__(self) -> int:
         return self.offsets[-1]
@@ -157,11 +160,8 @@ class Codebook(Sequence):
 
 
 def materialize_codebook(code: UnionCode) -> Codebook:
-    """The lazy index over the orbits of the ``distinct`` generators of one
-    ``union_distance`` scan, each with the point inverses that scan formed."""
-    scan = union_distance(code.generators, DEFAULT_SCAN_BUDGET)
-    return Codebook(tuple(code.generators[j] for j in scan.distinct),
-                    [scan.inverses[j] for j in scan.distinct])
+    """The ``Codebook`` of one ``union_distance`` scan of the code's generators."""
+    return Codebook(code.generators, union_distance(code.generators, DEFAULT_SCAN_BUDGET))
 
 
 def run_trials(codebook: Codebook, min_distance: int, cfg: ChannelConfig) -> dict:

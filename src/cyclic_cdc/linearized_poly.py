@@ -40,7 +40,6 @@ from .subspace_linalg import (
     UnionScan,
     field_matrix_rank,
     map_kernel,
-    orbit_size,
     union_distance,
 )
 
@@ -352,21 +351,18 @@ def check_union_distance_criteria_gf2(report: PolyCodeReport, s: int) -> Criteri
 # -- exact distance and size of polynomial-kernel unions -------------------------
 
 class PolyCodeReport(NamedTuple):
-    """A family, and the exact size and distance of the union of its kernel
-    orbits: their orbit sizes, the size (the orbits of ``scan.distinct``) and
-    the one ``union_distance`` scan of the kernels, whose distance and
-    collisions are the result and whose work is not."""
+    """A family, and the one ``union_distance`` scan of its kernels, which
+    states the exact distance, collisions, orbit sizes and size of the union
+    of their orbits (the result) and the scan's work (not the result)."""
 
     polys: tuple[LinearizedPolynomial, ...]
-    size: int
-    orbit_sizes: list[int]
     scan: UnionScan
 
     def to_json(self) -> dict:
         return {
             "distance": self.scan.distance,
-            "size": str(self.size),
-            "orbit_sizes": self.orbit_sizes,
+            "size": str(self.scan.size),
+            "orbit_sizes": self.scan.orbit_sizes,
             "orbit_collisions": self.scan.collisions,
         }
 
@@ -376,7 +372,7 @@ def poly_code_distance(
 ) -> PolyCodeReport:
     """Exact minimum distance and size of the union of kernel orbits, by one
     ``union_distance`` scan of the kernels, which must all split (dimension k).
-    The size counts the orbits of the scan's ``distinct`` members once each."""
+    The size is the scan's, which counts a repeated orbit once."""
     if not polys:
         raise InvalidParams("the family has no polynomials")
     k = polys[0].q_degree
@@ -385,9 +381,7 @@ def poly_code_distance(
         if V.dim != k:
             raise BadSupport(f"kernel dimension {V.dim} below the q-degree {k}: "
                              "not a subspace polynomial for this field")
-    scan = union_distance(kernels, budget)
-    sizes = [orbit_size(V) for V in kernels]
-    return PolyCodeReport(tuple(polys), sum(sizes[j] for j in scan.distinct), sizes, scan)
+    return PolyCodeReport(tuple(polys), union_distance(kernels, budget))
 
 
 # -- serialization -----------------------------------------------------------------
@@ -401,6 +395,8 @@ def poly_family_from_json(obj: dict, N: int) -> tuple[FieldTower, list[Linearize
     arrays over the coefficient field, low degree first).
     """
     q, n_coeff, k, s = (json_field(obj, key) for key in ("q", "coeff_field_degree", "k", "s"))
+    if n_coeff < 1:
+        raise InvalidParams(f"coeff_field_degree must be >= 1, got {n_coeff}")
     if N % n_coeff:
         raise BadSupport(f"N={N} is not a multiple of the coefficient degree {n_coeff}")
     if not json_field(obj, "polys", list):

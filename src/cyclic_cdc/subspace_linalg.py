@@ -277,20 +277,27 @@ def shared_pairs(
 class UnionScan(NamedTuple):
     """One ``union_distance`` scan: the union's minimum distance, its orbit
     collisions (i < j with U_i = alpha*U_j), the ratio count of
-    ``shared_pairs``, (i, j, shift_dims(U_i, U_j)) for each shared pair, and
-    the point inverses of each generator, which ``shared_pairs`` formed."""
+    ``shared_pairs``, (i, j, shift_dims(U_i, U_j)) for each shared pair, the
+    point inverses of each generator, which ``shared_pairs`` formed, and the
+    orbit size of each generator."""
 
     distance: int
     collisions: list[tuple[int, int]]
     point_ratios: int
     shared_pairs: list[tuple[int, int, dict[int, int]]]
     inverses: list[list[int]]
+    orbit_sizes: list[int]
 
     @property
     def distinct(self) -> list[int]:
         """The generators of the union's distinct orbits, ascending: j of a
         collision (i, j) repeats the orbit of i and is dropped."""
         return sorted(set(range(len(self.inverses))) - {j for _, j in self.collisions})
+
+    @property
+    def size(self) -> int:
+        """The union's exact size: each ``distinct`` orbit counted once."""
+        return sum(self.orbit_sizes[j] for j in self.distinct)
 
     def counters(self, budget: int) -> dict:
         """The scan's work for a manifest, and the budget it ran under."""
@@ -301,18 +308,20 @@ class UnionScan(NamedTuple):
 
 def union_distance(generators: Sequence[Subspace], budget: int) -> UnionScan:
     """The ``UnionScan`` of the union of the generators' cyclic orbits: one
-    ``shared_pairs`` scan, then one ``shift_dims`` histogram per shared pair
-    (no other pair meets a shift in 2 dimensions)."""
+    ``shared_pairs`` scan, then one ``orbit_size`` per generator and one
+    ``shift_dims`` histogram per shared pair (no other pair meets a shift in
+    2 dimensions).  A scan refused by the budget forms none of them."""
     pairs, inverses, ratios = shared_pairs(generators, budget)
+    sizes = [orbit_size(g) for g in generators]
     k, n = generators[0].dim, len(generators)
     if k == 1:  # every two points are shifts of each other
-        return UnionScan(2, list(itertools.combinations(range(n), 2)), 0, [], inverses)
+        return UnionScan(2, list(itertools.combinations(range(n), 2)), 0, [], inverses, sizes)
     shared = [(i, j, shift_dims(generators[i], generators[j], inverses[j])) for i, j in pairs]
     best = 2 * k - 2 if len(shared) < n * (n + 1) // 2 else 2 * k
     for _, _, dims in shared:
         best = min(best, 2 * k - 2 * max((d for d in dims.values() if d < k), default=0))
     collisions = [(i, j) for i, j, dims in shared if i < j and k in dims.values()]
-    return UnionScan(best, collisions, ratios, shared, inverses)
+    return UnionScan(best, collisions, ratios, shared, inverses, sizes)
 
 
 # -- map kernels ----------------------------------------------------------------
@@ -325,15 +334,10 @@ def map_kernel(tower: FieldTower, image_of_basis: list[int]) -> Subspace:
     in the e-block exactly on the rows whose image part is zero; their
     e-parts are a basis of the kernel.
     """
-    m = tower.m
-    if tower.q == 2:
-        piv = _echelon_q2(img | 1 << (m + j) for j, img in enumerate(image_of_basis))
-        sols = [r >> m for b, r in piv.items() if b >> m]
-    else:
-        q = tower.q
-        rows = (tower.flatten(img) + tower.flatten(q ** j) for j, img in enumerate(image_of_basis))
-        piv = _echelon(tower.q_level, rows)
-        sols = [tower.unflatten(r[m:]) for pc, r in piv.items() if pc >= m]
+    m, q = tower.m, tower.q
+    rows = (tower.flatten(img) + tower.flatten(q ** j) for j, img in enumerate(image_of_basis))
+    piv = _echelon(tower.q_level, rows)
+    sols = [tower.unflatten(r[m:]) for pc, r in piv.items() if pc >= m]
     return Subspace(tower, rref_rows(tower, sols))
 
 

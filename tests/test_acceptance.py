@@ -170,8 +170,8 @@ def test_a05_quadrinomial_family_full_reproduction(gf4_poly_family):
     )
     _report(
         "kernel-orbit union has size 49149 and exact distance 4",
-        rep.size == 3 * (2 ** 14 - 1) and rep.scan.distance == 4 and not rep.scan.collisions,
-        f"size {rep.size}, distance {rep.scan.distance}",
+        rep.scan.size == 3 * (2 ** 14 - 1) and rep.scan.distance == 4 and not rep.scan.collisions,
+        f"size {rep.scan.size}, distance {rep.scan.distance}",
     )
 
 

@@ -172,6 +172,10 @@ def test_codebook_is_the_union_of_the_scanned_orbits(q, subfield_linear, data):
     tw = gens[0].tower
     book = ch.materialize_codebook(oc.build_union(tw, gens))
     orbits = [orbit_by_scan(g) for g in gens]
+    # the scan sizes every orbit, and its size counts each distinct one once
+    scan = sl.union_distance(gens, sl.DEFAULT_SCAN_BUDGET)
+    assert scan.orbit_sizes == [len(o) for o in orbits]
+    assert scan.size == len(book) == len(set().union(*orbits))
     kept = [g for i, g in enumerate(gens) if not any(g.rows in o for o in orbits[:i])]
     assert book.generators == tuple(kept) and book.inverses == _inverses(kept)
     rows = [w.rows for w in book]

@@ -149,6 +149,15 @@ def test_verify_budget_infeasible(even_code_file, tmp_path):
                 "--budget", 5, "--out", tmp_path / "x.json"]) == cli.EXIT_INFEASIBLE
 
 
+def test_verify_refused_by_the_budget_sizes_no_orbit(even_code_file, tmp_path, monkeypatch):
+    # the budget is checked before the scan sizes any orbit, so a refused
+    # verify pays for no linearity-field test
+    for module in (sl, oc):
+        monkeypatch.setattr(module, "orbit_size", _fail_if_called("orbit sized"))
+    assert run(["verify", "--code", even_code_file, "--budget", 0,
+                "--out", tmp_path / "x.json"]) == cli.EXIT_INFEASIBLE
+
+
 def test_verify_criterion_budget_infeasible(tmp_path):
     # the exact distance of the odd (2,2,10) code examines 33 generators x
     # 3 x 2 point ratios and shares none: one less is over budget, exactly
@@ -211,6 +220,11 @@ BUILDS_NO_TOWER = {"construct-r1", "construct-even-above-log-tables",
     (["bounds", "--q", 2, "--n", 1, "--k", 3, "--d", 2], cli.EXIT_INPUT, "InvalidParams"),
     (["table", "--q", 2, "--k", 2, "--r", 1, "--parity", "odd"], cli.EXIT_INPUT, "InvalidParams"),
     (["poly", "--file", ("poly", "polys", []), "--N", 14], cli.EXIT_INPUT, "InvalidParams"),
+    # the coefficient degree divides N: one below 1 is named before the division
+    (["poly", "--file", ("poly", "coeff_field_degree", 0), "--N", 14], cli.EXIT_INPUT,
+     "InvalidParams: coeff_field_degree must be >= 1, got 0"),
+    (["poly", "--file", ("poly", "coeff_field_degree", -2), "--N", 14], cli.EXIT_INPUT,
+     "InvalidParams: coeff_field_degree must be >= 1, got -2"),
     # a negative budget is no scan limit: refused, not reported as infeasible
     (["verify", "--code", "CODE", "--budget", -1], cli.EXIT_INPUT,
      "InvalidParams: budget must be >= 0, got -1"),
@@ -278,7 +292,8 @@ BUILDS_NO_TOWER = {"construct-r1", "construct-even-above-log-tables",
     (["poly", "--file", ("poly", "", [1, 2]), "--N", 14], cli.EXIT_INPUT,
      "BadShape: expected a JSON object, got list"),
 ], ids=["bounds-q1", "bounds-q6", "table-q1", "bounds-odd-d", "bounds-n-below-k",
-        "table-r1", "poly-empty-family", "verify-negative-budget", "poly-negative-budget",
+        "table-r1", "poly-empty-family", "poly-coeff-degree-0", "poly-coeff-degree-negative",
+        "verify-negative-budget", "poly-negative-budget",
         "table-k0", "table-k1", "construct-even-above-log-tables", "construct-odd-above-budget",
         "construct-even-k14", "construct-odd-r30", "construct-r1", "bounds-d-above-2k",
         "verify-float-p", "verify-float-distance", "verify-bool-distance", "verify-float-size",
@@ -762,7 +777,7 @@ def test_manifest_reproducibility(even_code_file, tmp_path):
     # 4 generators of 3-point projective lines, 3 x 2 internal ratios each,
     # none of them shared: the 10 pairs i <= j need no histogram
     verify = json.loads((tmp_path / "verify.a.json.manifest.json").read_text())
-    assert set(verify["timings"]) == {"time_orbit_sizes", "time_exact_scan"}
+    assert set(verify["timings"]) == {"time_exact_scan"}
     assert verify["counters"] == {"pairs": 10, "point_ratios": 24, "shared_pairs": 0,
                                   "budget": cli.oc.DEFAULT_SCAN_BUDGET}
     # 10 trials with one erasure: each R is one point, against 4 x 3 points,

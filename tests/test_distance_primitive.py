@@ -76,6 +76,10 @@ def test_union_distance_matches_rank_scan(q, subfield_linear, data):
     # exactly when it meets a shift of one in all k dimensions
     assert scan.distinct == [j for j in range(len(gens)) if not any(
         k in shift_intersection_dims(gens[i], gens[j]).values() for i in range(j))]
+    # each orbit is sized, and the union's size counts each distinct one once
+    orbits = [orbit_by_scan(g) for g in gens]
+    assert scan.orbit_sizes == [len(o) for o in orbits]
+    assert scan.size == len(set().union(*orbits))
     _check_shift_dims(gens[0], gens[-1])
 
 

@@ -42,7 +42,7 @@ def criteria(polys, s, check=lp.check_union_distance_criteria):
 def unscanned(polys):
     """A report of the family with no scan, for the checks that the criteria
     make before they read one."""
-    return lp.PolyCodeReport(tuple(polys), 0, [], None)
+    return lp.PolyCodeReport(tuple(polys), None)
 
 
 def test_eval_zero_and_linearity():
@@ -227,15 +227,15 @@ def test_single_polynomial_passes_at_small_field():
     verdict = lp.check_union_distance_criteria(rep, 1)
     assert verdict.passed and verdict.rank_ok
     assert verdict.coeff_witnesses == []  # vacuous for e = 1
-    assert rep.scan.distance == 4 and rep.size == 2 ** 6 - 1
+    assert rep.scan.distance == 4 and rep.scan.size == 2 ** 6 - 1
     # two shifted copies repeat the orbit: the union is that one orbit, and
     # its size counts it once
     top = tw.top
     copies = [P, lp.shift_transform(P, top.primitive), lp.shift_transform(P, top.inv(7))]
     rep = lp.poly_code_distance(copies)
-    assert rep.scan.collisions == [(0, 1), (0, 2), (1, 2)] and rep.orbit_sizes == [63] * 3
+    assert rep.scan.collisions == [(0, 1), (0, 2), (1, 2)] and rep.scan.orbit_sizes == [63] * 3
     assert rep.scan.distinct == [0] and rep.polys == tuple(copies)
-    assert (rep.scan.distance, rep.size) == (4, 2 ** 6 - 1)
+    assert (rep.scan.distance, rep.scan.size) == (4, 2 ** 6 - 1)
 
 
 def test_single_polynomial_rank_failure_witness():
@@ -259,7 +259,7 @@ def test_pair_rank_failure_at_small_field():
     assert not verdict.rank_ok
     assert verdict.rank_witness == (0, 1, 2, 2)
     rep = lp.poly_code_distance([A, B])
-    assert rep.scan.distance == 2 and rep.size == 2 * 63
+    assert rep.scan.distance == 2 and rep.scan.size == 2 * 63
 
 
 @pytest.mark.parametrize("params, k, s, d, alone_ok", [
@@ -484,7 +484,7 @@ def test_subfield_orbit_distance():
     P = lp.linpoly(tw, {2: 1, 0: 1})
     rep = lp.poly_code_distance([P])
     assert rep.scan.distance == 4
-    assert rep.size == (2 ** 4 - 1) // (2 ** 2 - 1)
+    assert rep.scan.size == (2 ** 4 - 1) // (2 ** 2 - 1)
 
 
 def test_family_file_roundtrip(gf4_poly_family):

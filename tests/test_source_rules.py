@@ -154,6 +154,21 @@ def test_only_subspace_linalg_drops_the_second_member_of_a_collision():
     assert DROPS_SECOND_MEMBER.search((SRC / "subspace_linalg.py").read_text())
 
 
+def test_only_subspace_linalg_and_build_union_size_an_orbit():
+    # union_distance sizes every generator's orbit once, and its UnionScan
+    # carries the sizes: verify, poly and the codebook read them there; a
+    # code's claimed size is stated before any scan, by build_union
+    found = sorted(
+        f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+        for path in sorted(SRC.glob("*.py")) if path.stem != "subspace_linalg"
+        for top in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "orbit_size"
+        or isinstance(node, ast.Attribute) and node.attr == "orbit_size"
+    )
+    assert found == ["orbit_codes.build_union"]
+
+
 def _is_call_to(node, name: str) -> bool:
     func = node.func if isinstance(node, ast.Call) else None
     return (isinstance(func, ast.Name) and func.id == name
