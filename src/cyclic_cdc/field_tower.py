@@ -398,23 +398,16 @@ def poly_gcd(F: Field, a: list[int], b: list[int]) -> list[int]:
 
 
 def poly_is_irreducible(F: Field, poly: list[int]) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F."""
+    """Ben-Or's irreducibility test for a monic polynomial over F, Q = |F|:
+    one of degree d is reducible iff it has a monic irreducible factor of
+    some degree i <= d/2, that is iff gcd(poly, x^(Q^i) - x) != 1."""
     d = len(poly) - 1
     if d < 1:
         return False
-    if poly[0] == 0:
-        return d == 1  # divisible by x
-    if d == 1:
-        return True
-    Q = F.order
-    x = [0, 1]
-    # x^(Q^d) == x (mod poly)
-    if _pmod(F, _psub(F, _ppowmod(F, x, Q ** d, poly), x), poly):
-        return False
-    for prime in factorize(d):
-        h = _psub(F, _ppowmod(F, x, Q ** (d // prime), poly), x)
-        g = poly_gcd(F, poly, h)
-        if len(g) != 1:
+    x = h = [0, 1]
+    for _ in range(d // 2):
+        h = _ppowmod(F, h, F.order, poly)  # x^(Q^i) mod poly
+        if len(poly_gcd(F, poly, _psub(F, h, x))) != 1:
             return False
     return True
 

@@ -395,6 +395,8 @@ def poly_family_from_json(obj: dict, N: int) -> tuple[FieldTower, list[Linearize
     arrays over the coefficient field, low degree first).
     """
     q, n_coeff, k, s = (json_field(obj, key) for key in ("q", "coeff_field_degree", "k", "s"))
+    if N < 1:
+        raise InvalidParams(f"N must be >= 1, got {N}")
     if n_coeff < 1:
         raise InvalidParams(f"coeff_field_degree must be >= 1, got {n_coeff}")
     if N % n_coeff:

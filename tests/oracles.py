@@ -61,6 +61,10 @@ irreducibility test.  ``projective_reps_by_digits`` lists the elements whose
 first nonzero GF(q)-coordinate is 1 by scanning their digits, the check of
 the package's fixed points of ``canon_projective``.
 
+``irreducible_by_rabin`` is Rabin's irreducibility test: x^(Q^d) = x
+modulo the polynomial, and gcd(poly, x^(Q^(d/r)) - x) = 1 for each prime r
+dividing its degree d, the check of the package's Ben-Or test.
+
 ``avoiding_greedy`` picks the avoiding set's exponents one at a time,
 ascending, skipping any that sums to the forbidden residue with itself or an
 earlier pick: the check of the package's rule that takes the smaller member
@@ -72,7 +76,16 @@ from math import gcd
 
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import subspace_linalg as sl
-from cyclic_cdc.field_tower import build_tower, digits_of, factorize, int_from_digits
+from cyclic_cdc.field_tower import (
+    _pmod,
+    _ppowmod,
+    _psub,
+    build_tower,
+    digits_of,
+    factorize,
+    int_from_digits,
+    poly_gcd,
+)
 from cyclic_cdc.sidon_constructions import max_rep_index
 from cyclic_cdc.subspace_linalg import rank_rows
 
@@ -497,3 +510,25 @@ def projective_reps_by_digits(tower, level):
         if d == 1:
             reps.append(enc)
     return reps
+
+
+def irreducible_by_rabin(F, poly):
+    """Rabin irreducibility test for a monic polynomial over F."""
+    d = len(poly) - 1
+    if d < 1:
+        return False
+    if poly[0] == 0:
+        return d == 1  # divisible by x
+    if d == 1:
+        return True
+    Q = F.order
+    x = [0, 1]
+    # x^(Q^d) == x (mod poly)
+    if _pmod(F, _psub(F, _ppowmod(F, x, Q ** d, poly), x), poly):
+        return False
+    for prime in factorize(d):
+        h = _psub(F, _ppowmod(F, x, Q ** (d // prime), poly), x)
+        g = poly_gcd(F, poly, h)
+        if len(g) != 1:
+            return False
+    return True

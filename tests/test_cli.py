@@ -225,6 +225,10 @@ BUILDS_NO_TOWER = {"construct-r1", "construct-even-above-log-tables",
      "InvalidParams: coeff_field_degree must be >= 1, got 0"),
     (["poly", "--file", ("poly", "coeff_field_degree", -2), "--N", 14], cli.EXIT_INPUT,
      "InvalidParams: coeff_field_degree must be >= 1, got -2"),
+    # so is an N below 1, which hosts no tower
+    (["poly", "--file", DATA, "--N", 0], cli.EXIT_INPUT, "InvalidParams: N must be >= 1, got 0"),
+    (["poly", "--file", DATA, "--N", -14], cli.EXIT_INPUT,
+     "InvalidParams: N must be >= 1, got -14"),
     # a negative budget is no scan limit: refused, not reported as infeasible
     (["verify", "--code", "CODE", "--budget", -1], cli.EXIT_INPUT,
      "InvalidParams: budget must be >= 0, got -1"),
@@ -293,6 +297,7 @@ BUILDS_NO_TOWER = {"construct-r1", "construct-even-above-log-tables",
      "BadShape: expected a JSON object, got list"),
 ], ids=["bounds-q1", "bounds-q6", "table-q1", "bounds-odd-d", "bounds-n-below-k",
         "table-r1", "poly-empty-family", "poly-coeff-degree-0", "poly-coeff-degree-negative",
+        "poly-N-0", "poly-N-negative",
         "verify-negative-budget", "poly-negative-budget",
         "table-k0", "table-k1", "construct-even-above-log-tables", "construct-odd-above-budget",
         "construct-even-k14", "construct-odd-r30", "construct-r1", "bounds-d-above-2k",

@@ -3,7 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import element_order, projective_reps_by_digits, scalar_mul, schoolbook_mul
+from oracles import (
+    element_order,
+    irreducible_by_rabin,
+    projective_reps_by_digits,
+    scalar_mul,
+    schoolbook_mul,
+)
 
 from cyclic_cdc.errors import (
     BadShape,
@@ -18,7 +24,9 @@ from cyclic_cdc.field_tower import (
     FieldTower,
     batch_inverse,
     build_tower,
+    digits_of,
     enc_from_nested,
+    factorize,
     nested_from_enc,
     poly_is_irreducible,
     tower_from_spec,
@@ -57,9 +65,58 @@ def test_construction_is_deterministic():
 def test_defining_polynomials_are_irreducible():
     for params in TOWERS:
         tw = build_tower(*params)
-        assert poly_is_irreducible(tw.prime, list(tw.def_poly_q))
-        assert poly_is_irreducible(tw.q_level, list(tw.def_poly_k))
-        assert poly_is_irreducible(tw.mid, list(tw.def_poly_top))
+        for F, poly in ((tw.prime, tw.def_poly_q), (tw.q_level, tw.def_poly_k),
+                        (tw.mid, tw.def_poly_top)):
+            assert poly_is_irreducible(F, list(poly))
+            assert irreducible_by_rabin(F, list(poly))
+
+
+def _mobius(n):
+    facs = factorize(n)
+    return 0 if any(e > 1 for e in facs.values()) else (-1) ** len(facs)
+
+
+# every monic polynomial over GF(Q) of degree 1..max_degree; total is the
+# number of irreducibles among them
+@pytest.mark.parametrize("p, a, max_degree, total", [
+    (2, 1, 9, 127), (3, 1, 6, 196), (2, 2, 5, 294), (5, 1, 5, 829),
+    (2, 3, 4, 1212), (3, 2, 4, 1905), (3, 3, 3, 6930)])
+def test_irreducibility_matches_rabin_and_gauss(p, a, max_degree, total):
+    F = build_tower(p, a, 1, 1).q_level
+    Q = F.order
+    found = 0
+    for d in range(1, max_degree + 1):
+        count = 0
+        for enc in range(Q ** d):
+            poly = digits_of(enc, Q, d) + [1]
+            irreducible = poly_is_irreducible(F, poly)
+            assert irreducible == irreducible_by_rabin(F, poly), poly
+            count += irreducible
+        # Gauss: (1/d) * sum over e | d of mu(d/e) * Q^e
+        assert count * d == sum(_mobius(d // e) * Q ** e for e in range(1, d + 1) if d % e == 0)
+        found += count
+    assert found == total
+
+
+def test_search_order_is_pinned(monkeypatch):
+    # each defining polynomial is the first irreducible in ascending packed
+    # order, so the number of candidates tested pins the order; FieldTower
+    # builds past build_tower's cache
+    from cyclic_cdc import field_tower as ft
+
+    calls = []
+    test = ft.poly_is_irreducible
+    monkeypatch.setattr(ft, "poly_is_irreducible", lambda F, poly: calls.append(1) or test(F, poly))
+    tw = ft.FieldTower(2, 1, 6, 4)
+    assert len(calls) == 4230
+    w = [[0], [1], [0], [0], [0], [0]]  # x over GF(2), the middle's primitive xi
+    one, zero = [[1]] + [[0]] * 5, [[0]] * 6
+    assert tw.spec_dict() == {
+        "p": 2, "a": 1, "k": 6, "t": 4, "def_poly_q": [0, 1],
+        "def_poly_k": [[1], [1], [0], [0], [0], [0], [1]],  # x^6 + x + 1
+        "def_poly_top": [one, w, one, zero, one],  # x^4 + x^2 + xi x + 1
+        "xi": w,
+    }
 
 
 def test_xi_is_primitive():
