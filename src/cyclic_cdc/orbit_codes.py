@@ -1,9 +1,9 @@
 """Union codes assembled from orbit generators: the construction's code
-(``construct_code``: count, tower, family, union), exact size and minimum
-distance verification, closed-form sizes of the odd/even constructions
-(``generator_count`` orbits of (q^n-1)/(q-1) words, n from ``tower_degree``)
-and their best known competitors, the sphere-packing (Johnson) bound, rates,
-and the n = 4k ratio to that bound.
+(``construct_code``: count, tower, family, closed-form claim), exact size
+and minimum distance verification, closed-form sizes of the odd/even
+constructions (``generator_count`` orbits of (q^n-1)/(q-1) words, n from
+``tower_degree``) and their best known competitors, the sphere-packing
+(Johnson) bound, rates, and the n = 4k ratio to that bound.
 
 All formula evaluation is exact big-integer arithmetic.  Size formulas
 divide exactly (a remainder raises BrokenInvariant); the bound is the floor
@@ -17,7 +17,7 @@ import math
 import time
 from typing import Iterable, NamedTuple
 
-from .errors import BrokenInvariant, Infeasible, InvalidParams
+from .errors import BadShape, BrokenInvariant, Infeasible, InvalidParams
 from .field_tower import FieldTower, build_tower, json_field, prime_power, tower_from_spec
 from . import sidon_constructions as sc
 from .subspace_linalg import (
@@ -53,21 +53,22 @@ def code_from_json(obj: dict) -> UnionCode:
     tower = tower_from_spec(json_field(obj, "tower", dict))
     gens = tuple(subspace_from_json(tower, g) for g in json_field(obj, "generators", list))
     common_dim(gens)
-    size = obj["claimed_size"]  # to_json writes a decimal string
-    if not (type(size) is str and size.isdecimal()):
-        size = json_field(obj, "claimed_size")
+    size = obj["claimed_size"]  # to_json writes a canonical decimal string
+    if type(size) is str and not (size.isdecimal() and str(int(size)) == size):
+        raise BadShape(f"claimed_size {size!r:.60} is not a canonical decimal string")
     return UnionCode(
         tower=tower,
         generators=gens,
-        claimed_size=int(size),
+        claimed_size=int(size) if type(size) is str else json_field(obj, "claimed_size"),
         claimed_min_distance=json_field(obj, "claimed_min_distance"),
-        provenance=obj.get("provenance", ""),
+        provenance=json_field(obj, "provenance", str) if "provenance" in obj else "",
     )
 
 
 def build_union(tower: FieldTower, generators: Iterable[Subspace], provenance: str = "") -> UnionCode:
-    """Union code with claimed size = sum of orbit sizes (disjointness is
-    claimed here and established by verification)."""
+    """Union code with claimed size = sum of orbit sizes, one ``orbit_size``
+    scan per generator (disjointness is claimed here and established by
+    verification); tests and the benchmark build their codes with it."""
     gens = tuple(generators)
     k = common_dim(gens)
     size = sum(orbit_size(g) for g in gens)
@@ -78,16 +79,18 @@ def construct_code(q: int, k: int, r: int, parity: str) -> UnionCode:
     """The odd or even construction's union code, one generator per tuple of
     the family.  The family is counted by ``generator_count`` before any tower
     is built: Infeasible when it has more than DEFAULT_SCAN_BUDGET tuples, and
-    BrokenInvariant when the enumeration yields another number of tuples."""
+    BrokenInvariant when the enumeration yields another number of tuples.
+    It claims the closed form ``construction_size``, sizing no orbit."""
     count = generator_count(q, k, r, parity)
     if count > DEFAULT_SCAN_BUDGET:
         raise Infeasible(f"the family has {count} tuples, over the budget {DEFAULT_SCAN_BUDGET}")
     tower = build_tower(*prime_power(q), k, sc.tower_degree(r, parity))
-    gens = [sc.make_subspace(p, tower) for p in sc.enumerate_family(tower)]
+    gens = tuple(sc.make_subspace(p, tower) for p in sc.enumerate_family(tower))
     if len(gens) != count:
         raise BrokenInvariant(f"the family enumerated {len(gens)} tuples, the closed form "
                               f"counts {count}")
-    return build_union(tower, gens, provenance=f"{parity}(q={q},k={k},r={r})")
+    return UnionCode(tower, gens, construction_size(q, k, r, parity), 2 * k - 2,
+                     f"{parity}(q={q},k={k},r={r})")
 
 
 # -- exact verification ----------------------------------------------------------

@@ -24,13 +24,13 @@ augmented rows (image of e_j | e_j).
 Intersections with every cyclic shift at once come from point ratios, with
 no discrete logs: ``shift_dims`` counts canon(a * b^-1) over two subspaces'
 points, and only the generator pairs that ``shared_pairs`` returns need it.
+The shifts that fix a generator are its self pair's full-dimension classes,
+so the same histograms size every orbit.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -140,9 +140,6 @@ class Subspace(NamedTuple):
     @property
     def ambient_dim(self) -> int:
         return self.tower.m
-
-    def contains(self, enc: int) -> bool:
-        return rank_rows(self.tower, self.rows + (enc,)) == self.dim
 
     def projective_reps(self) -> list[int]:
         """(q^dim - 1)/(q - 1) representatives, one per GF(q)*-class: for
@@ -308,18 +305,25 @@ class UnionScan(NamedTuple):
 
 def union_distance(generators: Sequence[Subspace], budget: int) -> UnionScan:
     """The ``UnionScan`` of the union of the generators' cyclic orbits: one
-    ``shared_pairs`` scan, then one ``orbit_size`` per generator and one
-    ``shift_dims`` histogram per shared pair (no other pair meets a shift in
-    2 dimensions).  A scan refused by the budget forms none of them."""
+    ``shared_pairs`` scan, then one ``shift_dims`` histogram per shared pair
+    (no other pair meets a shift in 2 dimensions).  A scan refused by the
+    budget forms none of them.  U_i's orbit is (q^m - 1)/(q - 1) over the
+    k-dimensional classes of its self pair, and full if that pair is not
+    shared: a stabilizer above GF(q)* repeats U_i's ratios (w*a/a = w)."""
     pairs, inverses, ratios = shared_pairs(generators, budget)
-    sizes = [orbit_size(g) for g in generators]
-    k, n = generators[0].dim, len(generators)
+    tower, k, n = generators[0].tower, generators[0].dim, len(generators)
+    full = (tower.q ** tower.m - 1) // (tower.q - 1)
+    sizes = [full] * n
     if k == 1:  # every two points are shifts of each other
         return UnionScan(2, list(itertools.combinations(range(n), 2)), 0, [], inverses, sizes)
     shared = [(i, j, shift_dims(generators[i], generators[j], inverses[j])) for i, j in pairs]
     best = 2 * k - 2 if len(shared) < n * (n + 1) // 2 else 2 * k
-    for _, _, dims in shared:
+    for i, j, dims in shared:
         best = min(best, 2 * k - 2 * max((d for d in dims.values() if d < k), default=0))
+        if i == j:
+            sizes[i], rest = divmod(full, sum(d == k for d in dims.values()))
+            if rest:
+                raise BrokenInvariant(f"the shifts fixing generator {i} do not divide {full}")
     collisions = [(i, j) for i, j, dims in shared if i < j and k in dims.values()]
     return UnionScan(best, collisions, ratios, shared, inverses, sizes)
 
@@ -341,42 +345,13 @@ def map_kernel(tower: FieldTower, image_of_basis: list[int]) -> Subspace:
     return Subspace(tower, rref_rows(tower, sols))
 
 
-# -- subfields and orbit sizes --------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def _subfield_generator(tower: FieldTower, d: int) -> int:
-    """A primitive element w of the subfield GF(q^d) of GF(q^m), d | m: the
-    (q^m - 1)/(q^d - 1)-th power of the top field's primitive element."""
-    top, q = tower.top, tower.q
-    return top.pow(top.primitive, (q ** tower.m - 1) // (q ** d - 1))
-
-
-def linearity_field(u: Subspace) -> int:
-    """Largest d with U linear over the subfield GF(q^d) of GF(q^m).
-
-    GF(q^d) = GF(q)[w] for its primitive element w, so U is GF(q^d)-linear
-    exactly when w*U is inside U; d has to divide both dim U and m.
-    """
-    if u.dim == 0:
-        return u.tower.m
-    g = math.gcd(u.dim, u.tower.m)
-    mul = u.tower.top.mul
-    for d in sorted((d for d in range(2, g + 1) if g % d == 0), reverse=True):
-        w = _subfield_generator(u.tower, d)
-        if all(u.contains(mul(w, r)) for r in u.rows):
-            return d
-    return 1
-
+# -- orbit sizes ------------------------------------------------------------------
 
 def orbit_size(u: Subspace) -> int:
-    """(q^m - 1)/(q^d - 1) with d the linearity field degree."""
-    q, m = u.tower.q, u.tower.m
-    d = linearity_field(u)
-    num = q ** m - 1
-    den = q ** d - 1
-    if num % den:
-        raise BrokenInvariant(f"linearity degree {d} does not divide m = {m}")
-    return num // den
+    """(q^m - 1)/(q^d - 1), GF(q^d)* the stabilizer of U, from the
+    ``union_distance`` scan of U alone: DimensionMismatch for U = {0}, and
+    Infeasible when U's point ratios exceed DEFAULT_SCAN_BUDGET."""
+    return union_distance([u], DEFAULT_SCAN_BUDGET).orbit_sizes[0]
 
 
 def enumerate_orbit(u: Subspace) -> list[tuple[int, ...]]:

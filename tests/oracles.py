@@ -51,7 +51,12 @@ a shift of its orbit's generator.
 
 ``orbit_by_scan`` lists an orbit by the RREF of the shift by every projective
 point of the ambient field, the check of the package's walk over the first
-orbit_size powers of the primitive element.
+orbit_size powers of the primitive element.  ``linearity_field`` is the
+largest subfield GF(q^d) that U is linear over, by closure of U under one
+primitive element ``subfield_generator`` of each candidate subfield and one
+containment rank per basis row: U's orbit has (q^m - 1)/(q^d - 1) words,
+the check of the package's orbit sizes, read off each generator's self pair
+in the union scan.
 
 ``schoolbook_mul`` multiplies in an extension level by the schoolbook
 product of the digit vectors and its reduction, each coefficient by the
@@ -151,6 +156,30 @@ def orbit_by_scan(u):
     mul = u.tower.top.mul
     return {sl.rref_rows(u.tower, [mul(alpha, r) for r in u.rows])
             for alpha in u.tower.projective_reps("top")}
+
+
+def subfield_generator(tower, d):
+    """A primitive element w of the subfield GF(q^d) of GF(q^m), d | m: the
+    (q^m - 1)/(q^d - 1)-th power of the top field's primitive element."""
+    top, q = tower.top, tower.q
+    return top.pow(top.primitive, (q ** tower.m - 1) // (q ** d - 1))
+
+
+def linearity_field(u):
+    """Largest d with U linear over the subfield GF(q^d) of GF(q^m).
+
+    GF(q^d) = GF(q)[w] for its primitive element w, so U is GF(q^d)-linear
+    exactly when w*U is inside U; d has to divide both dim U and m.
+    """
+    if u.dim == 0:
+        return u.tower.m
+    g = gcd(u.dim, u.tower.m)
+    mul = u.tower.top.mul
+    for d in sorted((d for d in range(2, g + 1) if g % d == 0), reverse=True):
+        w = subfield_generator(u.tower, d)
+        if all(rank_rows(u.tower, u.rows + (mul(w, r),)) == u.dim for r in u.rows):
+            return d
+    return 1
 
 
 def element_order(F, x):

@@ -2,7 +2,7 @@
 
 from hypothesis import assume
 from hypothesis import strategies as st
-from oracles import subspace_polynomial
+from oracles import subfield_generator, subspace_polynomial
 
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import subspace_linalg as sl
@@ -36,6 +36,30 @@ def orbit_generators(draw, q, subfield_linear):
     if draw(st.booleans()):
         source = gens[draw(st.integers(0, len(gens) - 1))]
         gens.append(sl.cyclic_shift(source, draw(element)))
+    return gens
+
+
+@st.composite
+def subfield_unions(draw, q, k):
+    """1-3 k-dimensional subspaces in the tower of ``TOWERS[q]``, each a sum
+    of k/d shifted subfields beta*GF(q^d) for a drawn divisor d of k and m
+    (d = 1: a random subspace), and sometimes a generator repeated as it is
+    or shifted."""
+    tw = build_tower(*TOWERS[q])
+    top = tw.top
+    element = st.integers(1, top.order - 1)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.sampled_from([d for d in range(1, k + 1) if k % d == 0 and tw.m % d == 0]))
+        w = subfield_generator(tw, d)
+        betas = draw(st.lists(element, min_size=k // d, max_size=k // d))
+        u = sl.span(tw, [top.mul(beta, top.pow(w, e)) for beta in betas for e in range(d)])
+        assume(u.dim == k)
+        gens.append(u)
+    repeat = draw(st.sampled_from(("none", "same", "shifted")))
+    if repeat != "none":
+        source = gens[draw(st.integers(0, len(gens) - 1))]
+        gens.append(source if repeat == "same" else sl.cyclic_shift(source, draw(element)))
     return gens
 
 

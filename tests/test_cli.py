@@ -150,10 +150,11 @@ def test_verify_budget_infeasible(even_code_file, tmp_path):
 
 
 def test_verify_refused_by_the_budget_sizes_no_orbit(even_code_file, tmp_path, monkeypatch):
-    # the budget is checked before the scan sizes any orbit, so a refused
-    # verify pays for no linearity-field test
+    # the budget is checked before the scan forms any histogram, the orbit
+    # sizes among them, so a refused verify pays for none
     for module in (sl, oc):
         monkeypatch.setattr(module, "orbit_size", _fail_if_called("orbit sized"))
+    monkeypatch.setattr(sl, "shift_dims", _fail_if_called("histogram formed"))
     assert run(["verify", "--code", even_code_file, "--budget", 0,
                 "--out", tmp_path / "x.json"]) == cli.EXIT_INFEASIBLE
 
@@ -266,6 +267,15 @@ BUILDS_NO_TOWER = {"construct-r1", "construct-even-above-log-tables",
     (["verify", "--code", ("code", "claimed_size", 1020.7)], cli.EXIT_INPUT,
      "BadShape: claimed_size must"),
     (["verify", "--code", ("code", "claimed_size", 1020)], cli.EXIT_OK, '"ok": true'),
+    # a claimed size string is the canonical decimal that to_json writes: a
+    # leading zero, or full-width digits (str.isdecimal accepts them), is a
+    # second spelling of the same claim; a provenance is a string
+    (["verify", "--code", ("code", "claimed_size", "01020")], cli.EXIT_INPUT,
+     "BadShape: claimed_size '01020' is not a canonical decimal string"),
+    (["verify", "--code", ("code", "claimed_size", "\uff11\uff10\uff12\uff10")], cli.EXIT_INPUT,
+     "is not a canonical decimal string"),
+    (["verify", "--code", ("code", "provenance", [1, 2])], cli.EXIT_INPUT,
+     "BadShape: provenance must be of type str"),
     (["verify", "--code", ("code", "generators.0.dim", 2.0)], cli.EXIT_INPUT,
      "BadShape: dim must"),
     (["poly", "--file", ("poly", "s", 1.5), "--N", 14], cli.EXIT_INPUT, "BadShape: s must"),
@@ -302,7 +312,8 @@ BUILDS_NO_TOWER = {"construct-r1", "construct-even-above-log-tables",
         "table-k0", "table-k1", "construct-even-above-log-tables", "construct-odd-above-budget",
         "construct-even-k14", "construct-odd-r30", "construct-r1", "bounds-d-above-2k",
         "verify-float-p", "verify-float-distance", "verify-bool-distance", "verify-float-size",
-        "verify-int-size", "verify-float-dim", "poly-float-s", "poly-float-k", "poly-float-q",
+        "verify-int-size", "verify-zero-padded-size", "verify-full-width-size",
+        "verify-list-provenance", "verify-float-dim", "poly-float-s", "poly-float-k", "poly-float-q",
         "poly-float-exponent", "poly-float-coordinate", "poly-missing-level",
         "verify-changed-def-poly-top", "verify-k-zero", "poly-polys-number",
         "poly-poly-array", "poly-top-level-array"])

@@ -1,6 +1,7 @@
 """Differential tests of the point-ratio distance against the every-pair
-histogram and the brute-force rank and gcd scans of ``oracles.py``, and of the
-orbit size and the walked orbit against the projective scan of the orbit, over
+histogram and the brute-force rank and gcd scans of ``oracles.py``, of the
+union scan's orbit sizes against the linearity-field oracle, and of the orbit
+size and the walked orbit against the projective scan of the orbit, over
 q in {2, 3, 4}."""
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     gcd_scan,
     histogram_scan,
+    linearity_field,
     orbit_by_scan,
     rank_scan,
     shift_intersection_dims,
@@ -16,7 +18,7 @@ from oracles import (
     span_by_enumeration,
     subspace_polynomial,
 )
-from strategies import TOWERS, orbit_generators
+from strategies import TOWERS, orbit_generators, subfield_unions
 
 from cyclic_cdc import linearized_poly as lp
 from cyclic_cdc import sidon_constructions as sc
@@ -133,7 +135,7 @@ def test_union_distance_from_a_pair_that_shares_no_ratio():
     # unshared pairs with the line span(1, 4), each at depth 1
     tw = build_tower(*TOWERS[2])
     gf4, line = sl.span(tw, [1, 2]), sl.span(tw, [1, 4])
-    assert sl.linearity_field(gf4) == 2 and sl.linearity_field(line) == 1
+    assert linearity_field(gf4) == 2 and linearity_field(line) == 1
     assert set(_shift_dims(gf4, gf4).values()) == {2}
     assert _all_routes([gf4]) == (4, [], 6, [(0, 0)])
     assert _all_routes([gf4, line]) == (2, [], 12, [(0, 0)])
@@ -155,7 +157,7 @@ def test_union_distance_of_a_ratio_repeated_inside_one_generator():
     # non-identity points of the projective line GF(9)*/GF(3)* 4 times
     tw = build_tower(*TOWERS[3])
     gf9 = sl.span(tw, [1, 3])
-    assert sl.linearity_field(gf9) == 2
+    assert linearity_field(gf9) == 2
     assert _all_routes([gf9]) == (4, [], 12, [(0, 0)])
 
 
@@ -217,6 +219,21 @@ def test_orbit_size_matches_enumeration(q, subfield_linear, data):
         assert set(orbit) == scan
 
 
+@pytest.mark.parametrize("q, k", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_union_scan_orbit_sizes_match_the_linearity_field(q, k, data):
+    # each orbit size is read off the generator's self pair, and a generator
+    # whose self pair is not shared has the full orbit: both must agree with
+    # (q^m - 1)/(q^d - 1) for the largest subfield GF(q^d) that U is linear
+    # over (GF(q^2) at k = 2, and GF(8) at q = 2, k = 3)
+    gens = data.draw(subfield_unions(q, k))
+    tw = gens[0].tower
+    sizes = [(tw.q ** tw.m - 1) // (tw.q ** linearity_field(u) - 1) for u in gens]
+    assert sl.union_distance(gens, BUDGET).orbit_sizes == sizes
+    assert [sl.orbit_size(u) for u in gens] == sizes
+
+
 @pytest.mark.parametrize("spec, d", [((2, 1, 2, 3), 3), ((2, 1, 2, 4), 4)])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
@@ -230,7 +247,7 @@ def test_orbit_size_of_a_subfield_shift(spec, d, data):
     subfield = [y for y in range(1, top.order) if top.pow(y, 2 ** d) == y]
     u = sl.span(tw, [top.mul(x, y) for y in subfield])
     assert u.dim == d and len(subfield) == 2 ** d - 1
-    assert sl.linearity_field(u) == d
+    assert linearity_field(u) == d
     orbit, scan = sl.enumerate_orbit(u), orbit_by_scan(u)
     assert sl.orbit_size(u) == len(scan) == (top.order - 1) // len(subfield)
     assert len(set(orbit)) == len(orbit) == len(scan)

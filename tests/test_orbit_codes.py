@@ -71,6 +71,26 @@ def test_construct_code_claims_the_closed_form():
     assert code.provenance == "odd(q=4,k=2,r=2)"
 
 
+@pytest.mark.parametrize("q, k, r, parity", [
+    (2, 2, 2, "odd"), (2, 2, 2, "even"), (2, 2, 3, "odd"), (2, 2, 3, "even"),
+    (2, 2, 4, "even"), (2, 2, 5, "even"), (2, 3, 2, "odd"), (2, 3, 2, "even"),
+    (3, 2, 2, "odd"), (3, 2, 2, "even"), (4, 2, 2, "odd"), (4, 2, 2, "even"),
+])
+def test_construct_code_sizes_no_orbit(q, k, r, parity, monkeypatch):
+    # the claim is the closed form, whose count construct_code has checked
+    # against the enumeration, so verify checks the paper's formula itself;
+    # (2, 2, 5) even is the first row whose even rep >= 2 part is nonzero
+    def no_orbit_size(u):
+        raise AssertionError("an orbit sized while constructing")
+
+    for module in (sl, oc):
+        monkeypatch.setattr(module, "orbit_size", no_orbit_size)
+    code = oc.construct_code(q, k, r, parity)
+    assert len(code.generators) == oc.generator_count(q, k, r, parity)
+    assert code.claimed_size == oc.construction_size(q, k, r, parity)
+    assert code.claimed_min_distance == 2 * k - 2
+
+
 def test_construct_code_checks_the_enumeration_against_the_count(monkeypatch):
     enumerate_family = sc.enumerate_family
 

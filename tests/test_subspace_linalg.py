@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import orbit_by_scan, shifted_intersection_dim, span_by_enumeration
+from oracles import linearity_field, orbit_by_scan, shifted_intersection_dim, span_by_enumeration
 
 from cyclic_cdc import sidon_constructions as sc
 from cyclic_cdc import subspace_linalg as sl
-from cyclic_cdc.errors import AmbientMismatch, BadShape, ZeroShift
+from cyclic_cdc.errors import AmbientMismatch, BadShape, DimensionMismatch, Infeasible, ZeroShift
 from cyclic_cdc.field_tower import build_tower
 
 
@@ -117,13 +117,22 @@ def test_shift_intersection_invariant_under_scalar():
 def test_linearity_field_and_orbit_size():
     tw = build_tower(2, 1, 2, 5)
     F4 = subfield_subspace(tw)
-    assert sl.linearity_field(F4) == tw.k
+    assert linearity_field(F4) == tw.k
     assert sl.orbit_size(F4) == (2 ** 10 - 1) // (2 ** 2 - 1)
     u = first_generator(tw)
-    assert sl.linearity_field(u) == 1
+    assert linearity_field(u) == 1
     assert sl.orbit_size(u) == 2 ** 10 - 1
     one = sl.span(tw, [37])
-    assert sl.linearity_field(one) == 1
+    assert linearity_field(one) == 1
+    assert sl.orbit_size(one) == 2 ** 10 - 1
+    # orbit_size is the union scan of U alone: the zero subspace is no
+    # generator, and GF(2^14) itself has 16383 x 16382 point ratios, over
+    # the default budget
+    with pytest.raises(DimensionMismatch):
+        sl.orbit_size(sl.span(tw, []))
+    big = build_tower(2, 1, 2, 7)
+    with pytest.raises(Infeasible, match="point ratios exceeds"):
+        sl.orbit_size(sl.span(big, [1 << i for i in range(14)]))
 
 
 def test_orbit_size_matches_direct_enumeration():
@@ -172,9 +181,9 @@ def test_contains_and_elements():
     u = first_generator(tw)
     els = span_by_enumeration(tw, u.rows)
     assert len(els) == 2 ** u.dim
-    assert all(u.contains(e) for e in els)
+    assert all(sl.rank_rows(tw, u.rows + (e,)) == u.dim for e in els)
     outside = next(x for x in range(1, 2 ** 10) if x not in els)
-    assert not u.contains(outside)
+    assert sl.rank_rows(tw, u.rows + (outside,)) == u.dim + 1
 
 
 @settings(max_examples=40, deadline=None)
