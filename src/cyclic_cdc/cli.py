@@ -5,7 +5,9 @@ Subcommands: construct, verify, sidon-check, bounds, table, poly, simulate.
 Every run emits a manifest (command, the parsed arguments but ``--out``, tower,
 tool version, wall time, phase timings, work counters, sha256 digest of the
 result JSON); timings and counters stay outside the hashed result, so identical
-inputs give identical result digests.  Big integers are decimal strings.
+inputs give identical result digests; ``time_encode`` and, for a code file,
+``time_load`` time the writing and the reading.  The result is written byte
+for byte as ``json.dumps(sort_keys=True, indent=2)``.  Big integers are decimal strings.
 Exit codes: 0 verified/ok, 1 internal fault (a BrokenInvariant propagates
 with its traceback), 2 claim mismatch or failed check, 3 infeasible under the
 scan budget, 4 input error (argparse usage errors included).
@@ -18,6 +20,7 @@ import json
 import sys
 import time
 from collections import Counter
+from json.encoder import encode_basestring_ascii as _quote  # C, where built
 
 try:  # CPython's built-in sha256: hashlib would load OpenSSL for one digest
     from _sha2 import sha256  # CPython >= 3.12
@@ -38,10 +41,24 @@ EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_INFEASIBLE = 3
 EXIT_INPUT = 4
+_encode = json.JSONEncoder(sort_keys=True).encode  # the C encoder
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+def _dumps(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte, without its
+    pure-Python indent encoder: scalars and keys go through the C encoder."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return int.__repr__(obj) if type(obj) is int else _encode(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):  # a non-str key is quoted as json.dumps({key: 0}) quotes it
+        items = ((_quote(k) if isinstance(k, str) else _encode({k: 0})[1:-4]) + ": "
+                 + _dumps(v, inner) for k, v in sorted(obj.items()))
+    elif set(map(type, obj)) == {int}:
+        items = map(int.__repr__, obj)
+    else:
+        items = (_dumps(v, inner) for v in obj)
+    ends = "{}" if isinstance(obj, dict) else "[]"
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if obj else ends
 
 
 def _emit(command: str, params: dict, tower_spec, result: dict, out: str | None, t0: float) -> None:
@@ -49,7 +66,10 @@ def _emit(command: str, params: dict, tower_spec, result: dict, out: str | None,
     result = dict(result)
     timings = {key: result.pop(key) for key in sorted(result) if key.startswith("time_")}
     counters = result.pop("counters", {})
+    t1 = time.perf_counter()
     payload = _dumps(result)
+    digest = sha256(payload.encode()).hexdigest()
+    timings["time_encode"] = round(time.perf_counter() - t1, 3)
     manifest = {
         "command": command,
         "parameters": params,
@@ -58,7 +78,7 @@ def _emit(command: str, params: dict, tower_spec, result: dict, out: str | None,
         "wall_time_s": round(time.perf_counter() - t0, 3),
         "timings": timings,
         "counters": counters,
-        "result_digest": sha256(payload.encode()).hexdigest(),
+        "result_digest": digest,
     }
     if out:
         with open(out, "w") as fh:
@@ -71,9 +91,11 @@ def _emit(command: str, params: dict, tower_spec, result: dict, out: str | None,
         print(_dumps(manifest), file=sys.stderr)
 
 
-def _load_code(path: str) -> oc.UnionCode:
+def _load_code(path: str) -> tuple[oc.UnionCode, float]:
+    t1 = time.perf_counter()
     with open(path) as fh:
-        return oc.code_from_json(json.load(fh))
+        code = oc.code_from_json(json.load(fh))
+    return code, round(time.perf_counter() - t1, 3)
 
 
 # -- subcommands: each returns (tower spec, result, exit code) ---------------------
@@ -88,15 +110,16 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
-    code = _load_code(args.code)
+    code, time_load = _load_code(args.code)
     report = oc.verify_code(code, budget=args.budget)
+    report["time_load"] = time_load
     report["claimed_size"] = str(code.claimed_size)
     report["claimed_min_distance"] = code.claimed_min_distance
     return code.tower.spec_dict(), report, EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 
 def cmd_sidon_check(args):
-    code = _load_code(args.code)
+    code, time_load = _load_code(args.code)
     t1 = time.perf_counter()
     counts = Counter(certified=0, scanned=0, products=0, point_ratios=0)
     failures = [i for i, g in enumerate(code.generators) if not sc.is_sidon(g, counts=counts)]
@@ -104,6 +127,7 @@ def cmd_sidon_check(args):
         "n_generators": len(code.generators),
         "sidon_failures": failures,
         "all_sidon": not failures,
+        "time_load": time_load,
         "time_sidon": round(time.perf_counter() - t1, 3),
         "counters": dict(counts),
     }
@@ -175,7 +199,7 @@ def cmd_poly(args):
 
 
 def cmd_simulate(args):
-    code = _load_code(args.code)
+    code, time_load = _load_code(args.code)
     cfg = ch.ChannelConfig(
         erasures=args.erasures, insertions=args.insertions,
         trials=args.trials, seed=args.seed,
@@ -188,6 +212,7 @@ def cmd_simulate(args):
     report["codebook_size"] = len(codebook)
     skipped = len(code.generators) - len(codebook.generators)
     report["counters"].update(orbits=len(codebook.generators), generators_skipped=skipped)
+    report["time_load"] = time_load
     report["time_codebook"] = round(t2 - t1, 3)
     report["time_trials"] = round(time.perf_counter() - t2, 3)
     return code.tower.spec_dict(), report, EXIT_OK

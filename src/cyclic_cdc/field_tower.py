@@ -9,8 +9,9 @@ basis {1, gamma, ..., gamma^(t-1)} tensored with the lower bases (gamma-power
 major, lower basis minor).  A pleasant consequence is that the embedding of a
 lower level into a higher one is the identity on encodings.  So one codec
 (``digits_of``, ``int_from_digits``) serves every level's digits and the
-GF(q)-coordinates, and a GF(q) scalar c times x is ``mul(c, x)``, with -x
-as ``mul(p - 1, x)``.
+GF(q)-coordinates (``digits_of`` reads up to ten digits per ``divmod`` from a
+table of at most 1,024 chunks, below base 33), and a GF(q) scalar c times x
+is ``mul(c, x)``, with -x as ``mul(p - 1, x)``.
 
 Field construction is fully deterministic: defining polynomials are the first
 irreducible monic polynomials in ascending order of the packed non-leading
@@ -48,14 +49,27 @@ from .errors import (
 
 FULL_TABLE_LIMIT = 1 << 8   # dense add/mul tables
 LOG_TABLE_LIMIT = 1 << 16   # discrete log/exp tables
+CHUNK_TABLE_LIMIT = 1 << 10  # digits_of's chunk tables
+
+
+@functools.lru_cache(maxsize=None)
+def _chunk_table(base: int) -> tuple[int, list[tuple[int, ...]] | None]:
+    """(base^c, the c digits of each i < base^c, least significant first) for
+    the largest c with base^c <= CHUNK_TABLE_LIMIT; (base, None) if c < 2."""
+    c = next((c for c in range(CHUNK_TABLE_LIMIT.bit_length(), 1, -1)
+              if base ** c <= CHUNK_TABLE_LIMIT), 1)
+    return base ** c, [t[::-1] for t in itertools.product(range(base), repeat=c)] if c > 1 else None
 
 
 def digits_of(x: int, base: int, n: int) -> list[int]:
-    """The n lowest base-``base`` digits of x, least significant first."""
+    """The n lowest base-``base`` digits of x, least significant first: several
+    per ``divmod`` from the base's chunk table, or one for a base above 32."""
+    size, table = _chunk_table(base)
     out = []
-    for _ in range(n):
-        x, r = divmod(x, base)
-        out.append(r)
+    while len(out) < n:
+        x, r = divmod(x, size)
+        out += table[r] if table else (r,)
+    del out[n:]
     return out
 
 
@@ -142,8 +156,7 @@ class ExtensionField:
         self._red = tuple(sub.neg(c) for c in def_poly[:-1])
         self._exp: list[int] | None = None
         self._log: dict[int, int] | list | None = None
-        self._add_table = None
-        self._mul_table = None
+        self._add_table = self._mul_table = self._inv_table = None
         # filled on first use; plain attributes, not functools.cached_property,
         # whose write to the instance __dict__ slows every later attribute
         # read of the field (about 30 % on a table mul)
@@ -299,6 +312,7 @@ class ExtensionField:
                 li = log[i]
                 for j in range(1, n):
                     row[j] = exp[(li + log[j]) % o1]
+            self._inv_table = [0] + [exp[-log[i] % o1] for i in range(1, n)]
 
     @property
     def primitive(self) -> int:

@@ -5,6 +5,7 @@ matrix, with each basis row kept in packed form: the row *is* the integer
 encoding of the corresponding field element (the packed base-q digits are the
 flattened coordinates).  RREF makes equality of subspaces equality of row
 tuples.  Pivots are taken at the first (lowest-index) nonzero coordinate.
+The RREF is unique, so a loaded basis is checked on its digits alone.
 
 All elimination goes through two forward-only kernels, which return a
 {pivot: row} echelon of the span of their input rows:
@@ -14,8 +15,8 @@ All elimination goes through two forward-only kernels, which return a
 - ``_echelon`` works on digit lists over any field: over GF(q) on unpacked
   coordinates, and over GF(q^m) for ``field_matrix_rank``, the rank of the
   rank-matrix criterion of ``linearized_poly``.  Its row operations index the
-  field's dense add and mul tables when the field has them (order <= 2^8,
-  so every GF(q) level), and call the field's arithmetic otherwise.
+  field's dense add, mul and inverse tables when the field has them (order
+  <= 2^8, so every GF(q) level), and call the field's arithmetic otherwise.
 
 A rank is the size of the echelon.  The RREF back-substitutes it in
 descending pivot order.  A map's kernel is read off the echelon of the
@@ -71,25 +72,29 @@ def _echelon(F, rows: Iterable[Sequence[int]]) -> dict[int, Sequence[int]]:
     """{pivot column: row scaled to pivot 1} of a forward echelon basis of the
     span of digit-list rows over the field F.  A row's pivot is its first
     nonzero entry, and the row is zero in the pivot columns of the rows
-    inserted before it.  Row updates index F's dense add and mul tables when
-    F has them."""
+    inserted before it.  With F's dense tables, rows are negated and scaled
+    by table rows (mt[-1] negates), with no call per digit."""
     at, mt = F._add_table, F._mul_table
     sub, mul = F.sub_, F.mul
+    neg, inv = (mt[F.char - 1], F._inv_table) if mt is not None else (None, None)
     piv: dict[int, Sequence[int]] = {}
     for v in rows:
         for pc, pr in piv.items():
             c = v[pc]
             if c and mt is not None:
-                row = mt[F.neg(c)]
+                row = mt[neg[c]]
                 v = [at[x][row[y]] for x, y in zip(v, pr)]
             elif c:
                 v = [sub(x, mul(c, y)) for x, y in zip(v, pr)]
         pc = next((j for j, x in enumerate(v) if x), None)
         if pc is not None:
             c = v[pc]
-            if c != 1:
-                inv = F.inv(c)
-                v = [mul(inv, x) for x in v]
+            if c != 1 and mt is not None:
+                row = mt[inv[c]]
+                v = [row[x] for x in v]
+            elif c != 1:
+                c = F.inv(c)
+                v = [mul(c, x) for x in v]
             piv[pc] = v
     return piv
 
@@ -164,20 +169,25 @@ class Subspace(NamedTuple):
 
 def subspace_from_json(tower: FieldTower, obj: dict) -> Subspace:
     """Load a subspace, enforcing that each basis row has m integer digits
-    in range(q) and that the stored basis is the canonical RREF."""
+    in range(q) and that the stored basis is the canonical RREF: each row's
+    first nonzero digit is 1, beyond the row above's, and the only nonzero
+    digit of its column (exactly the rows that ``rref_rows`` gives back)."""
     if json_field(obj, "ambient_dim") != tower.m:
         raise AmbientMismatch("ambient dimension does not match tower")
-    for r in json_field(obj, "basis", list):
-        if not (type(r) is list and len(r) == tower.m
-                and all(type(d) is int and 0 <= d < tower.q for d in r)):
+    basis = json_field(obj, "basis", list)
+    for r in basis:
+        if not (type(r) is list and len(r) == tower.m and set(map(type, r)) <= {int}
+                and min(r) >= 0 and max(r) < tower.q):
             raise BadShape(f"basis row {r} is not {tower.m} digits in range({tower.q})")
-    rows = tuple(tower.unflatten(r) for r in obj["basis"])
-    canon = rref_rows(tower, rows)
-    if canon != rows:
-        raise BadShape("basis is not in canonical reduced row-echelon form")
-    if len(canon) != json_field(obj, "dim"):
+    last = -1
+    for r in basis:
+        pc = r.index(1) if 1 in r else -1
+        if pc <= last or any(r[:pc]) or sum(s[pc] for s in basis) != 1:
+            raise BadShape("basis is not in canonical reduced row-echelon form")
+        last = pc
+    if len(basis) != json_field(obj, "dim"):
         raise BadShape("stored dim disagrees with basis rank")
-    return Subspace(tower, canon)
+    return Subspace(tower, tuple(map(tower.unflatten, basis)))
 
 
 def span(tower: FieldTower, vectors: Iterable) -> Subspace:

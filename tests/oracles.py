@@ -58,6 +58,8 @@ containment rank per basis row: U's orbit has (q^m - 1)/(q^d - 1) words,
 the check of the package's orbit sizes, read off each generator's self pair
 in the union scan.
 
+``digits_by_divmod`` reads a number's digits one ``divmod`` at a time, the
+check of the package's ``digits_of``, which reads several from a table.
 ``schoolbook_mul`` multiplies in an extension level by the schoolbook
 product of the digit vectors and its reduction, each coefficient by the
 level below's ``add`` and ``mul``: the check of the package's product, which
@@ -86,7 +88,6 @@ from cyclic_cdc.field_tower import (
     _ppowmod,
     _psub,
     build_tower,
-    digits_of,
     factorize,
     int_from_digits,
     poly_gcd,
@@ -510,12 +511,22 @@ def avoiding_greedy(o1, forbidden, target):
     return chosen
 
 
+def digits_by_divmod(x, base, n):
+    """The n lowest base-``base`` digits of x, least significant first, one
+    ``divmod`` each."""
+    out = []
+    for _ in range(n):
+        x, r = divmod(x, base)
+        out.append(r)
+    return out
+
+
 def schoolbook_mul(F, a, b):
     """a * b in the extension level F: the product of the digit vectors over
     F.sub, then each coefficient of x^i, i >= d, folded down by
     x^d = sum(F._red[j] * x^j), from the top degree down."""
     sub, d = F.sub, F.degree
-    av, bv = digits_of(a, sub.order, d), digits_of(b, sub.order, d)
+    av, bv = digits_by_divmod(a, sub.order, d), digits_by_divmod(b, sub.order, d)
     prod = [0] * (2 * d - 1)
     for i, ai in enumerate(av):
         for j, bj in enumerate(bv):

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import sidon_by_products, sorted_codebook
 from strategies import FROBENIUS_TOWERS, frobenius_space
 
@@ -57,7 +59,7 @@ def test_construct_manifest_reports_its_work(tmp_path):
     assert run(["construct", "--q", 2, "--k", 2, "--r", 2, "--parity", "odd",
                 "--out", out]) == cli.EXIT_OK
     manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-    assert set(manifest["timings"]) == {"time_construct"}
+    assert set(manifest["timings"]) == {"time_construct", "time_encode"}
     assert manifest["counters"] == {"generators": 33, "budget": oc.DEFAULT_SCAN_BUDGET}
     assert out.read_text() == cli._dumps(oc.construct_code(2, 2, 2, "odd").to_json()) + "\n"
     assert manifest["result_digest"] == PINNED_DIGESTS["construct-odd-2-2-10"]
@@ -141,7 +143,8 @@ def test_sidon_check_scans_generators_that_are_not_max_span(tmp_path):
     # 40 points and 40 * 39 ordered ratios
     assert counters == {"certified": 0, "scanned": 3, "products": 0,
                         "point_ratios": 3 * 40 * 39}
-    assert "time_sidon" in manifest["timings"] and "time_sidon" not in result
+    assert set(manifest["timings"]) == {"time_load", "time_sidon", "time_encode"}
+    assert "time_sidon" not in result
 
 
 def test_verify_budget_infeasible(even_code_file, tmp_path):
@@ -278,6 +281,17 @@ BUILDS_NO_TOWER = {"construct-r1", "construct-even-above-log-tables",
      "BadShape: provenance must be of type str"),
     (["verify", "--code", ("code", "generators.0.dim", 2.0)], cli.EXIT_INPUT,
      "BadShape: dim must"),
+    # a basis digit is a JSON integer in range(q), q = 2 here
+    (["verify", "--code", ("code", "generators.0.basis.0.0", True)], cli.EXIT_INPUT,
+     "BadShape: basis row"),
+    (["verify", "--code", ("code", "generators.0.basis.0.0", 1.0)], cli.EXIT_INPUT,
+     "BadShape: basis row"),
+    (["verify", "--code", ("code", "generators.0.basis.0.0", -1)], cli.EXIT_INPUT,
+     "BadShape: basis row"),
+    (["verify", "--code", ("code", "generators.0.basis.0.0", 2)], cli.EXIT_INPUT,
+     "BadShape: basis row"),
+    (["verify", "--code", ("code", "generators.0.basis.0.0", "1")], cli.EXIT_INPUT,
+     "BadShape: basis row"),
     (["poly", "--file", ("poly", "s", 1.5), "--N", 14], cli.EXIT_INPUT, "BadShape: s must"),
     (["poly", "--file", ("poly", "k", 3.0), "--N", 14], cli.EXIT_INPUT, "BadShape: k must"),
     (["poly", "--file", ("poly", "q", 2.0), "--N", 14], cli.EXIT_INPUT, "BadShape: q must"),
@@ -313,7 +327,9 @@ BUILDS_NO_TOWER = {"construct-r1", "construct-even-above-log-tables",
         "construct-even-k14", "construct-odd-r30", "construct-r1", "bounds-d-above-2k",
         "verify-float-p", "verify-float-distance", "verify-bool-distance", "verify-float-size",
         "verify-int-size", "verify-zero-padded-size", "verify-full-width-size",
-        "verify-list-provenance", "verify-float-dim", "poly-float-s", "poly-float-k", "poly-float-q",
+        "verify-list-provenance", "verify-float-dim", "verify-bool-digit", "verify-float-digit",
+        "verify-negative-digit", "verify-digit-q", "verify-string-digit", "poly-float-s",
+        "poly-float-k", "poly-float-q",
         "poly-float-exponent", "poly-float-coordinate", "poly-missing-level",
         "verify-changed-def-poly-top", "verify-k-zero", "poly-polys-number",
         "poly-poly-array", "poly-top-level-array"])
@@ -431,7 +447,8 @@ def test_poly_command_passes(tmp_path):
     assert rep["exact"]["orbit_collisions"] == []
     # phase timings and the work done go to the manifest, not the result
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
-    assert set(manifest["timings"]) == {"time_criteria", "time_criteria_gf2", "time_distance"}
+    assert set(manifest["timings"]) == {"time_criteria", "time_criteria_gf2", "time_distance",
+                                        "time_encode"}
     assert not any(key.startswith("time_") for key in rep)
     # the distance and the rank condition share one scan: the 3 kernels'
     # 7 x 6 internal point ratios each, and no pair shares one
@@ -610,7 +627,7 @@ def test_simulate_command(even_code_file, tmp_path):
     # each noiseless R is a full-orbit line: 3 points x 4 generators x 3
     # points of point ratios, and one maximising shift, per trial
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
-    assert set(manifest["timings"]) == {"time_codebook", "time_trials"}
+    assert set(manifest["timings"]) == {"time_load", "time_codebook", "time_trials", "time_encode"}
     assert manifest["counters"] == {"point_ratios": 40 * 36, "decode_candidates": 40,
                                     "orbits": 4, "generators_skipped": 0}
     assert "counters" not in rep and not any(key.startswith("time_") for key in rep)
@@ -793,13 +810,13 @@ def test_manifest_reproducibility(even_code_file, tmp_path):
     # 4 generators of 3-point projective lines, 3 x 2 internal ratios each,
     # none of them shared: the 10 pairs i <= j need no histogram
     verify = json.loads((tmp_path / "verify.a.json.manifest.json").read_text())
-    assert set(verify["timings"]) == {"time_exact_scan"}
+    assert set(verify["timings"]) == {"time_load", "time_exact_scan", "time_encode"}
     assert verify["counters"] == {"pairs": 10, "point_ratios": 24, "shared_pairs": 0,
                                   "budget": cli.oc.DEFAULT_SCAN_BUDGET}
     # 10 trials with one erasure: each R is one point, against 4 x 3 points,
     # and lies on 12 of the lines
     simulate = json.loads((tmp_path / "simulate.a.json.manifest.json").read_text())
-    assert set(simulate["timings"]) == {"time_codebook", "time_trials"}
+    assert set(simulate["timings"]) == {"time_load", "time_codebook", "time_trials", "time_encode"}
     assert simulate["counters"]["point_ratios"] == 10 * 12
     assert simulate["counters"]["decode_candidates"] == 10 * 12  # 12 lines per point
 
@@ -855,18 +872,71 @@ def pinned_runs(tmp_path_factory):
     for name, argv in argvs.items():
         out = tmp / f"{name}.json"
         assert run(argv + ["--out", out]) == cli.EXIT_OK, name
-        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-        runs[name] = manifest["result_digest"], out.read_bytes()
+        manifest = Path(f"{out}.manifest.json").read_bytes()
+        runs[name] = json.loads(manifest)["result_digest"], out.read_bytes(), manifest
     return runs
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
 def test_result_digests_are_pinned(name, pinned_runs):
-    digest, written = pinned_runs[name]
+    digest, written, _ = pinned_runs[name]
     assert digest == PINNED_DIGESTS[name]
     # the digest is the sha256 of the result file without its final newline
     assert written.endswith(b"\n")
     assert hashlib.sha256(written[:-1]).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_pinned_files_are_written_as_json_dumps(name, pinned_runs):
+    # the result and the manifest, reparsed, are what json.dumps writes
+    _, written, manifest = pinned_runs[name]
+    for text in (written, manifest):
+        obj = json.loads(text)
+        assert text.decode() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        assert cli._dumps(obj) + "\n" == text.decode()
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+                | st.floats() | st.text())
+# the keys of one dict must sort against each other: all strings, all numbers
+# (bools and nan among them) or a lone None; a list of ints takes the fast join
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
+                  | st.dictionaries(st.text(), kids, max_size=4)
+                  | st.dictionaries(st.integers() | st.floats() | st.booleans(), kids, max_size=4)
+                  | st.dictionaries(st.none(), kids, max_size=1)
+                  | st.lists(st.integers(), min_size=1, max_size=6)),
+    max_leaves=30)
+
+
+def _nested(depth):
+    """A list/dict tower ``depth`` levels deep, keyed by str and by int."""
+    tree = [1, -2]
+    for i in range(depth):
+        tree = [tree, None] if i % 2 else ({"k": tree, "": 0} if i % 4 else {i: tree, -1 - i: 1.5})
+    return tree
+
+
+@settings(max_examples=300, deadline=None)
+@example(float("nan"))
+@example([float("inf"), -float("inf"), -0.0, 1e300, 5e-324])
+@example({"\u00e9\u03b1\U0001f600": "\x00\n\t\"\\/\u2028", "": []})
+@example({2: [], -1: {}, 1.5: (), True: "t", 0.0: 0, float("nan"): None})
+@example({None: [10 ** 40, -(10 ** 40)]})
+@example([[], {}, (), [1, True], [1, 1.0], [2, -3, 0]])
+@example(_nested(60))
+@given(JSON_TREES)
+def test_dumps_matches_json_dumps(tree):
+    assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_dumps_refuses_what_json_dumps_refuses():
+    for bad in ({(1, 2): 3}, {1: 2, "a": 3}, {1, 2}, [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._dumps(bad)
 
 
 def test_sorted_order_replay_gives_the_old_digest(even_code_2_2_8):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    digits_by_divmod,
     element_order,
     irreducible_by_rabin,
     projective_reps_by_digits,
@@ -163,6 +164,30 @@ def test_log_tables_follow_the_primitive(params):
         for i, x in enumerate(exp):
             assert log[x] == i
             assert exp[(i + 1) % o1] == F._mul_poly(x, g)
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2, 8), (3, 1, 2, 4), (2, 2, 2, 3), (5, 1, 1, 3)])
+def test_inverse_table_and_negation_row(params):
+    # the tables the echelon scales and negates rows through: x * inv[x] = 1,
+    # and the mul table's row of p - 1 is negation
+    tw = build_tower(*params)
+    for F in (tw.q_level, tw.mid, tw.top):
+        if F._mul_table is None:
+            assert F._inv_table is None
+            continue
+        assert F._inv_table[0] == 0
+        assert all(F.mul(x, F._inv_table[x]) == 1 for x in range(1, F.order))
+        neg = F._mul_table[F.char - 1]
+        assert all(F.add(x, neg[x]) == 0 for x in range(F.order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 40) | st.sampled_from([2, 3, 4, 27, 31, 32, 33, 128, 3 ** 15]),
+       st.integers(0, 45), st.integers(0, 10 ** 30))
+def test_chunked_digits_match_the_divmod_loop(base, n, x):
+    # bases up to 32 read 2 or more digits per chunk from their table, larger
+    # bases one per divmod; x may have more than n digits
+    assert digits_of(x, base, n) == digits_by_divmod(x, base, n)
 
 
 @pytest.mark.parametrize("params", [(2, 1, 2, 4), (3, 1, 2, 4)])

@@ -176,6 +176,54 @@ def test_subspace_json_rejects_rows_outside_gf_q_m(row):
         sl.subspace_from_json(tw, {"ambient_dim": 8, "dim": 1, "basis": [row]})
 
 
+# q -> a tower over GF(q) with m = 6 or 4
+RREF_TOWERS = {2: (2, 1, 2, 3), 3: (3, 1, 2, 2), 4: (2, 2, 2, 2)}
+MUTATIONS = ("none", "swap", "scale", "pivot-column", "zero-row", "repeat-row")
+
+
+@st.composite
+def digit_bases(draw, q):
+    """(tower, digit rows): a random digit matrix, or the canonical basis of a
+    random span, either kept or mutated once."""
+    tw = build_tower(*RREF_TOWERS[q])
+    digit_row = st.lists(st.integers(0, q - 1), min_size=tw.m, max_size=tw.m)
+    if draw(st.booleans()):
+        return tw, draw(st.lists(digit_row, max_size=4))
+    vecs = draw(st.lists(st.integers(1, tw.top.order - 1), min_size=1, max_size=4))
+    rows = [list(tw.flatten(r)) for r in sl.span(tw, vecs).rows]
+    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+    mutation = draw(st.sampled_from(MUTATIONS))
+    if mutation == "swap":
+        rows[i], rows[j] = rows[j], rows[i]
+    elif mutation == "scale":
+        c = draw(st.integers(1, q - 1))
+        rows[i] = [tw.q_level.mul(c, d) for d in rows[i]]
+    elif mutation == "pivot-column":
+        pc = next(col for col, d in enumerate(rows[i]) if d)
+        rows[j][pc] = draw(st.integers(0, q - 1))
+    elif mutation == "zero-row":
+        rows.insert(i, [0] * tw.m)
+    elif mutation == "repeat-row":
+        rows.insert(i, list(rows[j]))
+    return tw, rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_check_accepts_exactly_the_rref(q, data):
+    # the digit check of subspace_from_json, against elimination: a basis
+    # loads exactly when rref_rows gives it back
+    tw, rows = data.draw(digit_bases(q))
+    packed = tuple(map(tw.unflatten, rows))
+    obj = {"ambient_dim": tw.m, "dim": len(rows), "basis": rows}
+    if sl.rref_rows(tw, packed) == packed:
+        assert sl.subspace_from_json(tw, obj).rows == packed
+    else:
+        with pytest.raises(BadShape, match="canonical"):
+            sl.subspace_from_json(tw, obj)
+
+
 def test_contains_and_elements():
     tw = build_tower(2, 1, 2, 5)
     u = first_generator(tw)
